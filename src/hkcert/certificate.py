@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import gcd
+from math import gcd, isqrt
 
 from . import obstruction
 from .construction import (
@@ -309,29 +309,40 @@ def verify_payload(payload):
             raise CertificateFormatError("alpha_x: zero denominator")
         recorded_alpha = BrauerClass(RationalClass(alpha_num, alpha_den), inst.pic_basis)
         den = 4 * g * t * inst.d**2
-        q = RationalClass(epsilon * h - (den // 2) * delta, den)
-        recomputed = BrauerClass(-sigma.apply_rational(q), inst.pic_basis)
-        add(
-            "alpha_matches_record",
-            recomputed.representative == recorded_alpha.representative,
-        )
-        add("alpha_is_b_field", brauer_equal(recomputed, b_field_class(inst)))
+        if den == 0:
+            add("alpha_matches_record", False, "4gtd^2 = 0")
+            add("alpha_is_b_field", False, "4gtd^2 = 0")
+        else:
+            q = RationalClass(epsilon * h - (den // 2) * delta, den)
+            recomputed = BrauerClass(-sigma.apply_rational(q), inst.pic_basis)
+            add(
+                "alpha_matches_record",
+                recomputed.representative == recorded_alpha.representative,
+            )
+            add("alpha_is_b_field", brauer_equal(recomputed, b_field_class(inst)))
 
     wall = _require(payload, "wall", "certificate")
     wg = _dec_int(_require(wall, "g", "wall"), "wall.g")
     wc1 = _dec_int(_require(wall, "C1", "wall"), "wall.C1")
     wc0 = _dec_int(_require(wall, "C0", "wall"), "wall.C0")
     add("wall_parameters", wg == g and wc1 == C1 and wc0 == inst.C0)
-    try:
-        recomputed_wall = obstruction.wall_certificate(wg, wc1, wc0)
-        tested = [[_enc_int(a), _enc_int(r)] for a, r in recomputed_wall.tested_a]
-        add("wall_enumeration", tested == _require(wall, "tested_a", "wall"))
-        add(
-            "wall_verdict",
-            recomputed_wall.verdict and bool(_require(wall, "verdict", "wall")),
-        )
-    except ValueError as exc:
-        add("wall_enumeration", False, str(exc))
+    recorded_tested = _require(wall, "tested_a", "wall")
+    # compare the length first: re-enumerating isqrt(C0 - 1) values for a
+    # forged huge C0 would take time unbounded by the size of the file
+    expected = isqrt(wc0 - 1) if wc0 > 1 else 0
+    if not isinstance(recorded_tested, list) or len(recorded_tested) != expected:
+        add("wall_enumeration", False, f"expected {expected} tested values of a")
+    else:
+        try:
+            recomputed_wall = obstruction.wall_certificate(wg, wc1, wc0)
+            tested = [[_enc_int(a), _enc_int(r)] for a, r in recomputed_wall.tested_a]
+            add("wall_enumeration", tested == recorded_tested)
+            add(
+                "wall_verdict",
+                recomputed_wall.verdict and bool(_require(wall, "verdict", "wall")),
+            )
+        except ValueError as exc:
+            add("wall_enumeration", False, str(exc))
 
     recorded_checks = _require(payload, "checks", "certificate")
     if not isinstance(recorded_checks, list):

@@ -28,6 +28,7 @@ from .lattice import (
     Isometry,
     LatticeVector,
     RationalClass,
+    _gram_times,
     divisibility,
     graded_coefficient_tuples,
     isometry_between,
@@ -76,8 +77,6 @@ class ConstructionRecord:
 
 
 def _pic_search_data(inst):
-    from .lattice import _gram_times
-
     basis_pairings = [_gram_times(p) for p in inst.pic_basis]
     w_pairings = [pair(p, inst.W) for p in inst.pic_basis]
     sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
@@ -140,9 +139,8 @@ def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: i
     turns pathologies into a reported error rather than a wrong answer.
     """
     C1 = pair(A, inst.W)
-    L = inst.lattice
-    ga = [sum(r * c for r, c in zip(row, A.coords)) for row in L.gram]
-    gw = [sum(r * c for r, c in zip(row, omega.coords)) for row in L.gram]
+    ga = _gram_times(A)
+    gw = _gram_times(omega)
     a2 = pair(A, A)
     aw = pair(A, omega)
     w2 = pair(omega, omega)
@@ -162,9 +160,8 @@ def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: i
 
 def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) -> int:
     """Smallest t >= 1 with div(D + 4*g*t*d*B) = 1."""
-    L = inst.lattice
-    gd = [sum(r * c for r, c in zip(row, D.coords)) for row in L.gram]
-    gb = [sum(r * c for r, c in zip(row, inst.B.coords)) for row in L.gram]
+    gd = _gram_times(D)
+    gb = _gram_times(inst.B)
     step = 4 * g * inst.d
     for t in range(1, t_budget + 1):
         dd = 0

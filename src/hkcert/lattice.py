@@ -41,6 +41,9 @@ class GramLattice:
     """An integral lattice presented by an exact Gram matrix.
 
     Identity is the Gram matrix; the label is a display name only.
+    ``sparse_rows[i]`` lists the nonzero entries of Gram row i as
+    (column, value) pairs; every pairing goes through it (the rows of
+    ``build_lambda`` hold at most 4 nonzeros each).
     """
 
     rank: int
@@ -58,6 +61,7 @@ class GramLattice:
                     raise ValueError("gram matrix is not symmetric")
         if self.rank and snf.det_bareiss([list(r) for r in g]) == 0:
             raise ValueError("gram matrix is degenerate")
+        object.__setattr__(self, "sparse_rows", tuple(_sparse(row) for row in g))
 
     def vector(self, coords) -> "LatticeVector":
         return LatticeVector(tuple(int(c) for c in coords), self)
@@ -155,7 +159,12 @@ class DiscriminantData:
 
 @dataclass(frozen=True)
 class Isometry:
-    """Integer matrix acting on coordinate columns, preserving the Gram form."""
+    """Integer matrix acting on coordinate columns, preserving the Gram form.
+
+    Construction checks M^T G M = G exactly.  Since the lattice is
+    nondegenerate, that identity gives det(M)^2 = 1, so every Isometry is
+    unimodular without a separate determinant check.
+    """
 
     matrix: tuple
     lattice: GramLattice
@@ -166,23 +175,27 @@ class Isometry:
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("isometry matrix shape does not match lattice rank")
-        rows = [list(r) for r in m]
-        g = [list(r) for r in self.lattice.gram]
-        if snf.mat_mul(snf.mat_mul(snf.transpose(rows), g), rows) != g:
+        g = self.lattice.gram
+        # G*M first, so mat_mul skips the zeros of the sparse Gram matrix
+        if snf.mat_mul(snf.transpose(m), snf.mat_mul(g, m)) != [list(r) for r in g]:
             raise ValueError("matrix does not preserve the Gram form")
-        if snf.det_bareiss(rows) not in (1, -1):
-            raise ValueError("isometry matrix is not unimodular")
 
     def apply(self, v: LatticeVector) -> LatticeVector:
         if v.lattice != self.lattice:
             raise ValueError("vector lives in a different lattice")
-        return self.lattice.vector(snf.mat_vec([list(r) for r in self.matrix], list(v.coords)))
+        return self.lattice._vec(tuple(snf.mat_vec(self.matrix, v.coords)))
 
     def apply_rational(self, q: RationalClass) -> RationalClass:
         return RationalClass(self.apply(q.numerator), q.denominator)
 
     def det(self) -> int:
-        return snf.det_bareiss([list(r) for r in self.matrix])
+        """The determinant, +1 or -1.
+
+        It is +-1 for every Isometry (see the class docstring), and 1 and -1
+        differ mod 3, so the determinant of M reduced mod 3 decides it while
+        Bareiss runs on entries in {0, 1, 2} instead of sigma's large ones.
+        """
+        return 1 if snf.det_bareiss([[x % 3 for x in row] for row in self.matrix]) % 3 == 1 else -1
 
 
 def identity_isometry(L: GramLattice) -> Isometry:
@@ -247,14 +260,20 @@ DELTA_INDEX = 22
 # ---------------------------------------------------------------------------
 # pairings
 
+def _sparse(coords):
+    # the nonzero entries of a coordinate tuple, as (index, value) pairs
+    return tuple((i, c) for i, c in enumerate(coords) if c)
+
+
 def pair(v: LatticeVector, w: LatticeVector) -> int:
     if v.lattice != w.lattice:
         raise ValueError("vectors live in different lattices")
+    wc = w.coords
     total = 0
-    for i, a in enumerate(v.coords):
+    for a, row in zip(v.coords, v.lattice.sparse_rows):
         if a:
-            row = v.lattice.gram[i]
-            total += a * sum(r * c for r, c in zip(row, w.coords))
+            for j, r in row:
+                total += a * r * wc[j]
     return total
 
 
@@ -263,9 +282,14 @@ def norm(v: LatticeVector) -> int:
 
 
 def _gram_times(v: LatticeVector):
-    # pairings of v with every basis vector
-    g = v.lattice.gram
-    return [sum(r * c for r, c in zip(row, v.coords)) for row in g]
+    # pairings of v with every basis vector: G v, summed over the support of
+    # v (G is symmetric, so sparse row i is also column i)
+    out = [0] * v.lattice.rank
+    for a, row in zip(v.coords, v.lattice.sparse_rows):
+        if a:
+            for j, r in row:
+                out[j] += a * r
+    return out
 
 
 def divisibility(v: LatticeVector) -> int:
@@ -309,16 +333,19 @@ def _gram_snf(L: GramLattice):
 def acts_trivially_on_discriminant(iso: Isometry) -> bool:
     """True iff the isometry fixes every class of the discriminant group.
 
-    Checked exactly: (M - I) must map the dual lattice into the lattice,
-    i.e. each row of M - I must be an integral combination of Gram rows.
+    The isometry M acts trivially iff M - I maps the dual lattice L* into L.
+    With U G V = D the Smith form of the Gram matrix, L* = G^-1 Z^n =
+    V D^-1 Z^n, so L*/L is generated by the columns v_i / d_i of V D^-1
+    with d_i > 1 (Nikulin 1979).  The check is therefore exactly
+    (M - I) v_i = 0 mod d_i for those columns only; on build_lambda(n) that
+    is a single column, with d = 2n - 2.
     """
-    L = iso.lattice
-    data = _gram_snf(L)
-    n = L.rank
-    for i in range(n):
-        row = [iso.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-        if snf.solve_integer(data, row) is None:
-            return False
+    _, D, V = _gram_snf(iso.lattice)
+    for i, d in enumerate(snf.snf_diagonal(D)):
+        if d > 1:
+            v = [row[i] for row in V]
+            if any((mv - x) % d for mv, x in zip(snf.mat_vec(iso.matrix, v), v)):
+                return False
     return True
 
 
@@ -338,38 +365,70 @@ def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
         raise ValueError("e must be isotropic")
     if pair(e, a) != 0:
         raise ValueError("a must be orthogonal to e")
-    na = norm(a)
-    if na % 2 != 0:
+    if norm(a) % 2 != 0:
         raise ValueError("(a,a) must be even")
-    L = e.lattice
-    ge = _gram_times(e)
-    ga = _gram_times(a)
-    half = na // 2
+    return _isometry_of_ops([_transvection(e, a)], (), e.lattice)
+
+
+def _transvection(e: LatticeVector, a: LatticeVector):
+    """Sparse record (e, a, Ge, Ga, (a,a)/2) of t(e, a): each vector as its
+    nonzero (index, value) pairs, Ge and Ga the pairings with the basis."""
+    return (
+        _sparse(e.coords),
+        _sparse(a.coords),
+        _sparse(_gram_times(e)),
+        _sparse(_gram_times(a)),
+        norm(a) // 2,
+    )
+
+
+def _transvect(op, x):
+    """Apply t(e, a) to the coordinate list x, in place; touches only the
+    supports of e, a, Ge and Ga."""
+    e, a, ge, ga, half = op
+    ax = ex = 0
+    for j, p in ga:
+        ax += p * x[j]
+    for j, p in ge:
+        ex += p * x[j]
+    ce = -ax - half * ex
+    if ce:
+        for i, c in e:
+            x[i] += ce * c
+    if ex:
+        for i, c in a:
+            x[i] += ex * c
+
+
+def _inverse(op):
+    # t(e, a)^-1 = t(e, -a)
+    e, a, ge, ga, half = op
+    return e, tuple((i, -c) for i, c in a), ge, tuple((j, -p) for j, p in ga), half
+
+
+def _isometry_of_ops(ops, inverse_ops, L):
+    """The isometry that applies ``ops`` in order, then undoes ``inverse_ops``."""
+    undo = [_inverse(op) for op in reversed(inverse_ops)]
     cols = []
     for j in range(L.rank):
-        ax = ga[j]
-        ex = ge[j]
-        col = [
-            (1 if i == j else 0) - ax * e.coords[i] + ex * a.coords[i] - half * ex * e.coords[i]
-            for i in range(L.rank)
-        ]
-        cols.append(col)
-    m = tuple(tuple(cols[j][i] for j in range(L.rank)) for i in range(L.rank))
-    return Isometry(m, L)
+        x = [0] * L.rank
+        x[j] = 1
+        for op in ops:
+            _transvect(op, x)
+        for op in undo:
+            _transvect(op, x)
+        cols.append(x)
+    return Isometry(tuple(zip(*cols)), L)
 
 
 def _hyperbolic_pairs(L: GramLattice):
-    pairs = []
-    for i in range(L.rank - 1):
-        if L.gram[i][i] == 0 and L.gram[i + 1][i + 1] == 0 and L.gram[i][i + 1] == 1:
-            clean = all(
-                L.gram[i][k] == 0 and L.gram[i + 1][k] == 0
-                for k in range(L.rank)
-                if k not in (i, i + 1)
-            )
-            if clean:
-                pairs.append((i, i + 1))
-    return pairs
+    # consecutive basis vectors spanning an orthogonal summand U
+    rows = L.sparse_rows
+    return [
+        (i, i + 1)
+        for i in range(L.rank - 1)
+        if rows[i] == ((i + 1, 1),) and rows[i + 1] == ((i, 1),)
+    ]
 
 
 class _Reduction:
@@ -401,13 +460,10 @@ class _Reduction:
             raise SearchExhausted(
                 f"isometry reduction exceeded the step budget of {self.budget} transvections"
             )
-        e = self.L.vector(e_coords)
-        a = self.L.vector(a_coords)
-        ge = _gram_times(e)
-        ga = _gram_times(a)
-        half = norm(a) // 2
-        self.ops.append((e.coords, a.coords, tuple(ge), tuple(ga), half))
-        return _transvect(e.coords, a.coords, ge, ga, half, cur)
+        op = _transvection(self.L.vector(e_coords), self.L.vector(a_coords))
+        self.ops.append(op)
+        _transvect(op, cur)
+        return cur
 
     def run(self, v: LatticeVector):
         cur = list(v.coords)
@@ -437,11 +493,11 @@ class _Reduction:
             raise RuntimeError("reduction did not reach the canonical vector")  # unreachable
         return self.ops
 
+    def _against(self, idx, cur):
+        return sum(r * cur[j] for j, r in self.L.sparse_rows[idx])
+
     def _pairings(self, cur):
-        g = self.L.gram
-        def against(idx):
-            return sum(g[idx][j] * cur[j] for j in range(self.L.rank))
-        return against(self.ie1), against(self.if1), against(self.ie2), against(self.if2)
+        return tuple(self._against(idx, cur) for idx in (self.ie1, self.if1, self.ie2, self.if2))
 
     # the five planar moves, written as (e, a) pairs; effects on the pairing
     # tuple (p1, q1, p2, q2) = ((e1,v), (f1,v), (e2,v), (f2,v)) are noted.
@@ -461,11 +517,7 @@ class _Reduction:
         return self._push(self._unit(self.if2), self._unit(self.ie1, k), cur)
 
     def _r_pairings(self, cur):
-        g = self.L.gram
-        out = []
-        for idx in self.r_indices:
-            out.append((idx, sum(g[idx][j] * cur[j] for j in range(self.L.rank))))
-        return out
+        return [(idx, self._against(idx, cur)) for idx in self.r_indices]
 
     def _make_p2_one(self, cur):
         # Euclidean descent on (e2, v); every pass through the main branch
@@ -550,29 +602,6 @@ def _extended_gcd_combination(vals):
     return coeffs
 
 
-def _transvect(e, a, ge, ga, half_a2, x):
-    ax = sum(p * c for p, c in zip(ga, x))
-    ex = sum(p * c for p, c in zip(ge, x))
-    return [
-        xi - ax * ei + ex * ai - half_a2 * ex * ei
-        for xi, ei, ai in zip(x, e, a)
-    ]
-
-
-def _apply_ops(ops, x):
-    for e, a, ge, ga, half in ops:
-        x = _transvect(e, a, ge, ga, half, x)
-    return x
-
-
-def _apply_ops_inverse(ops, x):
-    for e, a, ge, ga, half in reversed(ops):
-        na = tuple(-c for c in a)
-        nga = tuple(-c for c in ga)
-        x = _transvect(e, na, ge, nga, half, x)
-    return x
-
-
 def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 10000) -> Isometry:
     """A transvection-generated isometry sending v to w, exactly.
 
@@ -600,15 +629,7 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
         return identity_isometry(L)
     ops_v = _Reduction(L, pairs, step_budget).run(v)
     ops_w = _Reduction(L, pairs, step_budget).run(w)
-    n = L.rank
-    cols = []
-    for j in range(n):
-        x = [1 if i == j else 0 for i in range(n)]
-        x = _apply_ops(ops_v, x)
-        x = _apply_ops_inverse(ops_w, x)
-        cols.append(x)
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    iso = Isometry(m, L)
+    iso = _isometry_of_ops(ops_v, ops_w, L)
     if iso.apply(v) != w:
         raise RuntimeError("constructed isometry failed to map v to w")  # unreachable
     return iso

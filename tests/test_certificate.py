@@ -1,7 +1,10 @@
 import copy
+import io
+import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +196,49 @@ def test_cli_verify_multiple_jobs(e2_payload, tmp_path):
     assert cmd_verify(paths, jobs=2) == EXIT_OK
 
 
+def _forged(payload, fields):
+    # set {(section, key): value} fields and recompute the digest to match
+    bad = copy.deepcopy(payload)
+    for (section, key), value in fields.items():
+        bad[section][key] = value
+    bad["digest"] = cert.compute_digest(bad)
+    return bad
+
+
+@pytest.mark.parametrize("field", ["t", "g"])
+def test_verify_zero_t_or_g_fails_cleanly(e2_payload, tmp_path, field):
+    bad = _forged(e2_payload, {("record", field): "0"})
+    failed = {c.name: c.details for c in cert.verify_payload(bad) if not c.ok}
+    assert failed["alpha_matches_record"] == failed["alpha_is_b_field"] == "4gtd^2 = 0"
+    p = tmp_path / "zero.json"
+    cert.write_json(p, bad)
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_FAIL
+    assert "FAIL alpha_is_b_field 4gtd^2 = 0" in out.getvalue()
+
+
+def test_cli_verify_jobs_reports_every_file(e2_payload, tmp_path):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    cert.write_json(bad, _forged(e2_payload, {("record", "t"): "0"}))
+    cert.write_json(good, e2_payload)
+    out = io.StringIO()
+    assert cmd_verify([str(bad), str(good)], jobs=2, out=out) == EXIT_FAIL
+    lines = out.getvalue().splitlines()
+    assert any(line.startswith(f"{bad}: FAIL") for line in lines)
+    assert f"{good}: OK" in "\n".join(lines)
+
+
+def test_verify_rejects_huge_c0_forgery_fast(e2_payload):
+    big_c0, big_g = str(10**24), str(10**30)
+    bad = _forged(e2_payload, {("instance", "C0"): big_c0, ("wall", "C0"): big_c0,
+                               ("record", "g"): big_g, ("wall", "g"): big_g})
+    start = time.perf_counter()
+    checks = cert.verify_payload(bad)
+    assert time.perf_counter() - start < 1.0
+    failed = {c.name: c.details for c in checks if not c.ok}
+    assert failed["wall_enumeration"] == f"expected {10**12 - 1} tested values of a"
+
+
 def test_cli_random_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert cmd_random(2, 2, 3, 3, seed=7, count=5, out_dir=str(d1)) == EXIT_OK
@@ -225,16 +271,21 @@ def test_cli_entry_point_subprocess(e2_instance, tmp_path):
     inst_path = tmp_path / "e2.json"
     cert_path = tmp_path / "e2.cert.json"
     cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
+    # the child imports the same hkcert as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     r = subprocess.run(
         [sys.executable, "-m", "hkcert", "construct", "-i", str(inst_path), "-o", str(cert_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r.returncode == 0, r.stdout + r.stderr
     r = subprocess.run(
         [sys.executable, "-m", "hkcert", "verify", str(cert_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r.returncode == 0
     assert "OK" in r.stdout

@@ -1,0 +1,174 @@
+"""A fixed corpus of certificates: the byte-for-byte gate, plus oracles for
+the structure-aware checks of the lattice core on every corpus sigma.
+
+The corpus is the worked E2 instance, the first 60 successful draws of the
+acceptance property suite (``random.Random(881)``, seeds ``30000 + attempts``)
+and six instances whose ``d`` has 50-150 digits, so sigma entries run to
+well over a thousand digits.  Any change to certificate bytes, search order
+or the recorded check list changes a digest.
+
+The digests in ``golden_digests.json`` were recorded once and must not be
+regenerated to make this test pass.  After a deliberate change of the
+certificate format, rewrite them with
+
+    PYTHONPATH=src python tests/test_corpus.py
+"""
+
+import json
+import random
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from hkcert import certificate as cert
+from hkcert import snf
+from hkcert.construction import run_pipeline, wall_for_record
+from hkcert.errors import SearchExhausted
+from hkcert.instance import HKInstance, random_instance
+from hkcert.lattice import (
+    DELTA_INDEX,
+    Isometry,
+    _gram_snf,
+    acts_trivially_on_discriminant,
+    build_k3_lattice,
+    build_lambda,
+)
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+BUDGETS = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
+BIG_D = [  # (n, pic_rank, C0, decimal exponent of d_max, seed)
+    (2, 2, 3, 50, 41001),
+    (3, 3, 4, 70, 41002),
+    (4, 2, 5, 90, 41003),
+    (5, 3, 6, 110, 41004),
+    (6, 2, 3, 130, 41005),
+    (3, 2, 5, 150, 41006),
+]
+
+
+def e2_instance():
+    L = build_lambda(2)
+    p1 = L.vector([1] + [0] * 21 + [1])
+    b = L.vector([0, 0, 1, 1] + [0] * 19)
+    return HKInstance(n=2, pic_basis=(p1, L.basis_vector(1)), W=p1, B=b, d=2, C0=3)
+
+
+def instance_of(entry):
+    if entry["label"] == "e2":
+        return e2_instance()
+    n, rho, c0, dmax = (int(x) for x in entry["params"])
+    return random_instance(n, rho, c0, dmax, entry["seed"])
+
+
+@lru_cache(maxsize=None)
+def _certified(entry_json):
+    entry = json.loads(entry_json)
+    inst = instance_of(entry)
+    rec = run_pipeline(inst)
+    return rec, cert.certificate_payload(inst, rec, wall_for_record(inst, rec), BUDGETS)
+
+
+def certified(entry):
+    """(record, certificate payload) of a corpus entry, built once per session."""
+    key = {k: v for k, v in entry.items() if k != "digest"}
+    return _certified(json.dumps(key, sort_keys=True))
+
+
+def draw_corpus():
+    """The corpus entries, without digests."""
+    entries = [{"label": "e2"}]
+    rng = random.Random(881)
+    attempts = 0
+    while len(entries) < 61:
+        attempts += 1
+        params = [rng.choice((2, 3, 4, 5)), rng.choice((2, 3)), rng.choice((3, 4, 5, 6)),
+                  rng.randint(1, 4)]
+        try:
+            run_pipeline(random_instance(*params, seed=30000 + attempts))
+        except SearchExhausted:
+            continue
+        entries.append({"label": "criterion3", "seed": 30000 + attempts, "params": params})
+    for n, rho, c0, k, seed in BIG_D:
+        entries.append({"label": "bigd", "seed": seed, "params": [n, rho, c0, str(10**k)]})
+    return entries
+
+
+def _entry_id(entry):
+    return entry["label"] + (f"-{entry['seed']}" if "seed" in entry else "")
+
+
+CORPUS = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+# an absent file collects no digest test; the completeness test then fails
+@pytest.mark.parametrize("entry", CORPUS, ids=_entry_id)
+def test_golden_digest(entry):
+    assert certified(entry)[1]["digest"] == entry["digest"]
+
+
+def test_golden_corpus_is_complete():
+    entries = json.loads(GOLDEN.read_text())
+    labels = [e["label"] for e in entries]
+    assert labels.count("e2") == 1
+    assert labels.count("criterion3") == 60
+    big = [len(e["params"][3]) - 1 for e in entries if e["label"] == "bigd"]
+    assert len(big) == 6 and all(50 <= k <= 150 for k in big)
+
+
+# --- oracles for the discriminant and determinant shortcuts -----------------
+
+def acts_trivially_reference(iso):
+    """The definition the generator check replaced: M - I maps the dual
+    lattice into the lattice iff each row of M - I is an integral
+    combination of Gram rows, solved against the cached Gram SNF."""
+    data = _gram_snf(iso.lattice)
+    n = iso.lattice.rank
+    m = iso.matrix
+    return all(
+        snf.solve_integer(data, [m[i][j] - (i == j) for j in range(n)]) is not None
+        for i in range(n)
+    )
+
+
+def _twisted(sigma, sign_of_row):
+    # sigma followed by the diagonal isometry diag(sign_of_row(i))
+    return Isometry(
+        tuple(tuple(sign_of_row(i) * x for x in row) for i, row in enumerate(sigma.matrix)),
+        sigma.lattice,
+    )
+
+
+def test_corpus_sigma_shortcuts_match_definitions():
+    checked = 0
+    for entry in CORPUS:
+        sigma = certified(entry)[0].sigma
+        assert sigma.det() == snf.det_bareiss(sigma.matrix) == 1
+        assert acts_trivially_on_discriminant(sigma) is acts_trivially_reference(sigma) is True
+        # -sigma and (reflection in delta)*sigma act as -1 on Z/(2n-2), trivially iff n = 2
+        for twisted in (
+            _twisted(sigma, lambda i: -1),
+            _twisted(sigma, lambda i: -1 if i == DELTA_INDEX else 1),
+        ):
+            fast = acts_trivially_on_discriminant(twisted)
+            assert fast is acts_trivially_reference(twisted) is (sigma.lattice == build_lambda(2))
+            assert twisted.det() == snf.det_bareiss(twisted.matrix)
+        checked += 1
+    assert checked == len(CORPUS) == 67
+
+
+def test_minus_identity_on_discriminant():
+    for L in [build_lambda(n) for n in range(2, 7)] + [build_k3_lattice()]:
+        minus = Isometry(tuple(tuple(-(i == j) for j in range(L.rank)) for i in range(L.rank)), L)
+        # -1 is trivial on Z/2 and on the unimodular K3 lattice, not on Z/(2n-2), n >= 3
+        expect = L.rank == 22 or L == build_lambda(2)
+        assert acts_trivially_on_discriminant(minus) is expect
+        assert acts_trivially_reference(minus) is expect
+
+
+if __name__ == "__main__":
+    corpus = draw_corpus()
+    for entry in corpus:
+        entry["digest"] = certified(entry)[1]["digest"]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in corpus) + "\n]\n")
+    print(f"wrote {len(corpus)} digests to {GOLDEN}")

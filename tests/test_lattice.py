@@ -8,6 +8,7 @@ from hkcert.errors import NoIsometryError
 from hkcert.lattice import (
     DELTA_INDEX,
     GramLattice,
+    Isometry,
     RationalClass,
     acts_trivially_on_discriminant,
     build_k3_lattice,
@@ -25,6 +26,7 @@ from hkcert.lattice import (
     pair,
     span_lattice_witness,
 )
+from hkcert.snf import det_bareiss, mat_mul
 
 
 # --- builders ---------------------------------------------------------------
@@ -209,6 +211,48 @@ def test_transvection_inverse(uu):
     s = eichler_transvection(e1, -e2)
     v = uu.vector([3, -1, 4, 2])
     assert s.apply(t.apply(v)) == v
+
+
+def test_sparse_gram_rows():
+    for n in range(2, 7):
+        L = build_lambda(n)
+        assert max(len(row) for row in L.sparse_rows) == 4
+        for i, row in enumerate(L.sparse_rows):
+            assert row == tuple((j, x) for j, x in enumerate(L.gram[i]) if x)
+
+
+# --- isometry determinant and Gram check ------------------------------------
+
+def test_isometry_det_matches_bareiss(lam2):
+    rng = random.Random(7331)
+    n = lam2.rank
+    e = [lam2.basis_vector(i) for i in range(4)]
+    for _ in range(10):
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(6):
+            k = rng.choice((0, 1, 2, 3))
+            other = rng.choice([i for i in range(4) if i // 2 != k // 2])
+            t = eichler_transvection(e[k], rng.choice((-3, -1, 2)) * e[other])
+            m = mat_mul([list(r) for r in t.matrix], m)
+        prod = Isometry(tuple(map(tuple, m)), lam2)
+        assert prod.det() == det_bareiss(m) == 1
+    # reflection in the norm -2 root r = e1 - f1: x -> x + (x, r) r
+    r = lam2.basis_vector(0) - lam2.basis_vector(1)
+    cols = [(lam2.basis_vector(j) + pair(lam2.basis_vector(j), r) * r).coords for j in range(n)]
+    refl = Isometry(tuple(zip(*cols)), lam2)
+    assert refl.det() == det_bareiss(refl.matrix) == -1
+    assert acts_trivially_on_discriminant(refl)
+    minus = Isometry(tuple(tuple(-int(i == j) for j in range(n)) for i in range(n)), lam2)
+    assert minus.det() == det_bareiss(minus.matrix) == -1
+
+
+def test_non_isometry_rejected(lam2):
+    n = lam2.rank
+    for i, j, k in ((0, 0, 2), (5, 7, 1), (DELTA_INDEX, DELTA_INDEX, 3)):
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        m[i][j] += k
+        with pytest.raises(ValueError, match="matrix does not preserve the Gram form"):
+            Isometry(tuple(map(tuple, m)), lam2)
 
 
 # --- constructive isometries ------------------------------------------------
