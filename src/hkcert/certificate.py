@@ -252,7 +252,7 @@ def verify_payload(payload):
     add("divisor_pairing_b", pair(D, inst.B) == 0)
 
     twist = D + 4 * g * t * inst.d * inst.B
-    add("twist_divisibility", t >= 1 and divisibility(twist) == 1)
+    add("twist_divisibility", t >= 1 and not twist.is_zero() and divisibility(twist) == 1)
     add("e_matches_b", norm(inst.B) == 2 * e, f"norm(B) = {norm(inst.B)}")
 
     s_formula = 1 + 4 * g * t * t * inst.d**4 * (inst.n - 1) + 16 * g * t * t * inst.d**2 * e
@@ -275,8 +275,8 @@ def verify_payload(payload):
     add("source_formula", source == h - (2 * g * t * inst.d**2) * delta)
     add("target_formula", target == D + (4 * g * t * inst.d) * inst.B)
     add("transport_norms", norm(source) == norm(target), f"{norm(source)} vs {norm(target)}")
-    add("transport_div_source", divisibility(source) == 1)
-    add("transport_div_target", divisibility(target) == 1)
+    add("transport_div_source", not source.is_zero() and divisibility(source) == 1)
+    add("transport_div_target", not target.is_zero() and divisibility(target) == 1)
 
     sig_rows = _require(rec, "sigma", "record")
     if not isinstance(sig_rows, list) or len(sig_rows) != L.rank:
@@ -339,7 +339,7 @@ def verify_payload(payload):
             add("wall_enumeration", tested == recorded_tested)
             add(
                 "wall_verdict",
-                recomputed_wall.verdict and bool(_require(wall, "verdict", "wall")),
+                recomputed_wall.verdict and _require(wall, "verdict", "wall") is True,
             )
         except ValueError as exc:
             add("wall_enumeration", False, str(exc))

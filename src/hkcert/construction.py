@@ -30,6 +30,7 @@ from .lattice import (
     RationalClass,
     _gram_times,
     divisibility,
+    first_orthogonal_tuple,
     graded_coefficient_tuples,
     isometry_between,
     norm,
@@ -76,17 +77,15 @@ class ConstructionRecord:
     checks: tuple
 
 
-def _pic_search_data(inst):
-    basis_pairings = [_gram_times(p) for p in inst.pic_basis]
-    w_pairings = [pair(p, inst.W) for p in inst.pic_basis]
-    sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
-    return basis_pairings, w_pairings, sub_gram
+def _w_pairings(inst):
+    return [pair(p, inst.W) for p in inst.pic_basis]
 
 
 def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     """First Picard class (documented order) of divisibility 1 pairing
     nontrivially with W, sign-normalized so the pairing is positive."""
-    basis_pairings, w_pairings, _ = _pic_search_data(inst)
+    basis_pairings = [_gram_times(p) for p in inst.pic_basis]
+    w_pairings = _w_pairings(inst)
     if all(w == 0 for w in w_pairings):
         raise SearchExhausted(
             "W pairs to zero with the whole Picard basis; no candidate exists "
@@ -112,24 +111,34 @@ def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     )
 
 
-def find_omega(inst: HKInstance, A: LatticeVector, coeff_bound: int = 16) -> LatticeVector:
-    """First Picard class orthogonal to W with positive norm."""
-    del A  # fixed by the caller, not needed for the search itself
-    _, w_pairings, sub_gram = _pic_search_data(inst)
+def find_omega(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
+    """First Picard class (documented order) orthogonal to W with positive norm.
+
+    Only the W-orthogonal coefficient tuples are visited (see
+    first_orthogonal_tuple); the hit is the one the full scan finds first.
+    """
+    w_pairings = _w_pairings(inst)
+    if not any(w_pairings):
+        raise SearchExhausted(
+            "W pairs to zero with the whole Picard basis; no coordinate can be "
+            f"solved (coefficient bound {coeff_bound})"
+        )
+    sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
     rho = len(inst.pic_basis)
-    for coeffs in graded_coefficient_tuples(rho, coeff_bound):
-        if sum(c * w for c, w in zip(coeffs, w_pairings)) != 0:
-            continue
-        nrm = sum(
+
+    def positive(coeffs):
+        return sum(
             coeffs[i] * coeffs[j] * sub_gram[i][j]
             for i in range(rho)
             for j in range(rho)
+        ) > 0
+
+    coeffs = first_orthogonal_tuple(w_pairings, coeff_bound, positive)
+    if coeffs is None:
+        raise SearchExhausted(
+            f"no positive-norm class orthogonal to W within coefficient bound {coeff_bound}"
         )
-        if nrm > 0:
-            return pic_combination(inst, coeffs)
-    raise SearchExhausted(
-        f"no positive-norm class orthogonal to W within coefficient bound {coeff_bound}"
-    )
+    return pic_combination(inst, coeffs)
 
 
 def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: int = 10**6):
@@ -291,7 +300,7 @@ def run_pipeline(
 ) -> ConstructionRecord:
     """Full construction on a valid instance, with every predicate recorded."""
     A = find_A(inst, coeff_bound)
-    omega = find_omega(inst, A, coeff_bound)
+    omega = find_omega(inst, coeff_bound)
     D, g, C1, u = find_D(inst, A, omega, u_budget)
     t = choose_t(inst, D, g, t_budget)
     e = inst.e()

@@ -256,6 +256,10 @@ def build_lambda(n: int) -> GramLattice:
 
 DELTA_INDEX = 22
 
+# Entries kept by the caches keyed by lattice or Picard basis, so that a long
+# batch of instances cannot grow them without bound.
+CACHE_SIZE = 128
+
 
 # ---------------------------------------------------------------------------
 # pairings
@@ -325,7 +329,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
     return DiscriminantData(tuple(d for d in diag if d != 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _gram_snf(L: GramLattice):
     return snf.smith_normal_form([list(r) for r in L.gram])
 
@@ -638,7 +642,7 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
 # ---------------------------------------------------------------------------
 # rational span membership
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _span_solver(L: GramLattice, span_coords):
     # integer rows K spanning the rational relations y . M = 0 of the span
     # matrix M (columns = span vectors), plus the SNF of K for solving
@@ -703,6 +707,7 @@ def graded_coefficient_tuples(length, bound, max_grade=None):
     entries with + before - (leftmost entry varying slowest).  Every search
     in this package that takes "the first hit" iterates in this order, which
     is what makes recorded certificates reproducible bit for bit.
+    ``search_order_key`` sorts any set of such tuples into the same order.
     """
     top = length * bound
     if max_grade is not None:
@@ -715,6 +720,49 @@ def graded_coefficient_tuples(length, bound, max_grade=None):
                 for i, sg in zip(nz, signs):
                     t[i] *= sg
                 yield tuple(t)
+
+
+def search_order_key(coeffs):
+    """Sort key of the documented search order: grade, absolute-value tuple,
+    then the signs of the nonzero entries with + before -."""
+    return (
+        sum(map(abs, coeffs)),
+        tuple(map(abs, coeffs)),
+        tuple(c < 0 for c in coeffs if c),
+    )
+
+
+def first_orthogonal_tuple(weights, bound, accept):
+    """First tuple of graded_coefficient_tuples(len(weights), bound) with
+    sum c_i w_i = 0 that satisfies ``accept``, or None.  Some weight must be
+    nonzero.
+
+    Only orthogonal tuples are visited.  With w_j != 0 one coordinate is
+    solved: the other coordinates run through ascending grade f, and c_j is
+    -sum_{i != j} c_i w_i / w_j when that is an integer of size at most
+    ``bound``.  This reaches every nonzero orthogonal tuple exactly once.
+    The result is the search_order_key minimum of the accepted ones, which is
+    the generator's first hit.  A tuple's grade is at least f, so the scan
+    stops once f exceeds the grade of the best hit so far.
+    """
+    j = max(range(len(weights)), key=lambda i: abs(weights[i]))
+    wj = weights[j]
+    if wj == 0:
+        raise ValueError("at least one weight must be nonzero")
+    others = weights[:j] + weights[j + 1:]
+    best = best_key = None
+    for rest in graded_coefficient_tuples(len(others), bound):
+        f = sum(map(abs, rest))
+        if best_key is not None and f > best_key[0]:
+            break
+        cj, r = divmod(-sum(c * w for c, w in zip(rest, others)), wj)
+        if r or abs(cj) > bound:
+            continue
+        coeffs = rest[:j] + (cj,) + rest[j:]
+        key = search_order_key(coeffs)
+        if (best_key is None or key < best_key) and accept(coeffs):
+            best, best_key = coeffs, key
+    return best
 
 
 def _abs_tuples(length, total, bound):

@@ -228,6 +228,49 @@ def test_cli_verify_jobs_reports_every_file(e2_payload, tmp_path):
     assert f"{good}: OK" in "\n".join(lines)
 
 
+ZERO_VECTOR = ["0"] * 23
+ZERO_FORGERIES = {  # forged fields -> the check that must fail instead of raising
+    "source": ({("record", "source"): ZERO_VECTOR}, "transport_div_source"),
+    "target": ({("record", "target"): ZERO_VECTOR}, "transport_div_target"),
+    "D_and_g": ({("record", "D"): ZERO_VECTOR, ("record", "g"): "0"}, "twist_divisibility"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_FORGERIES))
+def test_verify_zero_vector_fails_cleanly(e2_payload, tmp_path, case):
+    fields, check = ZERO_FORGERIES[case]
+    bad = _forged(e2_payload, fields)
+    checks = cert.verify_payload(bad)
+    assert [c.name for c in checks] == [c.name for c in cert.verify_payload(e2_payload)]
+    assert check in {c.name for c in checks if not c.ok}
+    p = tmp_path / "zero.json"
+    cert.write_json(p, bad)
+    assert cmd_verify([str(p)], out=io.StringIO()) == EXIT_FAIL
+
+
+def test_cli_verify_jobs_reports_every_file_with_zero_vectors(e2_payload, tmp_path):
+    good = tmp_path / "good.json"
+    cert.write_json(good, e2_payload)
+    paths = [str(good)]
+    for case, (fields, _) in sorted(ZERO_FORGERIES.items()):
+        p = tmp_path / f"{case}.json"
+        cert.write_json(p, _forged(e2_payload, fields))
+        paths.append(str(p))
+    out = io.StringIO()
+    assert cmd_verify(paths, jobs=2, out=out) == EXIT_FAIL
+    text = out.getvalue()
+    assert f"{good}: OK" in text
+    for p in paths[1:]:
+        assert f"{p}: FAIL" in text
+
+
+@pytest.mark.parametrize("verdict", ["x", 1.5, [[1]], 1, "true", None])
+def test_verify_wall_verdict_must_be_true(e2_payload, verdict):
+    bad = _forged(e2_payload, {("wall", "verdict"): verdict})
+    failed = {c.name for c in cert.verify_payload(bad) if not c.ok}
+    assert failed == {"wall_verdict"}
+
+
 def test_verify_rejects_huge_c0_forgery_fast(e2_payload):
     big_c0, big_g = str(10**24), str(10**30)
     bad = _forged(e2_payload, {("instance", "C0"): big_c0, ("wall", "C0"): big_c0,

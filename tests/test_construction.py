@@ -16,8 +16,14 @@ from hkcert.construction import (
     run_pipeline,
     transport,
 )
-from hkcert.instance import HKInstance, b_field_class, brauer_equal, random_instance
-from hkcert.lattice import divisibility, norm, pair
+from hkcert.instance import (
+    HKInstance,
+    b_field_class,
+    brauer_equal,
+    pic_combination,
+    random_instance,
+)
+from hkcert.lattice import divisibility, graded_coefficient_tuples, norm, pair
 
 
 def test_find_A_e2(e2_instance, lam2):
@@ -45,8 +51,7 @@ def test_find_A_exhausted_when_w_orthogonal(e2_instance, lam2):
 
 
 def test_find_omega_e2(e2_instance, lam2):
-    a = find_A(e2_instance)
-    w = find_omega(e2_instance, a)
+    w = find_omega(e2_instance)
     assert w == lam2.vector([1, 2] + [0] * 20 + [1])   # e1 + 2 f1 + delta
     assert pair(w, e2_instance.W) == 0
     assert norm(w) == 2
@@ -54,14 +59,90 @@ def test_find_omega_e2(e2_instance, lam2):
 
 def test_find_omega_bilinearity(e2_instance):
     a = find_A(e2_instance)
-    w = find_omega(e2_instance, a)
+    w = find_omega(e2_instance)
     for u in (1, 2, 5):
         assert pair(a + u * w, e2_instance.W) == pair(a, e2_instance.W)
 
 
+def test_find_omega_exhausted_when_w_orthogonal(e2_instance, lam2):
+    # no coordinate can be solved when every (p_i, W) is zero
+    bad = replace(e2_instance, W=lam2.vector([0, 0, 1, -1] + [0] * 19))
+    with pytest.raises(SearchExhausted):
+        find_omega(bad)
+
+
+def _reference_find_omega(inst, coeff_bound=16):
+    # the full graded scan that find_omega replaced, kept as its oracle
+    w_pairings = [pair(p, inst.W) for p in inst.pic_basis]
+    sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
+    rho = len(inst.pic_basis)
+    for coeffs in graded_coefficient_tuples(rho, coeff_bound):
+        if sum(c * w for c, w in zip(coeffs, w_pairings)) != 0:
+            continue
+        nrm = sum(
+            coeffs[i] * coeffs[j] * sub_gram[i][j]
+            for i in range(rho)
+            for j in range(rho)
+        )
+        if nrm > 0:
+            return pic_combination(inst, coeffs)
+    raise SearchExhausted(f"no hit within coefficient bound {coeff_bound}")
+
+
+def _omega_or_exhausted(search, inst, coeff_bound):
+    try:
+        return search(inst, coeff_bound)
+    except SearchExhausted:
+        return SearchExhausted
+
+
+def _assert_same_omega(inst, bounds):
+    for bound in bounds:
+        assert _omega_or_exhausted(find_omega, inst, bound) == _omega_or_exhausted(
+            _reference_find_omega, inst, bound
+        ), bound
+
+
+def test_find_omega_matches_full_scan_on_acceptance_seeds():
+    # the instances of the acceptance property suite (seeds 30000 + attempts)
+    rng = random.Random(881)
+    checked = exhausted = 0
+    for attempt in range(1, 241):
+        if checked == 200:
+            break
+        n, rho, c0 = rng.choice((2, 3, 4, 5)), rng.choice((2, 3)), rng.choice((3, 4, 5, 6))
+        dmax = rng.randint(1, 4)
+        try:
+            inst = random_instance(n, rho, c0, dmax, seed=30000 + attempt)
+        except SearchExhausted:
+            continue
+        _assert_same_omega(inst, (16, 1, 2, 3))
+        exhausted += _omega_or_exhausted(find_omega, inst, 1) is SearchExhausted
+        checked += 1
+    assert checked == 200
+    assert exhausted > 0  # small bounds do exercise the exhausted case
+
+
+def test_find_omega_matches_full_scan_on_rank_4():
+    for k in range(1, 8):
+        inst = random_instance(2 + k % 4, 4, 3 + k % 4, 1 + k % 3, seed=50000 + k)
+        _assert_same_omega(inst, (16, 1, 2, 3))
+
+
+def test_find_omega_matches_full_scan_with_zero_pairings(lam2):
+    e1_delta = lam2.vector([1] + [0] * 21 + [1])
+    f1 = lam2.basis_vector(1)
+    h2 = lam2.vector([0, 0, 1, 1] + [0] * 19)   # orthogonal to W = e1 + delta
+    b = lam2.vector([0, 0, 0, 0, 1, 1] + [0] * 17)
+    for pic in ((e1_delta, f1, h2), (h2, e1_delta, f1), (e1_delta, h2, f1)):
+        inst = HKInstance(n=2, pic_basis=pic, W=e1_delta, B=b, d=1, C0=3)
+        assert 0 in [pair(p, inst.W) for p in pic]
+        _assert_same_omega(inst, (16, 1, 2, 3))
+
+
 def test_find_D_e2(e2_instance, lam2):
     a = find_A(e2_instance)
-    om = find_omega(e2_instance, a)
+    om = find_omega(e2_instance)
     D, g, c1, u = find_D(e2_instance, a, om)
     assert u == 2
     assert D == lam2.vector([2, 5] + [0] * 20 + [2])
@@ -74,7 +155,7 @@ def test_find_D_e2(e2_instance, lam2):
 def test_find_D_minimality(e2_instance):
     # no u' < u satisfies both the divisibility and the norm bound
     a = find_A(e2_instance)
-    om = find_omega(e2_instance, a)
+    om = find_omega(e2_instance)
     D, g, c1, u = find_D(e2_instance, a, om)
     bound = 2 * e2_instance.C0 * c1
     for smaller in range(1, u):
@@ -84,7 +165,7 @@ def test_find_D_minimality(e2_instance):
 
 def test_find_D_budget(e2_instance):
     a = find_A(e2_instance)
-    om = find_omega(e2_instance, a)
+    om = find_omega(e2_instance)
     with pytest.raises(SearchExhausted):
         find_D(e2_instance, a, om, u_budget=1)
 
@@ -182,7 +263,7 @@ def test_pushforward_epsilon_independent(e2_instance):
 
 def _dgt(inst):
     a = find_A(inst)
-    om = find_omega(inst, a)
+    om = find_omega(inst)
     D, g, c1, u = find_D(inst, a, om)
     t = choose_t(inst, D, g)
     h2, _, _ = degree_and_mukai(inst.n, g, t, inst.d, inst.e())

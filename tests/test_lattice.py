@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkcert.errors import NoIsometryError
 from hkcert.lattice import (
+    CACHE_SIZE,
     DELTA_INDEX,
     GramLattice,
     Isometry,
@@ -16,7 +19,10 @@ from hkcert.lattice import (
     direct_sum,
     discriminant_group,
     divisibility,
+    _gram_snf,
+    _span_solver,
     eichler_transvection,
+    first_orthogonal_tuple,
     graded_coefficient_tuples,
     hyperbolic_plane,
     in_span_plus_lattice,
@@ -24,6 +30,7 @@ from hkcert.lattice import (
     isometry_between,
     norm,
     pair,
+    search_order_key,
     span_lattice_witness,
 )
 from hkcert.snf import det_bareiss, mat_mul
@@ -449,3 +456,69 @@ def test_graded_order_respects_bound():
     assert all(max(map(abs, t)) <= 2 for t in graded_coefficient_tuples(3, 2))
     total = len(list(graded_coefficient_tuples(3, 2)))
     assert total == 5 ** 3 - 1
+
+
+def test_search_order_key_sorts_into_generator_order():
+    for length in range(1, 5):
+        for bound in range(1, 4):
+            everything = [
+                t for t in itertools.product(range(-bound, bound + 1), repeat=length) if any(t)
+            ]
+            assert sorted(everything, key=search_order_key) == list(
+                graded_coefficient_tuples(length, bound)
+            )
+
+
+def _reference_first_hit(weights, bound, accept):
+    # the full scan in documented order, the definition of "first hit"
+    for coeffs in graded_coefficient_tuples(len(weights), bound):
+        if sum(c * w for c, w in zip(coeffs, weights)) == 0 and accept(coeffs):
+            return coeffs
+    return None
+
+
+@st.composite
+def _orthogonal_search_cases(draw):
+    length = draw(st.integers(1, 4))
+    weights = draw(
+        st.lists(st.integers(-6, 6), min_size=length, max_size=length).filter(any)
+    )
+    entries = st.integers(-4, 4)
+    gram = [[0] * length for _ in range(length)]
+    for i in range(length):
+        for j in range(i, length):
+            gram[i][j] = gram[j][i] = draw(entries)
+    return weights, gram, draw(st.integers(1, 3))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_orthogonal_search_cases())
+def test_first_orthogonal_tuple_matches_full_scan(case):
+    weights, gram, bound = case
+    rho = len(weights)
+
+    def positive(c):
+        return sum(c[i] * c[j] * gram[i][j] for i in range(rho) for j in range(rho)) > 0
+
+    for accept in (positive, lambda c: True, lambda c: c[0] < 0):
+        assert first_orthogonal_tuple(weights, bound, accept) == _reference_first_hit(
+            weights, bound, accept
+        )
+
+
+def test_first_orthogonal_tuple_needs_a_nonzero_weight():
+    with pytest.raises(ValueError):
+        first_orthogonal_tuple([0, 0, 0], 3, lambda c: True)
+
+
+# --- caches -----------------------------------------------------------------
+
+def test_caches_stay_within_their_bound(uu):
+    assert _span_solver.cache_info().maxsize == _gram_snf.cache_info().maxsize == CACHE_SIZE
+    q = RationalClass(uu.vector([1, 0, 0, 0]), 2)
+    for k in range(CACHE_SIZE + 20):
+        # a distinct Picard basis each time
+        in_span_plus_lattice(q, (uu.vector([1, k, 0, 0]),))
+        _gram_snf(GramLattice(1, ((k + 1,),)))
+    assert _span_solver.cache_info().currsize <= CACHE_SIZE
+    assert _gram_snf.cache_info().currsize <= CACHE_SIZE
