@@ -130,7 +130,8 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and also the int/str digit limit on a bare integer
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
 
 
@@ -266,7 +267,14 @@ def verify_payload(payload):
     add("mukai_rank", r_ >= 2)
     stab = 4 * g * t * inst.d**2
     add("mukai_stability", stab >= 1 and (H2 // 2 + 1) % stab != 0)
-    add("rank_factor", rk_un == rank_factor(inst.n, r_))
+    # r >= 2 gives n! r^n >= 2^(n (bitlen(r) - 1)), so a shorter rk_un fails
+    # unseen and the product is only formed when it is about rk_un's size
+    add(
+        "rank_factor",
+        r_ >= 2
+        and rk_un.bit_length() > inst.n * (r_.bit_length() - 1)
+        and rk_un == rank_factor(inst.n, r_),
+    )
 
     source = _dec_vec(L, _require(rec, "source", "record"), "source")
     target = _dec_vec(L, _require(rec, "target", "record"), "target")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import certificate as cert
 from . import construction
@@ -88,6 +87,10 @@ def _verify_one(path):
 def cmd_verify(paths, jobs=1, out=sys.stdout):
     results = []
     if jobs > 1 and len(paths) > 1:
+        # imported here: it pulls in multiprocessing, which every other
+        # command would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_verify_one, paths))
     else:

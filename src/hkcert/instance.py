@@ -67,16 +67,15 @@ class CheckResult:
     details: str = ""
 
 
-def _pic_matrix(inst):
-    # columns are the Picard basis vectors
-    n = inst.lattice.rank
-    return [[p.coords[i] for p in inst.pic_basis] for i in range(n)]
+def _pic_snf(inst):
+    # Smith form of the Picard matrix (columns are the basis vectors), cached
+    # under the same key as the span solver's, so brauer_equal shares it too
+    return lat._span_snf(inst.lattice, tuple(p.coords for p in inst.pic_basis))
 
 
 def pic_coordinates(inst, v):
     """Integer coordinates of v over pic_basis, or None if v is not in the span."""
-    data = snf.smith_normal_form(_pic_matrix(inst))
-    return snf.solve_integer(data, list(v.coords))
+    return snf.solve_integer(_pic_snf(inst), list(v.coords))
 
 
 def pic_combination(inst, coeffs) -> LatticeVector:
@@ -108,8 +107,7 @@ def validate_instance(inst: HKInstance):
 
     checks.append(CheckResult("pic_rank", rho >= 2, f"rank {rho}"))
 
-    mat = _pic_matrix(inst)
-    data = snf.smith_normal_form(mat)
+    data = _pic_snf(inst)
     diag = [d for d in snf.snf_diagonal(data[1]) if d != 0]
     independent = len(diag) == rho
     checks.append(CheckResult("pic_independent", independent))

@@ -192,10 +192,11 @@ class Isometry:
         """The determinant, +1 or -1.
 
         It is +-1 for every Isometry (see the class docstring), and 1 and -1
-        differ mod 3, so the determinant of M reduced mod 3 decides it while
-        Bareiss runs on entries in {0, 1, 2} instead of sigma's large ones.
+        differ mod 3, so det M mod 3 decides the sign exactly.  That residue
+        comes from Gaussian elimination over GF(3), whose entries stay in
+        {0, 1, 2} instead of growing from sigma's large ones.
         """
-        return 1 if snf.det_bareiss([[x % 3 for x in row] for row in self.matrix]) % 3 == 1 else -1
+        return 1 if snf.det_bareiss(self.matrix, 3) == 1 else -1
 
 
 def identity_isometry(L: GramLattice) -> Isometry:
@@ -643,15 +644,20 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
 # rational span membership
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _span_snf(L: GramLattice, span_coords):
+    # Smith form of the span matrix M, whose columns are the span vectors;
+    # for a Picard basis, instance validation and coordinates share it
+    return snf.smith_normal_form([[c[i] for c in span_coords] for i in range(L.rank)])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _span_solver(L: GramLattice, span_coords):
     # integer rows K spanning the rational relations y . M = 0 of the span
-    # matrix M (columns = span vectors), plus the SNF of K for solving
-    n = L.rank
+    # matrix M, plus the SNF of K for solving
     if span_coords:
-        M = [[span_coords[k][i] for k in range(len(span_coords))] for i in range(n)]
-        K = snf.left_kernel_basis(snf.smith_normal_form(M))
+        K = snf.left_kernel_basis(_span_snf(L, span_coords))
     else:
-        K = snf.identity_matrix(n)
+        K = snf.identity_matrix(L.rank)
     return K, (snf.smith_normal_form(K) if K else None)
 
 

@@ -36,9 +36,36 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def det_bareiss(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def det_bareiss(M, p=None):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    With a prime ``p`` it returns det(M) mod p, in 0..p-1, by plain Gaussian
+    elimination over GF(p) instead: M is reduced mod p once, each pivot is
+    inverted mod p, and no entry ever leaves 0..p-1, however large the
+    entries of M are (Bareiss entries grow with every step).
+    """
     n = len(M)
+    if p is not None:
+        a = [[x % p for x in row] for row in M]
+        det = 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                det = -det
+            lead = a[k][k]
+            det = det * lead % p
+            inv = pow(lead, -1, p)
+            # columns <= k of the rows below are never read again
+            tail = a[k][k + 1:]
+            for i in range(k + 1, n):
+                ai = a[i]
+                if ai[k]:
+                    f = ai[k] * inv % p
+                    ai[k + 1:] = [(x - f * y) % p for x, y in zip(ai[k + 1:], tail)]
+        return det % p
     if n == 0:
         return 1
     a = [list(row) for row in M]

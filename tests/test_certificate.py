@@ -1,5 +1,6 @@
 import copy
 import io
+import json
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from hkcert import certificate as cert
+from hkcert import lattice, snf
 from hkcert.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, cmd_construct, cmd_random, cmd_verify
 from hkcert.construction import run_pipeline, wall_for_record
 
@@ -280,6 +282,105 @@ def test_verify_rejects_huge_c0_forgery_fast(e2_payload):
     assert time.perf_counter() - start < 1.0
     failed = {c.name: c.details for c in checks if not c.ok}
     assert failed["wall_enumeration"] == f"expected {10**12 - 1} tested values of a"
+
+
+@pytest.mark.parametrize("n", ["3000000", str(10**31)])
+def test_verify_rejects_huge_n_forgery_fast(e2_payload, n):
+    # n! r^n would take minutes for n = 3 * 10^6 and overflow for 10^31
+    bad = _forged(e2_payload, {("instance", "n"): n})
+    start = time.perf_counter()
+    checks = cert.verify_payload(bad)
+    assert time.perf_counter() - start < 1.0
+    assert "rank_factor" in {c.name for c in checks if not c.ok}
+    names = [c.name for c in cert.verify_payload(e2_payload)]
+    assert [c.name for c in checks].index("rank_factor") == names.index("rank_factor")
+
+
+@pytest.mark.parametrize("n", ["3000000", str(10**31)])
+def test_cli_verify_huge_n_forgery_exit_code(e2_payload, tmp_path, n):
+    p = tmp_path / "huge_n.json"
+    cert.write_json(p, _forged(e2_payload, {("instance", "n"): n}))
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert cmd_verify([str(p)], out=out) == EXIT_FAIL
+    assert time.perf_counter() - start < 1.0
+    assert f"{p}: FAIL rank_factor" in out.getvalue()
+
+
+@pytest.mark.parametrize("r", ["1", "0"])
+def test_verify_rank_factor_small_r_with_huge_n_fast(e2_payload, r):
+    # r < 2 gives no lower bound on n! r^n, so the check must not compute it
+    bad = copy.deepcopy(e2_payload)
+    bad["instance"]["n"] = "3000000"
+    bad["record"]["v0"]["r"] = r
+    bad["digest"] = cert.compute_digest(bad)
+    start = time.perf_counter()
+    checks = cert.verify_payload(bad)
+    assert time.perf_counter() - start < 1.0
+    assert "rank_factor" in {c.name for c in checks if not c.ok}
+
+
+def test_verify_builds_picard_smith_form_once(e2_payload, monkeypatch):
+    inst = cert.instance_from_payload(e2_payload["instance"])
+    pic = [[p.coords[i] for p in inst.pic_basis] for i in range(inst.lattice.rank)]
+    calls = []
+    real = snf.smith_normal_form
+
+    def counting(M):
+        calls.append([list(row) for row in M] == pic)
+        return real(M)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting)
+    for cache in (lattice._span_snf, lattice._span_solver):
+        cache.cache_clear()
+    assert all(c.ok for c in cert.verify_payload(e2_payload))
+    assert sum(calls) == 1
+
+
+def _bare_big_u(payload):
+    # the record's u as a bare 5000-digit JSON integer, over Python's
+    # int/str conversion limit, so json.load raises a plain ValueError
+    text = json.dumps(payload)
+    u = payload["record"]["u"]
+    assert text.count(f'"u": "{u}"') == 1
+    return text.replace(f'"u": "{u}"', '"u": ' + "9" * 5000)
+
+
+def test_cli_verify_int_digit_limit_is_format_error(e2_payload, tmp_path):
+    p = tmp_path / "big_u.json"
+    p.write_text(_bare_big_u(e2_payload))
+    with pytest.raises(cert.CertificateFormatError):
+        cert.read_json(p)
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_INPUT
+    assert out.getvalue().startswith(f"{p}: malformed certificate: not valid JSON")
+    assert len(out.getvalue().splitlines()) == 1
+
+
+def test_cli_verify_jobs_int_digit_limit_keeps_good_verdict(e2_payload, tmp_path):
+    bad, good = tmp_path / "big_u.json", tmp_path / "good.json"
+    bad.write_text(_bare_big_u(e2_payload))
+    cert.write_json(good, e2_payload)
+    out = io.StringIO()
+    assert cmd_verify([str(bad), str(good)], jobs=2, out=out) == EXIT_INPUT
+    text = out.getvalue()
+    assert f"{bad}: malformed certificate: not valid JSON" in text
+    assert f"{good}: OK" in text
+
+
+def test_cli_import_leaves_out_process_pool():
+    # the process pool (and multiprocessing with it) loads only for --jobs > 1
+    src = os.path.dirname(os.path.dirname(cert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hkcert.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_cli_random_deterministic(tmp_path):

@@ -20,6 +20,7 @@ from hkcert.lattice import (
     discriminant_group,
     divisibility,
     _gram_snf,
+    _span_snf,
     _span_solver,
     eichler_transvection,
     first_orthogonal_tuple,
@@ -243,14 +244,22 @@ def test_isometry_det_matches_bareiss(lam2):
             m = mat_mul([list(r) for r in t.matrix], m)
         prod = Isometry(tuple(map(tuple, m)), lam2)
         assert prod.det() == det_bareiss(m) == 1
+        assert det_bareiss(m, 3) == 1
     # reflection in the norm -2 root r = e1 - f1: x -> x + (x, r) r
     r = lam2.basis_vector(0) - lam2.basis_vector(1)
     cols = [(lam2.basis_vector(j) + pair(lam2.basis_vector(j), r) * r).coords for j in range(n)]
     refl = Isometry(tuple(zip(*cols)), lam2)
     assert refl.det() == det_bareiss(refl.matrix) == -1
+    assert det_bareiss(refl.matrix, 3) == 2
     assert acts_trivially_on_discriminant(refl)
-    minus = Isometry(tuple(tuple(-int(i == j) for j in range(n)) for i in range(n)), lam2)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_minus_identity_det(n):
+    L = build_lambda(n)
+    minus = Isometry(tuple(tuple(-int(i == j) for j in range(23)) for i in range(23)), L)
     assert minus.det() == det_bareiss(minus.matrix) == -1
+    assert det_bareiss(minus.matrix, 3) == 2
 
 
 def test_non_isometry_rejected(lam2):
@@ -514,11 +523,11 @@ def test_first_orthogonal_tuple_needs_a_nonzero_weight():
 # --- caches -----------------------------------------------------------------
 
 def test_caches_stay_within_their_bound(uu):
-    assert _span_solver.cache_info().maxsize == _gram_snf.cache_info().maxsize == CACHE_SIZE
+    caches = (_span_solver, _span_snf, _gram_snf)
+    assert all(c.cache_info().maxsize == CACHE_SIZE for c in caches)
     q = RationalClass(uu.vector([1, 0, 0, 0]), 2)
     for k in range(CACHE_SIZE + 20):
         # a distinct Picard basis each time
         in_span_plus_lattice(q, (uu.vector([1, k, 0, 0]),))
         _gram_snf(GramLattice(1, ((k + 1,),)))
-    assert _span_solver.cache_info().currsize <= CACHE_SIZE
-    assert _gram_snf.cache_info().currsize <= CACHE_SIZE
+    assert all(c.cache_info().currsize <= CACHE_SIZE for c in caches)

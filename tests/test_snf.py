@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from hkcert.snf import (
     det_bareiss,
     gram_signature,
@@ -131,3 +133,44 @@ def test_gram_signature_random_congruent():
         Pt = [list(col) for col in zip(*P)]
         X = mat_mul(mat_mul(Pt, base), P)
         assert gram_signature(X) == gram_signature(base)
+
+
+# --- determinant over GF(p) -------------------------------------------------
+
+@st.composite
+def square_matrices(draw):
+    # shape and special structure from hypothesis, entries from a seeded rng
+    n = draw(st.integers(1, 23))
+    digits = draw(st.sampled_from((1, 2, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10**digits
+    M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        M[draw(st.integers(0, n - 1))] = [0] * n
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = 0
+    if n > 1 and draw(st.booleans()):
+        # singular mod 3, though usually not over the integers
+        i, j = rng.sample(range(n), 2)
+        M[i] = [x + 3 * rng.randint(-bound, bound) for x in M[j]]
+    return M
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_det_mod_3_matches_exact_determinant(M):
+    assert det_bareiss(M, 3) == det_bareiss(M) % 3
+
+
+def test_det_mod_p_small_cases():
+    assert det_bareiss([], 3) == 1
+    assert det_bareiss([[5]], 3) == 2
+    assert det_bareiss([[0, 1], [1, 0]], 3) == 2          # det -1
+    assert det_bareiss([[3, 1], [1, 3]], 3) == 2          # det 8, pivot 0 mod 3
+    assert det_bareiss([[2, 4], [1, 2]], 3) == 0          # singular
+    assert det_bareiss([[3, 6], [9, 3]], 3) == 0          # 0 mod 3, det -45
+    M = [[4, 1, 7], [2, 9, 5], [8, 3, 6]]
+    for p in (2, 3, 5, 7, 101):
+        assert det_bareiss(M, p) == det_bareiss(M) % p
