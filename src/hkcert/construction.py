@@ -10,7 +10,6 @@ first hit in the documented order, so outputs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, gcd
 
 from . import obstruction
@@ -36,45 +35,42 @@ from .lattice import (
     norm,
     pair,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MukaiVector:
-    r: int
-    m: int
-    s: int
-    H2: int
+class MukaiVector(Record):
+    __slots__ = _fields = ("r", "m", "s", "H2")
 
     def self_pairing(self) -> int:
         return self.m * self.m * self.H2 - 2 * self.r * self.s
 
 
-@dataclass(frozen=True)
-class DualMukaiResult:
-    s_hat: "int | None"   # present once 4td^2 divides k
-    accept: bool
-    reason: str
+class DualMukaiResult(Record):
+    """``s_hat`` is None unless 4td^2 divides k."""
+
+    __slots__ = _fields = ("s_hat", "accept", "reason")
 
 
-@dataclass(frozen=True)
-class ConstructionRecord:
-    A: LatticeVector
-    omega: LatticeVector
-    D: LatticeVector
-    u: int
-    C1: int
-    g: int
-    t: int
-    e: int
-    H2: int
-    v0: MukaiVector
-    source: LatticeVector
-    target: LatticeVector
-    sigma: Isometry
-    epsilon: int
-    rk_un: int
-    alpha_x: BrauerClass
-    checks: tuple
+class ConstructionRecord(Record):
+    __slots__ = _fields = (
+        "A",
+        "omega",
+        "D",
+        "u",
+        "C1",
+        "g",
+        "t",
+        "e",
+        "H2",
+        "v0",
+        "source",
+        "target",
+        "sigma",
+        "epsilon",
+        "rk_un",
+        "alpha_x",
+        "checks",
+    )
 
 
 def _w_pairings(inst):

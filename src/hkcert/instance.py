@@ -8,7 +8,6 @@ generator used by the property suite and the CLI.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from math import gcd
 
 from . import lattice as lat
@@ -27,18 +26,14 @@ from .lattice import (
     orthogonal_complement_basis,
     pair,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class HKInstance:
-    n: int
-    pic_basis: tuple
-    W: LatticeVector
-    B: LatticeVector
-    d: int
-    C0: int
+class HKInstance(Record):
+    __slots__ = _fields = ("n", "pic_basis", "W", "B", "d", "C0")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "pic_basis", tuple(self.pic_basis))
 
     @property
@@ -48,23 +43,28 @@ class HKInstance:
     def e(self) -> int:
         return norm(self.B) // 2
 
+    def replace(self, **changes) -> "HKInstance":
+        """A copy with the named fields changed, normalized like a new instance."""
+        return HKInstance(**dict(zip(self._fields, self._values()), **changes))
 
-@dataclass(frozen=True)
-class BrauerClass:
+
+class BrauerClass(Record):
     """A B-field class [representative] relative to a fixed Picard basis."""
 
-    representative: RationalClass
-    pic_basis: tuple
+    __slots__ = _fields = ("representative", "pic_basis")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "pic_basis", tuple(self.pic_basis))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    details: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "ok", "details")
+
+    def __init__(self, name, ok, details=""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "details", details)
 
 
 def _pic_snf(inst):
@@ -176,7 +176,7 @@ def normalize_brauer(inst: HKInstance, coeff_bound: int = 8, candidate_budget: i
             continue
         if not is_primitive(cand):
             continue
-        return replace(inst, B=cand)
+        return inst.replace(B=cand)
     raise SearchExhausted(
         f"no orthogonal shift with positive norm within coefficient bound {coeff_bound} "
         f"({min(seen, candidate_budget)} candidates tried)"

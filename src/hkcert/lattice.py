@@ -28,40 +28,53 @@ everything is safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
 from .errors import NoIsometryError, SearchExhausted
 from . import snf
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Record):
     """An integral lattice presented by an exact Gram matrix.
 
-    Identity is the Gram matrix; the label is a display name only.
-    ``sparse_rows[i]`` lists the nonzero entries of Gram row i as
-    (column, value) pairs; every pairing goes through it (the rows of
-    ``build_lambda`` hold at most 4 nonzeros each).
+    Identity is the Gram matrix; the label is a display name only, left out
+    of equality and of the hash, which is computed once since every cache
+    keyed by a lattice hashes it again.  ``sparse_rows[i]`` lists the
+    nonzero entries of Gram row i as (column, value) pairs; every pairing
+    goes through it (the rows of ``build_lambda`` hold at most 4 nonzeros
+    each).
     """
 
-    rank: int
-    gram: tuple
-    label: str = field(default="", compare=False)
+    __slots__ = ("rank", "gram", "label", "sparse_rows", "_hash")
+    _fields = ("rank", "gram", "label")
 
-    def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        if len(g) != self.rank or any(len(row) != self.rank for row in g):
+    def __init__(self, rank, gram, label=""):
+        g = tuple(tuple(int(x) for x in row) for row in gram)
+        if len(g) != rank or any(len(row) != rank for row in g):
             raise ValueError("gram matrix shape does not match rank")
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
+        for i in range(rank):
+            for j in range(i + 1, rank):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix is not symmetric")
-        if self.rank and snf.det_bareiss([list(r) for r in g]) == 0:
+        if rank and snf.det_bareiss([list(r) for r in g]) == 0:
             raise ValueError("gram matrix is degenerate")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "sparse_rows", tuple(_sparse(row) for row in g))
+        object.__setattr__(self, "_hash", hash(g))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.gram == other.gram
+
+    def __hash__(self):
+        return self._hash
 
     def vector(self, coords) -> "LatticeVector":
         return LatticeVector(tuple(int(c) for c in coords), self)
@@ -80,16 +93,16 @@ class GramLattice:
         return snf.det_bareiss([list(r) for r in self.gram])
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    coords: tuple
-    lattice: GramLattice
+class LatticeVector(Record):
+    __slots__ = _fields = ("coords", "lattice")
 
-    def __post_init__(self):
-        if type(self.coords) is not tuple:
-            object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if len(self.coords) != self.lattice.rank:
+    def __init__(self, coords, lattice):
+        if type(coords) is not tuple:
+            coords = tuple(int(c) for c in coords)
+        if len(coords) != lattice.rank:
             raise ValueError("coordinate length does not match lattice rank")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "lattice", lattice)
 
     def _same(self, other):
         if not isinstance(other, LatticeVector) or other.lattice != self.lattice:
@@ -114,18 +127,16 @@ class LatticeVector:
         return not any(self.coords)
 
 
-@dataclass(frozen=True)
-class RationalClass:
+class RationalClass(Record):
     """numerator / denominator with gcd(denominator, content(numerator)) = 1."""
 
-    numerator: LatticeVector
-    denominator: int
+    __slots__ = _fields = ("numerator", "denominator")
 
-    def __post_init__(self):
-        den = int(self.denominator)
+    def __init__(self, numerator, denominator):
+        den = int(denominator)
         if den == 0:
             raise ValueError("denominator must be nonzero")
-        num = self.numerator
+        num = numerator
         if den < 0:
             den, num = -den, -num
         g = 0
@@ -152,13 +163,11 @@ class RationalClass:
         return self.denominator == 1
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
-    invariant_factors: tuple
+class DiscriminantData(Record):
+    __slots__ = _fields = ("invariant_factors",)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Integer matrix acting on coordinate columns, preserving the Gram form.
 
     Construction checks M^T G M = G exactly.  Since the lattice is
@@ -166,8 +175,14 @@ class Isometry:
     unimodular without a separate determinant check.
     """
 
-    matrix: tuple
-    lattice: GramLattice
+    __slots__ = _fields = ("matrix", "lattice")
+
+    def __init__(self, matrix, lattice):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "lattice", lattice)
+        # looked up on the instance: bench/spans.py times every construction
+        # by wrapping Isometry.__post_init__
+        self.__post_init__()
 
     def __post_init__(self):
         m = tuple(tuple(int(x) for x in row) for row in self.matrix)
@@ -200,7 +215,7 @@ class Isometry:
 
 
 def identity_isometry(L: GramLattice) -> Isometry:
-    return Isometry(tuple(tuple(snf.identity_matrix(L.rank)[i]) for i in range(L.rank)), L)
+    return Isometry(tuple(map(tuple, snf.identity_matrix(L.rank))), L)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,14 @@ bounds, and the divisibility contradiction that certifies the wall condition."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .lattice import LatticeVector, is_primitive, norm
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WallCertificate:
-    g: int
-    C1: int
-    C0: int
-    tested_a: tuple
-    verdict: bool
+class WallCertificate(Record):
+    __slots__ = _fields = ("g", "C1", "C0", "tested_a", "verdict")
 
 
 def mbm_bound_check(W: LatticeVector, C0: int) -> bool:

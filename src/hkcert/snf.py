@@ -6,8 +6,6 @@ arbitrary precision; no entry is ever coerced to a fixed-width type.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -279,6 +277,10 @@ def gram_signature(G):
 
     Symmetric (Lagrange) reduction over Fraction entries.
     """
+    # imported here: only the instance generator gets here, and fractions
+    # (with decimal) would cost every CLI process start-up time
+    from fractions import Fraction
+
     n = len(G)
     A = [[Fraction(x) for x in row] for row in G]
     pos = neg = zero = 0

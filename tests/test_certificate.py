@@ -165,9 +165,7 @@ def test_cli_construct_budget_exhausted(e2_instance, tmp_path):
 
 
 def test_cli_construct_normalizes_negative_b(e2_instance, lam2, tmp_path):
-    from dataclasses import replace
-
-    neg = replace(e2_instance, B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
+    neg = e2_instance.replace(B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
     inst_path = tmp_path / "neg.json"
     cert_path = tmp_path / "neg.cert.json"
     cert.write_json(inst_path, cert.instance_to_payload(neg))
@@ -368,19 +366,29 @@ def test_cli_verify_jobs_int_digit_limit_keeps_good_verdict(e2_payload, tmp_path
     assert f"{good}: OK" in text
 
 
-def test_cli_import_leaves_out_process_pool():
-    # the process pool (and multiprocessing with it) loads only for --jobs > 1
+def test_cli_import_leaves_out_unused_modules():
+    # start-up loads neither the process pool (multiprocessing; only
+    # --jobs > 1 needs it), nor dataclasses with inspect, nor fractions with
+    # decimal (only the instance generator's signature check needs them).
+    # Compared with a bare interpreter, so a module that a site .pth file
+    # loads cannot decide the result.
     src = os.path.dirname(os.path.dirname(cert.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hkcert.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+
+    def loaded(code):
+        r = subprocess.run(
+            [sys.executable, "-c", code + "; print(' '.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        return set(r.stdout.split())
+
+    added = loaded("import sys, hkcert.cli") - loaded("import sys")
+    assert "hkcert.cli" in added
+    unused = {"concurrent.futures", "dataclasses", "inspect", "fractions", "decimal"}
+    assert added & unused == set()
 
 
 def test_cli_random_deterministic(tmp_path):

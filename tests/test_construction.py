@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -45,7 +44,7 @@ def test_find_A_sign_normalized(lam2):
 
 def test_find_A_exhausted_when_w_orthogonal(e2_instance, lam2):
     # fabricated degenerate input: W orthogonal to the whole Picard span
-    bad = replace(e2_instance, W=lam2.vector([0, 0, 1, -1] + [0] * 19))
+    bad = e2_instance.replace(W=lam2.vector([0, 0, 1, -1] + [0] * 19))
     with pytest.raises(SearchExhausted):
         find_A(bad, coeff_bound=3)
 
@@ -66,7 +65,7 @@ def test_find_omega_bilinearity(e2_instance):
 
 def test_find_omega_exhausted_when_w_orthogonal(e2_instance, lam2):
     # no coordinate can be solved when every (p_i, W) is zero
-    bad = replace(e2_instance, W=lam2.vector([0, 0, 1, -1] + [0] * 19))
+    bad = e2_instance.replace(W=lam2.vector([0, 0, 1, -1] + [0] * 19))
     with pytest.raises(SearchExhausted):
         find_omega(bad)
 

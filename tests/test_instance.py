@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -27,23 +26,23 @@ def test_e2_all_pass(e2_instance):
 
 
 def test_w_not_primitive(e2_instance):
-    bad = replace(e2_instance, W=2 * e2_instance.W)
+    bad = e2_instance.replace(W=2 * e2_instance.W)
     assert "w_primitive" in failing(bad)
 
 
 def test_b_not_orthogonal(e2_instance, lam2):
-    bad = replace(e2_instance, B=lam2.basis_vector(0))
+    bad = e2_instance.replace(B=lam2.basis_vector(0))
     names = failing(bad)
     assert "b_orthogonal_pic" in names
 
 
 def test_w_outside_pic(e2_instance, lam2):
-    bad = replace(e2_instance, W=lam2.vector([0, 0, 1, -1] + [0] * 19))
+    bad = e2_instance.replace(W=lam2.vector([0, 0, 1, -1] + [0] * 19))
     assert "w_in_pic" in failing(bad)
 
 
 def test_w_norm_out_of_bound(e2_instance):
-    bad = replace(e2_instance, C0=2)   # -W^2 = 2 is not < 2
+    bad = e2_instance.replace(C0=2)   # -W^2 = 2 is not < 2
     assert "w_norm_bound" in failing(bad)
 
 
@@ -62,7 +61,7 @@ def test_pic_rank_one_flagged(lam2):
 
 def test_zero_b_field_rejected(e2_instance, lam2):
     # a vanishing B-field never reaches the pipeline
-    bad = replace(e2_instance, B=lam2.zero())
+    bad = e2_instance.replace(B=lam2.zero())
     names = failing(bad)
     assert "b_primitive" in names and "b_norm_positive" in names
 
@@ -135,21 +134,21 @@ def test_normalize_noop_when_positive(e2_instance):
 
 def test_normalize_pinned_example(e2_instance, lam2):
     # B = e2 - f2 has norm -2; the documented search shifts by -2 f2
-    neg = replace(e2_instance, B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
+    neg = e2_instance.replace(B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
     out = normalize_brauer(neg)
     assert out.B == lam2.vector([0, 0, 1, 1] + [0] * 19)
     assert norm(out.B) == 2
 
 
 def test_normalize_preserves_class(e2_instance, lam2):
-    neg = replace(e2_instance, B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
+    neg = e2_instance.replace(B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
     out = normalize_brauer(neg)
     assert norm(out.B) > 0
     assert brauer_equal(b_field_class(neg), b_field_class(out))
 
 
 def test_normalize_preserves_class_d2(e2_instance, lam2):
-    neg = replace(e2_instance, B=lam2.vector([0, 0, 2, -1] + [0] * 19))
+    neg = e2_instance.replace(B=lam2.vector([0, 0, 2, -1] + [0] * 19))
     assert norm(neg.B) < 0
     out = normalize_brauer(neg)
     assert norm(out.B) > 0
