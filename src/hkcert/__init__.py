@@ -1,54 +1,5 @@
 """Exact-arithmetic lattice certificates for twisted derived equivalences of
-Hilbert-scheme type: construction pipeline, wall obstruction, and verifier."""
+Hilbert-scheme type: construction pipeline, wall obstruction, and verifier.
 
-from .errors import ConstructionInvariantViolated, NoIsometryError, SearchExhausted
-from .lattice import (
-    DiscriminantData,
-    GramLattice,
-    Isometry,
-    LatticeVector,
-    RationalClass,
-    build_k3_lattice,
-    build_lambda,
-    direct_sum,
-    discriminant_group,
-    divisibility,
-    eichler_transvection,
-    hyperbolic_plane,
-    in_span_plus_lattice,
-    is_primitive,
-    isometry_between,
-    norm,
-    pair,
-    smith_normal_form,
-)
-from .instance import (
-    BrauerClass,
-    HKInstance,
-    b_field_class,
-    brauer_equal,
-    normalize_brauer,
-    random_instance,
-    validate_instance,
-)
-from .construction import (
-    ConstructionRecord,
-    MukaiVector,
-    choose_t,
-    degree_and_mukai,
-    dual_mukai_check,
-    find_A,
-    find_D,
-    find_omega,
-    pushforward_brauer,
-    run_pipeline,
-    transport,
-)
-from .obstruction import (
-    WallCertificate,
-    mbm_bound_check,
-    proportionality_bound,
-    wall_certificate,
-)
-
-__version__ = "0.1.0"
+The package exports nothing itself; import the submodules (``hkcert.cli``,
+``hkcert.certificate``, ``hkcert.construction``, ``hkcert.lattice``, ...)."""

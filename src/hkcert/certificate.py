@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import gcd, isqrt
+from math import gcd
 
 from . import obstruction
 from .construction import (
     ConstructionRecord,
     MukaiVector,
-    canonical_degree_class,
+    mukai_data,
+    pushed_class,
     rank_factor,
+    transport_ends,
 )
 from .instance import (
     BrauerClass,
@@ -32,7 +34,6 @@ from .instance import (
     validate_instance,
 )
 from .lattice import (
-    DELTA_INDEX,
     Isometry,
     RationalClass,
     acts_trivially_on_discriminant,
@@ -252,21 +253,22 @@ def verify_payload(payload):
     add("divisor_pairing_w", pair(D, inst.W) == C1)
     add("divisor_pairing_b", pair(D, inst.B) == 0)
 
-    twist = D + 4 * g * t * inst.d * inst.B
+    # the transport ends of the recorded D, g, t and H2; the target is the twist
+    expected_source, twist = transport_ends(inst, D, g, t, H2)
     add("twist_divisibility", t >= 1 and not twist.is_zero() and divisibility(twist) == 1)
     add("e_matches_b", norm(inst.B) == 2 * e, f"norm(B) = {norm(inst.B)}")
 
-    s_formula = 1 + 4 * g * t * t * inst.d**4 * (inst.n - 1) + 16 * g * t * t * inst.d**2 * e
-    add("mukai_s_formula", s_ == s_formula)
-    add("mukai_r_formula", r_ == 16 * g * t * t * inst.d**4)
-    add("mukai_m_formula", m_ == 4 * t * inst.d**2)
-    add("degree_formula", H2 == 2 * g * s_formula, f"H2 = {H2}")
+    r, m, s, H2_formula = mukai_data(inst.n, g, t, inst.d, e)
+    add("mukai_s_formula", s_ == s)
+    add("mukai_r_formula", r_ == r)
+    add("mukai_m_formula", m_ == m)
+    add("degree_formula", H2 == H2_formula, f"H2 = {H2}")
     v0 = MukaiVector(r=r_, m=m_, s=s_, H2=H2)
     add("mukai_isotropic", v0.self_pairing() == 0, f"v0^2 = {v0.self_pairing()}")
     add("mukai_gcd_rs", gcd(r_, s_) == 1)
     add("mukai_rank", r_ >= 2)
-    stab = 4 * g * t * inst.d**2
-    add("mukai_stability", stab >= 1 and (H2 // 2 + 1) % stab != 0)
+    den = g * m  # 4gtd^2
+    add("mukai_stability", den >= 1 and (H2 // 2 + 1) % den != 0)
     # r >= 2 gives n! r^n >= 2^(n (bitlen(r) - 1)), so a shorter rk_un fails
     # unseen and the product is only formed when it is about rk_un's size
     add(
@@ -278,10 +280,8 @@ def verify_payload(payload):
 
     source = _dec_vec(L, _require(rec, "source", "record"), "source")
     target = _dec_vec(L, _require(rec, "target", "record"), "target")
-    h = canonical_degree_class(L, H2)
-    delta = L.basis_vector(DELTA_INDEX)
-    add("source_formula", source == h - (2 * g * t * inst.d**2) * delta)
-    add("target_formula", target == D + (4 * g * t * inst.d) * inst.B)
+    add("source_formula", source == expected_source)
+    add("target_formula", target == twist)
     add("transport_norms", norm(source) == norm(target), f"{norm(source)} vs {norm(target)}")
     add("transport_div_source", not source.is_zero() and divisibility(source) == 1)
     add("transport_div_target", not target.is_zero() and divisibility(target) == 1)
@@ -316,13 +316,11 @@ def verify_payload(payload):
         if alpha_den == 0:
             raise CertificateFormatError("alpha_x: zero denominator")
         recorded_alpha = BrauerClass(RationalClass(alpha_num, alpha_den), inst.pic_basis)
-        den = 4 * g * t * inst.d**2
         if den == 0:
             add("alpha_matches_record", False, "4gtd^2 = 0")
             add("alpha_is_b_field", False, "4gtd^2 = 0")
         else:
-            q = RationalClass(epsilon * h - (den // 2) * delta, den)
-            recomputed = BrauerClass(-sigma.apply_rational(q), inst.pic_basis)
+            recomputed = pushed_class(inst, sigma, H2, den, epsilon)
             add(
                 "alpha_matches_record",
                 recomputed.representative == recorded_alpha.representative,
@@ -335,9 +333,9 @@ def verify_payload(payload):
     wc0 = _dec_int(_require(wall, "C0", "wall"), "wall.C0")
     add("wall_parameters", wg == g and wc1 == C1 and wc0 == inst.C0)
     recorded_tested = _require(wall, "tested_a", "wall")
-    # compare the length first: re-enumerating isqrt(C0 - 1) values for a
+    # compare the length first: re-enumerating max_a(C0) values for a
     # forged huge C0 would take time unbounded by the size of the file
-    expected = isqrt(wc0 - 1) if wc0 > 1 else 0
+    expected = obstruction.max_a(wc0)
     if not isinstance(recorded_tested, list) or len(recorded_tested) != expected:
         add("wall_enumeration", False, f"expected {expected} tested values of a")
     else:

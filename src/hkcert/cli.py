@@ -73,7 +73,9 @@ def _verify_one(path):
     try:
         payload = cert.read_json(path)
         checks = cert.verify_payload(payload)
-    except (OSError, cert.CertificateFormatError) as exc:
+    except (OSError, ValueError) as exc:
+        # CertificateFormatError is a ValueError; so is an integer too large
+        # to print in a check's details
         return EXIT_INPUT, [f"{path}: malformed certificate: {exc}"]
     bad = [c for c in checks if not c.ok]
     if bad:

@@ -20,7 +20,7 @@ from .instance import (
     HKInstance,
     b_field_class,
     brauer_equal,
-    pic_combination,
+    w_pairings,
 )
 from .lattice import (
     DELTA_INDEX,
@@ -30,8 +30,11 @@ from .lattice import (
     _gram_times,
     divisibility,
     first_orthogonal_tuple,
+    form_value,
+    gram_of,
     graded_coefficient_tuples,
     isometry_between,
+    linear_combination,
     norm,
     pair,
 )
@@ -43,12 +46,6 @@ class MukaiVector(Record):
 
     def self_pairing(self) -> int:
         return self.m * self.m * self.H2 - 2 * self.r * self.s
-
-
-class DualMukaiResult(Record):
-    """``s_hat`` is None unless 4td^2 divides k."""
-
-    __slots__ = _fields = ("s_hat", "accept", "reason")
 
 
 class ConstructionRecord(Record):
@@ -73,35 +70,22 @@ class ConstructionRecord(Record):
     )
 
 
-def _w_pairings(inst):
-    return [pair(p, inst.W) for p in inst.pic_basis]
-
-
 def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     """First Picard class (documented order) of divisibility 1 pairing
     nontrivially with W, sign-normalized so the pairing is positive."""
-    basis_pairings = [_gram_times(p) for p in inst.pic_basis]
-    w_pairings = _w_pairings(inst)
-    if all(w == 0 for w in w_pairings):
+    weights = w_pairings(inst)
+    if not any(weights):
         raise SearchExhausted(
             "W pairs to zero with the whole Picard basis; no candidate exists "
             f"(coefficient bound {coeff_bound})"
         )
-    rho = len(inst.pic_basis)
-    rank = inst.lattice.rank
-    for coeffs in graded_coefficient_tuples(rho, coeff_bound):
-        c1 = sum(c * w for c, w in zip(coeffs, w_pairings))
-        if c1 == 0:
-            continue
-        g = 0
-        for i in range(rank):
-            g = gcd(g, sum(coeffs[k] * basis_pairings[k][i] for k in range(rho)))
-            if g == 1:
-                break
-        if g != 1:
-            continue
-        cand = pic_combination(inst, coeffs)
-        return cand if c1 > 0 else -cand
+    for coeffs in graded_coefficient_tuples(len(weights), coeff_bound):
+        c1 = sum(c * w for c, w in zip(coeffs, weights))
+        if c1:
+            # nonzero, since it pairs nontrivially with W
+            cand = linear_combination(inst.lattice, coeffs, inst.pic_basis)
+            if divisibility(cand) == 1:
+                return cand if c1 > 0 else -cand
     raise SearchExhausted(
         f"no divisibility-1 class pairing with W within coefficient bound {coeff_bound}"
     )
@@ -113,28 +97,19 @@ def find_omega(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     Only the W-orthogonal coefficient tuples are visited (see
     first_orthogonal_tuple); the hit is the one the full scan finds first.
     """
-    w_pairings = _w_pairings(inst)
-    if not any(w_pairings):
+    weights = w_pairings(inst)
+    if not any(weights):
         raise SearchExhausted(
             "W pairs to zero with the whole Picard basis; no coordinate can be "
             f"solved (coefficient bound {coeff_bound})"
         )
-    sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
-    rho = len(inst.pic_basis)
-
-    def positive(coeffs):
-        return sum(
-            coeffs[i] * coeffs[j] * sub_gram[i][j]
-            for i in range(rho)
-            for j in range(rho)
-        ) > 0
-
-    coeffs = first_orthogonal_tuple(w_pairings, coeff_bound, positive)
+    sub_gram = gram_of(inst.pic_basis)
+    coeffs = first_orthogonal_tuple(weights, coeff_bound, lambda c: form_value(sub_gram, c) > 0)
     if coeffs is None:
         raise SearchExhausted(
             f"no positive-norm class orthogonal to W within coefficient bound {coeff_bound}"
         )
-    return pic_combination(inst, coeffs)
+    return linear_combination(inst.lattice, coeffs, inst.pic_basis)
 
 
 def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: int = 10**6):
@@ -177,6 +152,16 @@ def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) 
     raise SearchExhausted(f"no admissible t within budget {t_budget}")
 
 
+def mukai_data(n: int, g: int, t: int, d: int, e: int):
+    """(r, m, s, H2) = (16gt^2d^4, 4td^2, s, 2gs), s = 1 + 4gt^2d^4(n-1) + 16gt^2d^2e.
+
+    Pure arithmetic, total on any integers: the verifier evaluates it on
+    the recorded values as they come.
+    """
+    s = 1 + 4 * g * t * t * d**4 * (n - 1) + 16 * g * t * t * d * d * e
+    return 16 * g * t * t * d**4, 4 * t * d * d, s, 2 * g * s
+
+
 def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
     """Closed forms for the polarization degree and the isotropic Mukai vector.
 
@@ -187,12 +172,9 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
     """
     if min(g, t, d, e) < 1 or n < 2:
         raise ValueError("parameters must be positive with n >= 2")
-    s = 1 + 4 * g * t * t * d**4 * (n - 1) + 16 * g * t * t * d * d * e
-    H2 = 2 * g * s
-    r = 16 * g * t * t * d**4
-    m = 4 * t * d * d
+    r, m, s, H2 = mukai_data(n, g, t, d, e)
     v0 = MukaiVector(r=r, m=m, s=s, H2=H2)
-    stab = 4 * g * t * d * d
+    stab = g * m  # 4gtd^2
     checks = [
         CheckResult("mukai_isotropic", v0.self_pairing() == 0, f"v0^2 = {v0.self_pairing()}"),
         CheckResult("mukai_gcd_rs", gcd(r, s) == 1, f"gcd({r}, {s})"),
@@ -209,25 +191,6 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
     return H2, v0, checks
 
 
-def dual_mukai_check(v0: MukaiVector, k: int, n: int, g: int, t: int, d: int, e: int) -> DualMukaiResult:
-    """Constraint on the dual vector (r, k*H^, s^): gcd(r, k) must be 4td^2.
-
-    ACCEPT iff 4td^2 | k, the induced s^ is integral, and k/(4td^2) is
-    coprime to r (primitivity of the dual vector).
-    """
-    del n, e  # the shape of s^ depends only on v0.s once the quotient is known
-    q = 4 * t * d * d
-    if k % q != 0:
-        return DualMukaiResult(None, False, f"{q} does not divide k = {k}")
-    ratio = k // q
-    s_hat = ratio * ratio * v0.s
-    if gcd(abs(ratio), v0.r) != 1:
-        return DualMukaiResult(
-            s_hat, False, f"gcd({ratio}, {v0.r}) = {gcd(abs(ratio), v0.r)} != 1"
-        )
-    return DualMukaiResult(s_hat, True, "")
-
-
 def canonical_degree_class(L, H2: int) -> LatticeVector:
     """The fixed primitive representative e1 + (H2/2) f1 of a degree-H2 class."""
     coords = [0] * L.rank
@@ -236,15 +199,19 @@ def canonical_degree_class(L, H2: int) -> LatticeVector:
     return L.vector(coords)
 
 
+def transport_ends(inst: HKInstance, D, g, t, H2):
+    """(source, target) = (h - 2gtd^2 delta, D + 4gtd B), h the canonical
+    degree-H2 class."""
+    L = inst.lattice
+    d = inst.d
+    source = canonical_degree_class(L, H2) - (2 * g * t * d * d) * L.basis_vector(DELTA_INDEX)
+    return source, D + (4 * g * t * d) * inst.B
+
+
 def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_epsilon=None):
     """Isometry carrying the canonical degree class minus 2gtd^2*delta onto
     epsilon * (D + 4gtd*B); epsilon = +1 is attempted first."""
-    L = inst.lattice
-    d = inst.d
-    h = canonical_degree_class(L, H2)
-    delta = L.basis_vector(DELTA_INDEX)
-    source = h - (2 * g * t * d * d) * delta
-    target = D + (4 * g * t * d) * inst.B
+    source, target = transport_ends(inst, D, g, t, H2)
     if norm(source) != norm(target):
         raise ConstructionInvariantViolated(
             f"norm mismatch: source {norm(source)} vs target {norm(target)}"
@@ -270,16 +237,18 @@ def pushforward_brauer(inst: HKInstance, sigma: Isometry, g: int, t: int, epsilo
     instance's own class [-B/d]; the telescoping identity makes it true, so
     a false verdict is a bug signal.
     """
+    _, m, _, H2 = mukai_data(inst.n, g, t, inst.d, inst.e())
+    alpha = pushed_class(inst, sigma, H2, g * m, epsilon)
+    return alpha, brauer_equal(alpha, b_field_class(inst))
+
+
+def pushed_class(inst: HKInstance, sigma: Isometry, H2: int, den: int, epsilon: int):
+    """The class -sigma(epsilon*h/den - delta/2), h the canonical degree-H2
+    class and den = 4gtd^2 != 0."""
     L = inst.lattice
-    d = inst.d
-    H2, _, _ = degree_and_mukai(inst.n, g, t, d, inst.e())
     h = canonical_degree_class(L, H2)
-    delta = L.basis_vector(DELTA_INDEX)
-    den = 4 * g * t * d * d
-    q = RationalClass(epsilon * h - (den // 2) * delta, den)
-    alpha = BrauerClass(-sigma.apply_rational(q), inst.pic_basis)
-    verdict = brauer_equal(alpha, b_field_class(inst))
-    return alpha, verdict
+    q = RationalClass(epsilon * h - (den // 2) * L.basis_vector(DELTA_INDEX), den)
+    return BrauerClass(-sigma.apply_rational(q), inst.pic_basis)
 
 
 def rank_factor(n: int, r: int) -> int:
@@ -314,7 +283,7 @@ def run_pipeline(
         CheckResult("divisor_bound", g > inst.C0 * C1, f"g={g} > C0*C1={inst.C0 * C1}"),
         CheckResult("divisor_pairing_w", pair(D, inst.W) == C1),
         CheckResult("divisor_pairing_b", pair(D, inst.B) == 0),
-        CheckResult("twist_divisibility", divisibility(D + 4 * g * t * inst.d * inst.B) == 1),
+        CheckResult("twist_divisibility", divisibility(target) == 1),
     ]
     checks += mukai_checks
     checks += [

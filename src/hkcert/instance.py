@@ -8,7 +8,7 @@ generator used by the property suite and the CLI.
 from __future__ import annotations
 
 import random
-from math import gcd
+from operator import mul
 
 from . import lattice as lat
 from . import obstruction
@@ -16,12 +16,14 @@ from . import snf
 from .errors import SearchExhausted
 from .lattice import (
     GramLattice,
-    LatticeVector,
     RationalClass,
     build_lambda,
+    form_value,
+    gram_of,
     graded_coefficient_tuples,
     in_span_plus_lattice,
     is_primitive,
+    linear_combination,
     norm,
     orthogonal_complement_basis,
     pair,
@@ -78,15 +80,9 @@ def pic_coordinates(inst, v):
     return snf.solve_integer(_pic_snf(inst), list(v.coords))
 
 
-def pic_combination(inst, coeffs) -> LatticeVector:
-    n = inst.lattice.rank
-    out = [0] * n
-    for c, p in zip(coeffs, inst.pic_basis):
-        if c:
-            pc = p.coords
-            for i in range(n):
-                out[i] += c * pc[i]
-    return inst.lattice._vec(tuple(out))
+def w_pairings(inst):
+    """(p, W) for each Picard basis vector p."""
+    return [pair(p, inst.W) for p in inst.pic_basis]
 
 
 def validate_instance(inst: HKInstance):
@@ -135,10 +131,6 @@ def validate_instance(inst: HKInstance):
     return checks
 
 
-def instance_is_valid(inst) -> bool:
-    return all(c.ok for c in validate_instance(inst))
-
-
 def b_field_class(inst: HKInstance) -> BrauerClass:
     """The instance's Brauer class [-B/d]."""
     return BrauerClass(RationalClass(-inst.B, inst.d), inst.pic_basis)
@@ -167,11 +159,7 @@ def normalize_brauer(inst: HKInstance, coeff_bound: int = 8, candidate_budget: i
         seen += 1
         if seen > candidate_budget:
             break
-        lam = inst.lattice.zero()
-        for c, t in zip(coeffs, comp):
-            if c:
-                lam = lam + c * t
-        cand = inst.B - inst.d * lam
+        cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
         if cand.is_zero() or norm(cand) <= 0:
             continue
         if not is_primitive(cand):
@@ -208,7 +196,9 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
     L = build_lambda(n)
     for _ in range(400):
         inst = _try_sample(rng, L, n, pic_rank, C0, d_max)
-        if inst is not None and instance_is_valid(inst) and _pipeline_feasible(inst):
+        if inst is None or not all(c.ok for c in validate_instance(inst)):
+            continue
+        if _pipeline_feasible(inst):
             return inst
     raise SearchExhausted(
         f"instance generation failed after 400 attempts (seed {seed}, n={n}, "
@@ -225,7 +215,7 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
         pic.append(L.vector(coords))
     if any(p.is_zero() for p in pic):
         return None
-    sub_gram = [[pair(a, b) for b in pic] for a in pic]
+    sub_gram = gram_of(pic)
     if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
         return None
     mat = [[p.coords[i] for p in pic] for i in range(L.rank)]
@@ -237,17 +227,9 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     W = None
     for _ in range(80):
         coeffs = [rng.randint(-3, 3) for _ in range(pic_rank)]
-        nrm = sum(
-            coeffs[i] * coeffs[j] * sub_gram[i][j]
-            for i in range(pic_rank)
-            for j in range(pic_rank)
-        )
-        if not 0 < -nrm < C0:
+        if not 0 < -form_value(sub_gram, coeffs) < C0:
             continue
-        cand = L.zero()
-        for c, p in zip(coeffs, pic):
-            if c:
-                cand = cand + c * p
+        cand = linear_combination(L, coeffs, pic)
         if not cand.is_zero() and is_primitive(cand):
             W = cand
             break
@@ -265,21 +247,12 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
 def _sample_b(rng, L, comp):
     # mix at most three complement vectors; positive norm needs a hyperbolic
     # contribution, so weight retries generously
-    rank = L.rank
     for _ in range(120):
         k = rng.randint(1, min(3, len(comp)))
         picks = rng.sample(range(len(comp)), k)
-        coords = [0] * rank
-        for idx in picks:
-            c = rng.randint(-2, 2)
-            if c:
-                row = comp[idx].coords
-                for i in range(rank):
-                    coords[i] += c * row[i]
-        if not any(coords):
-            continue
-        cand = L._vec(tuple(coords))
-        if norm(cand) > 0 and is_primitive(cand):
+        coeffs = [rng.randint(-2, 2) for _ in picks]
+        cand = linear_combination(L, coeffs, [comp[idx] for idx in picks])
+        if not cand.is_zero() and norm(cand) > 0 and is_primitive(cand):
             return cand
     return None
 
@@ -289,44 +262,20 @@ def _pipeline_feasible(inst, coeff_bound=16):
     # divisibility-1 class pairing nontrivially with W must exist, and the
     # orthogonal-to-W sublattice must contain a positive-norm class whose
     # Picard coefficients stay inside the search bound
-    rho = len(inst.pic_basis)
-    basis_pairings = [lat._gram_times(p) for p in inst.pic_basis]
-    w_pairings = [pair(p, inst.W) for p in inst.pic_basis]
-    sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
-    rank = inst.lattice.rank
+    from .construction import find_A  # construction imports this module
 
-    found_a = False
-    for coeffs in graded_coefficient_tuples(rho, 3):
-        cw = sum(c * w for c, w in zip(coeffs, w_pairings))
-        if cw == 0:
-            continue
-        g = 0
-        for i in range(rank):
-            g = gcd(g, sum(coeffs[k] * basis_pairings[k][i] for k in range(rho)))
-            if g == 1:
-                break
-        if g == 1:
-            found_a = True
-            break
-    if not found_a:
+    try:
+        find_A(inst, 3)
+    except SearchExhausted:
         return False
-
-    kern = snf.kernel_basis(snf.smith_normal_form([w_pairings]))
+    weights = w_pairings(inst)
+    kern = snf.kernel_basis(snf.smith_normal_form([weights]))
     if not kern:
         return False
+    sub_gram = gram_of(inst.pic_basis)
+    gens = snf.transpose(kern)
     for kcoeffs in graded_coefficient_tuples(len(kern), 12):
-        coeffs = [0] * rho
-        for kc, gen in zip(kcoeffs, kern):
-            if kc:
-                for i in range(rho):
-                    coeffs[i] += kc * gen[i]
-        if any(abs(c) > coeff_bound for c in coeffs):
-            continue
-        nrm = sum(
-            coeffs[i] * coeffs[j] * sub_gram[i][j]
-            for i in range(rho)
-            for j in range(rho)
-        )
-        if nrm > 0:
+        coeffs = [sum(map(mul, row, kcoeffs)) for row in gens]
+        if all(abs(c) <= coeff_bound for c in coeffs) and form_value(sub_gram, coeffs) > 0:
             return True
     return False

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import NoIsometryError, SearchExhausted
 from . import snf
@@ -88,9 +89,6 @@ class GramLattice(Record):
 
     def zero(self) -> "LatticeVector":
         return self.vector([0] * self.rank)
-
-    def determinant(self) -> int:
-        return snf.det_bareiss([list(r) for r in self.gram])
 
 
 class LatticeVector(Record):
@@ -159,9 +157,6 @@ class RationalClass(Record):
     def __neg__(self):
         return RationalClass(-self.numerator, self.denominator)
 
-    def is_integral(self) -> bool:
-        return self.denominator == 1
-
 
 class DiscriminantData(Record):
     __slots__ = _fields = ("invariant_factors",)
@@ -214,12 +209,12 @@ class Isometry(Record):
         return 1 if snf.det_bareiss(self.matrix, 3) == 1 else -1
 
 
-def identity_isometry(L: GramLattice) -> Isometry:
-    return Isometry(tuple(map(tuple, snf.identity_matrix(L.rank))), L)
-
-
 # ---------------------------------------------------------------------------
 # builders
+
+# Entries kept by the caches keyed by n, lattice or Picard basis, so that a
+# long batch of instances cannot grow them without bound.
+CACHE_SIZE = 128
 
 _U_GRAM = ((0, 1), (1, 0))
 
@@ -260,7 +255,7 @@ def build_k3_lattice() -> GramLattice:
     return direct_sum(U, U, U, E8, E8, label="K3")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_lambda(n: int) -> GramLattice:
     """The rank-23 lattice U^3 + E8(-1)^2 + <2-2n>, delta last."""
     if n < 2:
@@ -271,10 +266,6 @@ def build_lambda(n: int) -> GramLattice:
 
 
 DELTA_INDEX = 22
-
-# Entries kept by the caches keyed by lattice or Picard basis, so that a long
-# batch of instances cannot grow them without bound.
-CACHE_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +290,26 @@ def pair(v: LatticeVector, w: LatticeVector) -> int:
 
 def norm(v: LatticeVector) -> int:
     return pair(v, v)
+
+
+def gram_of(vectors):
+    """The Gram matrix ((v_i, v_j)) of a list of vectors."""
+    return [[pair(a, b) for b in vectors] for a in vectors]
+
+
+def form_value(gram, coeffs) -> int:
+    """sum_ij c_i c_j gram_ij: the norm of sum_i c_i v_i, given gram_of(v)."""
+    return sum(ci * sum(map(mul, row, coeffs)) for ci, row in zip(coeffs, gram) if ci)
+
+
+def linear_combination(L: GramLattice, coeffs, vectors) -> LatticeVector:
+    """sum_i c_i v_i in L (the zero vector when every c_i is 0)."""
+    out = [0] * L.rank
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in _sparse(v.coords):
+                out[i] += c * x
+    return L._vec(tuple(out))
 
 
 def _gram_times(v: LatticeVector):
@@ -646,7 +657,7 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
     if any(L.gram[i][i] % 2 for i in range(L.rank)):
         raise ValueError("lattice must be even")
     if v == w:
-        return identity_isometry(L)
+        return _isometry_of_ops([], (), L)
     ops_v = _Reduction(L, pairs, step_budget).run(v)
     ops_w = _Reduction(L, pairs, step_budget).run(w)
     iso = _isometry_of_ops(ops_v, ops_w, L)

@@ -20,11 +20,16 @@ def mbm_bound_check(W: LatticeVector, C0: int) -> bool:
     return is_primitive(W) and 0 < -norm(W) < C0
 
 
+def max_a(C0: int) -> int:
+    """The largest a >= 0 with a^2 < C0 (0 when C0 <= 1)."""
+    return isqrt(C0 - 1) if C0 > 1 else 0
+
+
 def proportionality_bound(C0: int):
     """All coprime pairs (a, b) with 1 <= a^2 < C0 and 1 <= b^2 < C0."""
     if C0 < 1:
         raise ValueError("C0 must be positive")
-    top = isqrt(C0 - 1) if C0 > 1 else 0
+    top = max_a(C0)
     out = []
     for a in range(1, top + 1):
         for b in range(1, top + 1):
@@ -46,8 +51,7 @@ def wall_certificate(g: int, C1: int, C0: int) -> WallCertificate:
         raise ValueError(f"need g > C0*C1, got g={g} <= {C0 * C1}")
     tested = []
     verdict = True
-    top = isqrt(C0 - 1) if C0 > 1 else 0
-    for a in range(1, top + 1):
+    for a in range(1, max_a(C0) + 1):
         r = (a * C1) % g
         tested.append((a, r))
         if r == 0:

@@ -273,54 +273,26 @@ def hermite_rows(rows):
 
 
 def gram_signature(G):
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, exactly.
+    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
 
-    Symmetric (Lagrange) reduction over Fraction entries.
+    Descartes' rule of signs on the characteristic polynomial det(xI - G),
+    computed in integers by Faddeev-LeVerrier: G M_k has trace -k c_(n-k),
+    with M_1 = I and M_(k+1) = G M_k + c_(n-k) I.  A symmetric matrix has
+    only real eigenvalues, so the sign changes of the coefficients count the
+    positive ones exactly, and the trailing zero coefficients the zero ones.
     """
-    # imported here: only the instance generator gets here, and fractions
-    # (with decimal) would cost every CLI process start-up time
-    from fractions import Fraction
-
     n = len(G)
-    A = [[Fraction(x) for x in row] for row in G]
-    pos = neg = zero = 0
-    for k in range(n):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][i] != 0), None)
-            if swap is not None:
-                A[k], A[swap] = A[swap], A[k]
-                for row in A:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0),
-                    None,
-                )
-                if pair is None:
-                    zero += n - k
-                    break
-                i, j = pair
-                # fold row/col j into i: new A[i][i] = 2*A[i][j] != 0
-                for t in range(n):
-                    A[i][t] += A[j][t]
-                for t in range(n):
-                    A[t][i] += A[t][j]
-                if i != k:
-                    A[k], A[i] = A[i], A[k]
-                    for row in A:
-                        row[k], row[i] = row[i], row[k]
-        d = A[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        # congruence step: A'[i][j] = A[i][j] - A[i][k]*A[k][j]/d for i, j > k
-        for i in range(k + 1, n):
-            fik = A[i][k]
-            if fik:
-                for j in range(k + 1, n):
-                    A[i][j] -= fik * A[k][j] / d
-        for i in range(k + 1, n):
-            A[i][k] = Fraction(0)
-            A[k][i] = Fraction(0)
-    return pos, neg, zero
+    coeffs = [1]  # highest power first
+    GM = [[0] * n for _ in range(n)]  # G M_(k-1), with M_0 = 0
+    for k in range(1, n + 1):
+        for i in range(n):
+            GM[i][i] += coeffs[-1]
+        GM = mat_mul(G, GM)
+        coeffs.append(-sum(GM[i][i] for i in range(n)) // k)
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, n - zero - pos, zero

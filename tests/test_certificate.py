@@ -366,10 +366,31 @@ def test_cli_verify_jobs_int_digit_limit_keeps_good_verdict(e2_payload, tmp_path
     assert f"{good}: OK" in text
 
 
+def _huge_omega(payload):
+    # omega = (10^3000, 10^3000, 0, ...) is readable, but its norm 2 * 10^6000
+    # has more digits than int -> str converts, so the omega_positive details
+    # cannot print it
+    big = str(10**3000)
+    return _forged(payload, {("record", "omega"): [big, big] + ["0"] * 21})
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_verify_unprintable_integer_is_format_error(e2_payload, tmp_path, jobs):
+    bad, good = tmp_path / "huge_omega.json", tmp_path / "good.json"
+    cert.write_json(bad, _huge_omega(e2_payload))
+    cert.write_json(good, e2_payload)
+    out = io.StringIO()
+    assert cmd_verify([str(bad), str(good)], jobs=jobs, out=out) == EXIT_INPUT
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"{bad}: malformed certificate: ")
+    assert lines[1] == f"{good}: OK ({len(cert.verify_payload(e2_payload))} checks)"
+
+
 def test_cli_import_leaves_out_unused_modules():
     # start-up loads neither the process pool (multiprocessing; only
     # --jobs > 1 needs it), nor dataclasses with inspect, nor fractions with
-    # decimal (only the instance generator's signature check needs them).
+    # decimal (the package uses neither).
     # Compared with a bare interpreter, so a module that a site .pth file
     # loads cannot decide the result.
     src = os.path.dirname(os.path.dirname(cert.__file__))
@@ -411,11 +432,11 @@ def test_cli_random_count_zero(tmp_path):
 def test_cli_random_outputs_validate(tmp_path):
     d = tmp_path / "r"
     assert cmd_random(3, 2, 4, 2, seed=901, count=4, out_dir=str(d)) == EXIT_OK
-    from hkcert.instance import instance_is_valid
+    from hkcert.instance import validate_instance
 
     for p in sorted(d.iterdir()):
         inst = cert.instance_from_payload(cert.read_json(p))
-        assert instance_is_valid(inst)
+        assert all(c.ok for c in validate_instance(inst))
 
 
 def test_cli_entry_point_subprocess(e2_instance, tmp_path):

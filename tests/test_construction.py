@@ -7,7 +7,6 @@ from hkcert.errors import SearchExhausted
 from hkcert.construction import (
     choose_t,
     degree_and_mukai,
-    dual_mukai_check,
     find_A,
     find_D,
     find_omega,
@@ -19,10 +18,15 @@ from hkcert.instance import (
     HKInstance,
     b_field_class,
     brauer_equal,
-    pic_combination,
     random_instance,
 )
-from hkcert.lattice import divisibility, graded_coefficient_tuples, norm, pair
+from hkcert.lattice import (
+    divisibility,
+    graded_coefficient_tuples,
+    linear_combination,
+    norm,
+    pair,
+)
 
 
 def test_find_A_e2(e2_instance, lam2):
@@ -84,7 +88,7 @@ def _reference_find_omega(inst, coeff_bound=16):
             for j in range(rho)
         )
         if nrm > 0:
-            return pic_combination(inst, coeffs)
+            return linear_combination(inst.lattice, coeffs, inst.pic_basis)
     raise SearchExhausted(f"no hit within coefficient bound {coeff_bound}")
 
 
@@ -210,16 +214,6 @@ def test_degree_and_mukai_rejects_bad_params():
         degree_and_mukai(1, 3, 1, 1, 1)
     with pytest.raises(ValueError):
         degree_and_mukai(2, 0, 1, 1, 1)
-
-
-def test_dual_mukai_examples():
-    _, v0, _ = degree_and_mukai(2, 6, 1, 2, 1)
-    res = dual_mukai_check(v0, 16, 2, 6, 1, 2, 1)
-    assert res.accept and res.s_hat == 769
-    res = dual_mukai_check(v0, 8, 2, 6, 1, 2, 1)
-    assert not res.accept and res.s_hat is None and "divide" in res.reason
-    res = dual_mukai_check(v0, 32, 2, 6, 1, 2, 1)
-    assert not res.accept and res.s_hat == 4 * 769 and "gcd" in res.reason
 
 
 def test_transport_e2(e2_instance):

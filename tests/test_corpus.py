@@ -7,15 +7,25 @@ and six instances whose ``d`` has 50-150 digits, so sigma entries run to
 well over a thousand digits.  Any change to certificate bytes, search order
 or the recorded check list changes a digest.
 
-The digests in ``golden_digests.json`` were recorded once and must not be
-regenerated to make this test pass.  After a deliberate change of the
-certificate format, rewrite them with
+A second gate pins what the verifier says: ``golden_transcript.json`` holds
+a sha256 of every (name, ok, details) that ``verify_payload`` returns over
+the corpus, and one of ``cmd_verify``'s stdout over the 500 tamper mutations
+of acceptance criterion 5 (``random.Random(424242)``).
+
+Both files were recorded once and must not be regenerated to make these
+tests pass.  After a deliberate change of the certificate format or of the
+verifier's output, rewrite them with
 
     PYTHONPATH=src python tests/test_corpus.py
 """
 
+import copy
+import hashlib
+import io
 import json
+import os
 import random
+import tempfile
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +33,7 @@ import pytest
 
 from hkcert import certificate as cert
 from hkcert import snf
+from hkcert.cli import cmd_verify
 from hkcert.construction import run_pipeline, wall_for_record
 from hkcert.errors import SearchExhausted
 from hkcert.instance import HKInstance, random_instance
@@ -36,6 +47,7 @@ from hkcert.lattice import (
 )
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+TRANSCRIPT = Path(__file__).resolve().with_name("golden_transcript.json")
 BUDGETS = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
 BIG_D = [  # (n, pic_rank, C0, decimal exponent of d_max, seed)
     (2, 2, 3, 50, 41001),
@@ -116,6 +128,67 @@ def test_golden_corpus_is_complete():
     assert len(big) == 6 and all(50 <= k <= 150 for k in big)
 
 
+# --- the verifier transcript ------------------------------------------------
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def verify_transcript():
+    """sha256 of every check verify_payload reports over the corpus, in order."""
+    rows = [
+        [[c.name, c.ok, c.details] for c in cert.verify_payload(certified(entry)[1])]
+        for entry in CORPUS
+    ]
+    return _sha(json.dumps(rows))
+
+
+def _int_paths(node, prefix=()):
+    # every decimal-string leaf of a payload, as its key path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _int_paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _int_paths(v, prefix + (i,))
+    elif isinstance(node, str):
+        try:
+            int(node)
+        except ValueError:
+            return
+        yield prefix
+
+
+def tamper_transcript():
+    """sha256 of cmd_verify's stdout over criterion 5's 500 mutations of the
+    E2 certificate, each written to ``mutated.json`` in the working directory."""
+    payload = certified(CORPUS[0])[1]
+    paths = list(_int_paths(payload))
+    rng = random.Random(424242)
+    out = io.StringIO()
+    for _ in range(500):
+        path = rng.choice(paths)
+        delta = rng.choice((-7, -3, -1, 1, 2, 5))
+        bad = copy.deepcopy(payload)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = str(int(node[path[-1]]) + delta)
+        cert.write_json("mutated.json", bad)
+        cmd_verify(["mutated.json"], out=out)
+    return _sha(out.getvalue())
+
+
+def test_verify_transcript():
+    assert verify_transcript() == json.loads(TRANSCRIPT.read_text())["verify_payload"]
+
+
+def test_tamper_transcript(tmp_path, monkeypatch):
+    assert CORPUS[0]["label"] == "e2"
+    monkeypatch.chdir(tmp_path)
+    assert tamper_transcript() == json.loads(TRANSCRIPT.read_text())["cmd_verify_tamper"]
+
+
 # --- oracles for the discriminant and determinant shortcuts -----------------
 
 def acts_trivially_reference(iso):
@@ -172,3 +245,9 @@ if __name__ == "__main__":
         entry["digest"] = certified(entry)[1]["digest"]
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in corpus) + "\n]\n")
     print(f"wrote {len(corpus)} digests to {GOLDEN}")
+    CORPUS = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        sums = {"verify_payload": verify_transcript(), "cmd_verify_tamper": tamper_transcript()}
+    TRANSCRIPT.write_text(json.dumps(sums, indent=1) + "\n")
+    print(f"wrote the verifier transcript to {TRANSCRIPT}")

@@ -8,7 +8,6 @@ from hkcert.instance import (
     HKInstance,
     b_field_class,
     brauer_equal,
-    instance_is_valid,
     normalize_brauer,
     pic_coordinates,
     random_instance,
@@ -153,7 +152,7 @@ def test_normalize_preserves_class_d2(e2_instance, lam2):
     out = normalize_brauer(neg)
     assert norm(out.B) > 0
     assert brauer_equal(b_field_class(neg), b_field_class(out))
-    assert instance_is_valid(out)
+    assert all(c.ok for c in validate_instance(out))
 
 
 # --- generator ---------------------------------------------------------------
@@ -184,7 +183,7 @@ def test_random_instances_valid_200_seeds():
             inst = random_instance(n, rho, c0, dmax, seed=5000 + i)
         except SearchExhausted:
             continue
-        assert instance_is_valid(inst)
+        assert all(c.ok for c in validate_instance(inst))
         assert 0 < -norm(inst.W) < inst.C0
         assert 1 <= inst.d <= dmax
         # orthogonality of B against the Picard span, wall class included

@@ -4,9 +4,7 @@ import pytest
 
 from hkcert.construction import (
     ConstructionRecord,
-    DualMukaiResult,
     MukaiVector,
-    dual_mukai_check,
     run_pipeline,
 )
 from hkcert.instance import BrauerClass, CheckResult, HKInstance, b_field_class
@@ -35,7 +33,6 @@ BUILDERS = {
     BrauerClass: lambda lam2, inst: b_field_class(inst),
     CheckResult: lambda lam2, inst: CheckResult("pic_rank", True, "rank 2"),
     MukaiVector: lambda lam2, inst: run_pipeline(inst).v0,
-    DualMukaiResult: lambda lam2, inst: dual_mukai_check(MukaiVector(16, 4, 5, 10), 8, 2, 1, 1, 1, 1),
     ConstructionRecord: lambda lam2, inst: run_pipeline(inst),
     WallCertificate: lambda lam2, inst: wall_certificate(7, 2, 3),
 }

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkcert.snf import (
@@ -12,6 +14,7 @@ from hkcert.snf import (
     smith_normal_form,
     snf_diagonal,
     solve_integer,
+    transpose,
 )
 
 
@@ -133,6 +136,41 @@ def test_gram_signature_random_congruent():
         Pt = [list(col) for col in zip(*P)]
         X = mat_mul(mat_mul(Pt, base), P)
         assert gram_signature(X) == gram_signature(base)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # sizes 1-6: plain symmetric matrices, and products P^T D P with D
+    # diagonal of a drawn rank, so that rank-deficient ones are common
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        A = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = rng.randint(-5, 5)
+        return A
+    D = [[0] * n for _ in range(n)]
+    for i in range(draw(st.integers(0, n))):
+        D[i][i] = rng.choice((-1, 1)) * rng.randint(1, 4)
+    P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return mat_mul(mat_mul(transpose(P), D), P)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is test-only")
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(symmetric_matrices())
+def test_gram_signature_matches_sympy_eigenvalue_signs(G):
+    import sympy
+
+    # the eigenvalues as the exactly isolated real roots of sympy's own
+    # characteristic polynomial, with multiplicity
+    eigenvalues = sympy.Matrix(G).charpoly(sympy.Symbol("x")).real_roots()
+    assert len(eigenvalues) == len(G)
+    pos = sum(1 for ev in eigenvalues if ev > 0)
+    neg = sum(1 for ev in eigenvalues if ev < 0)
+    zero = sum(1 for ev in eigenvalues if ev == 0)
+    assert gram_signature(G) == (pos, neg, zero)
 
 
 # --- determinant over GF(p) -------------------------------------------------
