@@ -67,6 +67,26 @@ def _dec_int(x, what="integer"):
         raise CertificateFormatError(f"{what}: bad integer {x!r}") from None
 
 
+# the entry types that _dec_int hands to int(); bool, a subclass of int, is
+# not among them
+_INT_TYPES = frozenset((int, str))
+
+
+def _dec_ints(seq, what):
+    """A JSON list of integers as a tuple of ints, each decoded as by _dec_int.
+
+    One C-level pass when every entry is an int or a str that int() reads;
+    otherwise the entries go through _dec_int one by one, so the first bad
+    one raises the same error it would on its own.
+    """
+    if _INT_TYPES.issuperset(map(type, seq)):
+        try:
+            return tuple(map(int, seq))
+        except ValueError:
+            pass
+    return tuple(_dec_int(x, what) for x in seq)
+
+
 def _enc_vec(v):
     return [_enc_int(c) for c in v.coords]
 
@@ -74,7 +94,7 @@ def _enc_vec(v):
 def _dec_vec(L, data, what="vector"):
     if not isinstance(data, list) or len(data) != L.rank:
         raise CertificateFormatError(f"{what}: expected {L.rank} coordinates")
-    return L.vector([_dec_int(c, what) for c in data])
+    return L._vec(_dec_ints(data, what))
 
 
 def _enc_mat(rows):
@@ -241,14 +261,17 @@ def verify_payload(payload):
 
     add("class_a_in_pic", pic_coordinates(inst, A) is not None)
     add("class_a_divisibility", not A.is_zero() and divisibility(A) == 1)
-    add("class_a_pairing", pair(A, inst.W) == C1 and C1 > 0, f"(A,W) = {pair(A, inst.W)}")
+    a_w = pair(A, inst.W)
+    add("class_a_pairing", a_w == C1 and C1 > 0, f"(A,W) = {a_w}")
     add("omega_in_pic", pic_coordinates(inst, omega) is not None)
     add("omega_orthogonal", pair(omega, inst.W) == 0)
-    add("omega_positive", norm(omega) > 0, f"norm {norm(omega)}")
+    omega_norm = norm(omega)
+    add("omega_positive", omega_norm > 0, f"norm {omega_norm}")
 
     add("divisor_formula", u >= 1 and D == A + u * omega)
     add("divisor_divisibility", not D.is_zero() and divisibility(D) == 1)
-    add("divisor_norm", norm(D) == 2 * g, f"norm {norm(D)} vs 2g = {2 * g}")
+    d_norm = norm(D)
+    add("divisor_norm", d_norm == 2 * g, f"norm {d_norm} vs 2g = {2 * g}")
     add("divisor_bound", g > inst.C0 * C1, f"g = {g}, C0*C1 = {inst.C0 * C1}")
     add("divisor_pairing_w", pair(D, inst.W) == C1)
     add("divisor_pairing_b", pair(D, inst.B) == 0)
@@ -256,7 +279,8 @@ def verify_payload(payload):
     # the transport ends of the recorded D, g, t and H2; the target is the twist
     expected_source, twist = transport_ends(inst, D, g, t, H2)
     add("twist_divisibility", t >= 1 and not twist.is_zero() and divisibility(twist) == 1)
-    add("e_matches_b", norm(inst.B) == 2 * e, f"norm(B) = {norm(inst.B)}")
+    b_norm = norm(inst.B)
+    add("e_matches_b", b_norm == 2 * e, f"norm(B) = {b_norm}")
 
     r, m, s, H2_formula = mukai_data(inst.n, g, t, inst.d, e)
     add("mukai_s_formula", s_ == s)
@@ -264,7 +288,8 @@ def verify_payload(payload):
     add("mukai_m_formula", m_ == m)
     add("degree_formula", H2 == H2_formula, f"H2 = {H2}")
     v0 = MukaiVector(r=r_, m=m_, s=s_, H2=H2)
-    add("mukai_isotropic", v0.self_pairing() == 0, f"v0^2 = {v0.self_pairing()}")
+    v0_square = v0.self_pairing()
+    add("mukai_isotropic", v0_square == 0, f"v0^2 = {v0_square}")
     add("mukai_gcd_rs", gcd(r_, s_) == 1)
     add("mukai_rank", r_ >= 2)
     den = g * m  # 4gtd^2
@@ -282,7 +307,8 @@ def verify_payload(payload):
     target = _dec_vec(L, _require(rec, "target", "record"), "target")
     add("source_formula", source == expected_source)
     add("target_formula", target == twist)
-    add("transport_norms", norm(source) == norm(target), f"{norm(source)} vs {norm(target)}")
+    source_norm, target_norm = norm(source), norm(target)
+    add("transport_norms", source_norm == target_norm, f"{source_norm} vs {target_norm}")
     add("transport_div_source", not source.is_zero() and divisibility(source) == 1)
     add("transport_div_target", not target.is_zero() and divisibility(target) == 1)
 
@@ -293,7 +319,7 @@ def verify_payload(payload):
     for row in sig_rows:
         if not isinstance(row, list) or len(row) != L.rank:
             raise CertificateFormatError("record: sigma row has wrong length")
-        sig_mat.append(tuple(_dec_int(x, "sigma") for x in row))
+        sig_mat.append(_dec_ints(row, "sigma"))
     sig_mat = tuple(sig_mat)
     sigma = None
     try:

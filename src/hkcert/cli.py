@@ -29,6 +29,12 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
     except (OSError, cert.CertificateFormatError) as exc:
         print(f"error: {input_path}: {exc}", file=out)
         return EXIT_INPUT
+    budgets = {
+        "coeff_bound": coeff_bound,
+        "u_budget": u_budget,
+        "t_budget": t_budget,
+        "isometry_budget": isometry_budget,
+    }
     try:
         if norm(inst.B) <= 0:
             inst = normalize_brauer(inst)
@@ -45,20 +51,25 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
             isometry_budget=isometry_budget,
         )
         wall = construction.wall_for_record(inst, rec)
+        # every integer is turned into a decimal string here, before the
+        # certificate file is opened
+        payload = cert.certificate_payload(inst, rec, wall, budgets)
     except SearchExhausted as exc:
         print(f"error: search exhausted: {exc}", file=out)
         return EXIT_BUDGET
     except ConstructionInvariantViolated as exc:
         print(f"error: {exc}", file=out)
         return EXIT_FAIL
-    budgets = {
-        "coeff_bound": coeff_bound,
-        "u_budget": u_budget,
-        "t_budget": t_budget,
-        "isometry_budget": isometry_budget,
-    }
-    payload = cert.certificate_payload(inst, rec, wall, budgets)
-    cert.write_json(output_path, payload)
+    except ValueError as exc:
+        # among others an integer over the int/str digit limit, in the
+        # certificate or in a check's details
+        print(f"error: {input_path}: {exc}", file=out)
+        return EXIT_INPUT
+    try:
+        cert.write_json(output_path, payload)
+    except OSError as exc:
+        print(f"error: {output_path}: {exc}", file=out)
+        return EXIT_INPUT
     print(
         f"{output_path}: C1={rec.C1} u={rec.u} g={rec.g} t={rec.t} H2={rec.H2} "
         f"v0=({rec.v0.r},{rec.v0.m},{rec.v0.s}) epsilon={rec.epsilon} "

@@ -78,7 +78,7 @@ class GramLattice(Record):
         return self._hash
 
     def vector(self, coords) -> "LatticeVector":
-        return LatticeVector(tuple(int(c) for c in coords), self)
+        return LatticeVector(tuple(map(int, coords)), self)
 
     def _vec(self, coords_tuple) -> "LatticeVector":
         # internal fast path: coords_tuple is already a tuple of ints
@@ -180,13 +180,14 @@ class Isometry(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(map(int, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("isometry matrix shape does not match lattice rank")
         g = self.lattice.gram
-        # G*M first, so mat_mul skips the zeros of the sparse Gram matrix
+        # G*M first, then M^T (G M): mat_mul skips the zero entries of both
+        # factors, and G, M and G M are all sparse
         if snf.mat_mul(snf.transpose(m), snf.mat_mul(g, m)) != [list(r) for r in g]:
             raise ValueError("matrix does not preserve the Gram form")
 

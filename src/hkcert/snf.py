@@ -6,28 +6,37 @@ arbitrary precision; no entry is ever coerced to a fixed-width type.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import mul
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = A[i]
-        oi = out[i]
-        for k in range(inner):
-            a = ai[k]
-            if a:
-                bk = B[k]
-                for j in range(cols):
-                    oi[j] += a * bk[j]
+    """A*B, summed over the products of nonzero entries only.
+
+    Each row of B is reduced once, by ``compress``, to its nonzero (column,
+    value) pairs, and each row of A meets only the rows of B at its own
+    nonzero entries.  Both factors of an isometry's Gram identity
+    M^T (G M) are sparse: G, M and G M are mostly zeros.
+    """
+    cols = len(B[0]) if B else 0
+    js = range(cols)
+    sparse_rows = [list(compress(zip(js, row), row)) for row in B]
+    out = []
+    for ai in A:
+        oi = [0] * cols
+        for a, bk in compress(zip(ai, sparse_rows), ai):
+            for j, b in bk:
+                oi[j] += a * b
+        out.append(oi)
     return out
 
 
 def mat_vec(A, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
+    return [sum(map(mul, row, x)) for row in A]
 
 
 def transpose(A):
@@ -287,7 +296,10 @@ def gram_signature(G):
     for k in range(1, n + 1):
         for i in range(n):
             GM[i][i] += coeffs[-1]
-        GM = mat_mul(G, GM)
+        # GM now holds M_k, a polynomial in G and so symmetric: its rows are
+        # its columns, and each entry of G M_k is one C-level dot product
+        # (the dense small matrices here gain nothing from mat_mul's sparsity)
+        GM = [[sum(map(mul, g, m)) for m in GM] for g in G]
         coeffs.append(-sum(GM[i][i] for i in range(n)) // k)
     zero = 0
     while coeffs[-1] == 0:

@@ -5,14 +5,21 @@
 ``Tracer.install``.  ``bench/run.py`` also calls a few names directly.  A
 deletion or re-import that breaks one of them would only show in a traced
 benchmark run (``bench/run.py --trace 1``); here it fails the test suite.
-The bench files are read, never edited.
+The bench files are read, never edited.  A last test runs the span
+recorder over one construct and verify, so a kernel rewrite that stops
+calling a spanned function (``snf.mat_mul``, say) fails here as well.
 """
 
 import importlib.util
+import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+from hkcert import certificate as cert
+from hkcert import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,3 +56,24 @@ def test_install_sites_found():
 def test_bench_sites_resolve_to_one_object(name):
     found = [getattr(*spans._resolve(site)) for site in GROUPS[name]]
     assert all(obj is found[0] for obj in found), GROUPS[name]
+
+
+def test_every_span_fires_on_one_construct_and_verify(e2_instance, tmp_path):
+    # as in a fresh process: every lru_cache of the package emptied, so the
+    # cached Smith forms are built (and spanned) again
+    for name, module in list(sys.modules.items()):
+        if name == "hkcert" or name.startswith("hkcert."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    inst_path, cert_path = tmp_path / "e2.json", tmp_path / "e2.cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.cmd_construct(str(inst_path), str(cert_path), out=io.StringIO()) == 0
+        assert cli.cmd_verify([str(cert_path)], out=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    calls = tracer.span_totals(1)[1]
+    assert [name for name in spans.SPANS if calls[name] == 0] == []

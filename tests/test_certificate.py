@@ -45,6 +45,27 @@ def test_instance_rejects_garbage():
         cert.instance_from_payload({"n": "x", "pic_basis": [], "W": [], "B": [], "d": "1", "C0": "1"})
 
 
+_ODD_ENTRIES = [True, 1.5, None, [], {}, " 7", "1_0", "+3", "0x10", "", "1" * 4301]
+
+
+def _per_entry(seq, what):
+    # the reference: _dec_int on each entry in turn
+    try:
+        return tuple(cert._dec_int(x, what) for x in seq)
+    except cert.CertificateFormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("odd", _ODD_ENTRIES, ids=lambda x: repr(x)[:12])
+def test_dec_ints_matches_per_entry_decoding(odd):
+    for seq in ([odd], [1, "-2", odd], [odd, "0x10"], ["5", odd, 7, True], ["3", 4, "-05"], []):
+        try:
+            got = cert._dec_ints(seq, "sigma")
+        except cert.CertificateFormatError as exc:
+            got = "error", str(exc)
+        assert got == _per_entry(seq, "sigma")
+
+
 def test_verify_clean_certificate(e2_payload):
     checks = cert.verify_payload(e2_payload)
     assert all(c.ok for c in checks)
@@ -162,6 +183,42 @@ def test_cli_construct_budget_exhausted(e2_instance, tmp_path):
     cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
     rc = cmd_construct(str(inst_path), str(tmp_path / "out.json"), u_budget=1)
     assert rc == EXIT_BUDGET
+
+
+def test_cli_construct_unwritable_output(e2_instance, tmp_path):
+    inst_path = tmp_path / "e2.json"
+    cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
+    cert_path = tmp_path / "missing" / "e2.cert.json"
+    out = io.StringIO()
+    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cert_path}: ")
+    assert not cert_path.exists()
+
+
+@pytest.mark.parametrize("k", [200, 1200])
+def test_cli_construct_huge_d_is_input_error_subprocess(tmp_path, k):
+    # d = 10^k: at k = 200 the rank factor n! r^n, at k = 1200 already a
+    # check's details, passes the 4300-digit int/str limit; either way one
+    # line and exit 2, no traceback and no certificate file
+    from hkcert.instance import random_instance
+
+    inst_path = tmp_path / "huge.json"
+    cert_path = tmp_path / "huge.cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(random_instance(6, 2, 3, 10**k, 5)))
+    src = os.path.dirname(os.path.dirname(cert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "hkcert", "construct", "-i", str(inst_path), "-o", str(cert_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert r.returncode == EXIT_INPUT, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {inst_path}: ")
+    assert "Traceback" not in r.stdout + r.stderr
+    assert not cert_path.exists()
 
 
 def test_cli_construct_normalizes_negative_b(e2_instance, lam2, tmp_path):

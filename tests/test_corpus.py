@@ -230,6 +230,70 @@ def test_corpus_sigma_shortcuts_match_definitions():
     assert checked == len(CORPUS) == 67
 
 
+def dense_isometry_reference(matrix, L):
+    """The Gram-identity check as written before the sparse product: the
+    same shape check, then M^T (G M) = G with each product a dense triple
+    loop that skips only the zero entries of its left factor.  Returns the
+    normalised matrix or raises the same ValueError."""
+
+    def dense_mat_mul(A, B):
+        rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+        out = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            ai = A[i]
+            oi = out[i]
+            for k in range(inner):
+                a = ai[k]
+                if a:
+                    bk = B[k]
+                    for j in range(cols):
+                        oi[j] += a * bk[j]
+        return out
+
+    m = tuple(tuple(int(x) for x in row) for row in matrix)
+    n = L.rank
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError("isometry matrix shape does not match lattice rank")
+    product = dense_mat_mul([list(c) for c in zip(*m)], dense_mat_mul(L.gram, m))
+    if product != [list(r) for r in L.gram]:
+        raise ValueError("matrix does not preserve the Gram form")
+    return m
+
+
+def _isometry_outcome(build, matrix, L):
+    try:
+        result = build(matrix, L)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return "accepted", getattr(result, "matrix", result)
+
+
+def test_isometry_check_matches_dense_reference():
+    def same(matrix, L):
+        fast = _isometry_outcome(Isometry, matrix, L)
+        assert fast == _isometry_outcome(dense_isometry_reference, matrix, L)
+        return fast[0]
+
+    sigmas = [certified(entry)[0].sigma for entry in CORPUS]
+    assert len(sigmas) == 67
+    assert all(same(s.matrix, s.lattice) == "accepted" for s in sigmas)
+    verdicts = set()
+    for sigma in sigmas[:10]:
+        m, L = sigma.matrix, sigma.lattice
+        bad = [list(row) for row in m]
+        for i in range(L.rank):
+            for j in range(L.rank):
+                for delta in (-3, -1, 1, 3):
+                    bad[i][j] += delta
+                    verdicts.add(same(bad, L))
+                    bad[i][j] -= delta
+        # wrong shapes: a column missing, a row missing, a column too many
+        assert same([row[:-1] for row in m], L) == "rejected"
+        assert same(m[:-1], L) == "rejected"
+        assert same([row + (0,) for row in m], L) == "rejected"
+    assert "rejected" in verdicts
+
+
 def test_minus_identity_on_discriminant():
     for L in [build_lambda(n) for n in range(2, 7)] + [build_k3_lattice()]:
         minus = Isometry(tuple(tuple(-(i == j) for j in range(L.rank)) for i in range(L.rank)), L)

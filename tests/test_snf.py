@@ -11,6 +11,7 @@ from hkcert.snf import (
     kernel_basis,
     left_kernel_basis,
     mat_mul,
+    mat_vec,
     smith_normal_form,
     snf_diagonal,
     solve_integer,
@@ -112,6 +113,60 @@ def test_hermite_rows_canonical():
     assert hermite_rows(rows) == rows
     # invariance under row order
     assert hermite_rows([[0, 4, 0], [0, 2, 1]]) == rows
+
+
+# --- products against the naive triple sum ----------------------------------
+
+def naive_mat_mul(A, B):
+    cols = len(B[0]) if B else 0
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(cols)]
+            for i in range(len(A))]
+
+
+def naive_mat_vec(A, x):
+    return [sum(row[k] * x[k] for k in range(len(x))) for row in A]
+
+
+@st.composite
+def products(draw):
+    # (A, B, x) with A m x k, B k x n and x of length k, any of m, k, n zero;
+    # entries up to 10^300 at a drawn density, so zero entries and zero rows
+    # are common; rows are lists or tuples, as callers pass both
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10 ** draw(st.sampled_from((1, 30, 300)))
+    density = draw(st.sampled_from((0.0, 0.15, 0.5, 1.0)))
+
+    def entry():
+        return rng.randint(-bound, bound) if rng.random() < density else 0
+
+    A = [[entry() for _ in range(k)] for _ in range(m)]
+    B = [[entry() for _ in range(n)] for _ in range(k)]
+    x = [entry() for _ in range(k)]
+    if m and draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [0] * k
+    if k and draw(st.booleans()):
+        B[draw(st.integers(0, k - 1))] = [0] * n
+    if draw(st.booleans()):
+        A, B = [tuple(r) for r in A], [tuple(r) for r in B]
+    return A, B, x
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(products())
+def test_products_match_naive_triple_sum(case):
+    A, B, x = case
+    assert mat_mul(A, B) == naive_mat_mul(A, B)
+    assert mat_vec(A, x) == naive_mat_vec(A, x)
+
+
+def test_products_of_empty_shapes():
+    assert mat_mul([], []) == []
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([[0, 0]], [[1, 2, 3], [4, 5, 6]]) == [[0, 0, 0]]
+    assert mat_mul([[1, 2]], [[], []]) == [[]]
+    assert mat_vec([], [1, 2]) == []
+    assert mat_vec([[], []], []) == [0, 0]
 
 
 def test_gram_signature():
