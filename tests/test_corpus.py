@@ -12,7 +12,12 @@ a sha256 of every (name, ok, details) that ``verify_payload`` returns over
 the corpus, and one of ``cmd_verify``'s stdout over the 500 tamper mutations
 of acceptance criterion 5 (``random.Random(424242)``).
 
-Both files were recorded once and must not be regenerated to make these
+The digests cover only the compact sorted-key serialization, so a third gate
+pins the files as written: ``golden_files.json`` holds the sha256 of each
+corpus instance file and of the certificate ``cmd_construct`` writes for it,
+of the CLI's stdout, and of the files of one ``cmd_random`` run.
+
+The three files were recorded once and must not be regenerated to make these
 tests pass.  After a deliberate change of the certificate format or of the
 verifier's output, rewrite them with
 
@@ -33,7 +38,7 @@ import pytest
 
 from hkcert import certificate as cert
 from hkcert import snf
-from hkcert.cli import cmd_verify
+from hkcert.cli import cmd_construct, cmd_random, cmd_verify
 from hkcert.construction import run_pipeline, wall_for_record
 from hkcert.errors import SearchExhausted
 from hkcert.instance import HKInstance, random_instance
@@ -48,6 +53,7 @@ from hkcert.lattice import (
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 TRANSCRIPT = Path(__file__).resolve().with_name("golden_transcript.json")
+FILES = Path(__file__).resolve().with_name("golden_files.json")
 BUDGETS = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
 BIG_D = [  # (n, pic_rank, C0, decimal exponent of d_max, seed)
     (2, 2, 3, 50, 41001),
@@ -189,6 +195,45 @@ def test_tamper_transcript(tmp_path, monkeypatch):
     assert tamper_transcript() == json.loads(TRANSCRIPT.read_text())["cmd_verify_tamper"]
 
 
+# --- the bytes the CLI writes ---------------------------------------------
+
+def _file_sha(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def written_files():
+    """sha256 of what the CLI writes for the corpus, in the working directory:
+    each instance file and the certificate ``cmd_construct`` makes of it,
+    construct's stdout, ``cmd_verify``'s stdout over every certificate (the
+    same with jobs 1 and 2), and the files and stdout of one ``cmd_random``."""
+    sums = {"instances": {}, "certificates": {}}
+    out = io.StringIO()
+    names = [_entry_id(entry) for entry in CORPUS]
+    for name, entry in zip(names, CORPUS):
+        cert.write_json(f"{name}.json", cert.instance_to_payload(instance_of(entry)))
+        assert cmd_construct(f"{name}.json", f"{name}.cert.json", out=out) == 0
+        sums["instances"][name] = _file_sha(f"{name}.json")
+        sums["certificates"][name] = _file_sha(f"{name}.cert.json")
+    sums["construct_stdout"] = _sha(out.getvalue())
+    verified = []
+    for jobs in (1, 2):
+        out = io.StringIO()
+        assert cmd_verify([f"{name}.cert.json" for name in names], jobs=jobs, out=out) == 0
+        verified.append(_sha(out.getvalue()))
+    assert verified[0] == verified[1]
+    sums["verify_stdout"] = verified[0]
+    out = io.StringIO()
+    assert cmd_random(4, 3, 5, 10**40, 2026, 4, "random", out=out) == 0
+    sums["random"] = {f: _file_sha(Path("random", f)) for f in sorted(os.listdir("random"))}
+    sums["random_stdout"] = _sha(out.getvalue())
+    return sums
+
+
+def test_written_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert written_files() == json.loads(FILES.read_text())
+
+
 # --- oracles for the discriminant and determinant shortcuts -----------------
 
 def acts_trivially_reference(iso):
@@ -313,5 +358,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         sums = {"verify_payload": verify_transcript(), "cmd_verify_tamper": tamper_transcript()}
+        files = written_files()
     TRANSCRIPT.write_text(json.dumps(sums, indent=1) + "\n")
     print(f"wrote the verifier transcript to {TRANSCRIPT}")
+    FILES.write_text(json.dumps(files, indent=1) + "\n")
+    print(f"wrote the hashes of the written files to {FILES}")
