@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
 from . import obstruction
@@ -54,8 +55,16 @@ class CertificateFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # integer <-> decimal string helpers
 
+# _enc_int and _enc_ints are the only places where a recorded integer
+# becomes its decimal string
+
 def _enc_int(x):
     return str(int(x))
+
+
+def _enc_ints(seq):
+    """A tuple of ints as a JSON list of decimal strings; the mirror of _dec_ints."""
+    return list(map(str, seq))
 
 
 def _dec_int(x, what="integer"):
@@ -88,7 +97,7 @@ def _dec_ints(seq, what):
 
 
 def _enc_vec(v):
-    return [_enc_int(c) for c in v.coords]
+    return _enc_ints(v.coords)
 
 
 def _dec_vec(L, data, what="vector"):
@@ -98,7 +107,7 @@ def _dec_vec(L, data, what="vector"):
 
 
 def _enc_mat(rows):
-    return [[_enc_int(x) for x in row] for row in rows]
+    return [_enc_ints(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +150,50 @@ def instance_from_payload(data) -> HKInstance:
     return inst
 
 
+_STR = frozenset((str,))
+
+
+def _layout(obj, pad):
+    """``json.dumps(obj, indent=1)`` of a value whose container opens at ``pad``.
+
+    Strings go through json's C escaper; a list of strings (a vector, a sigma
+    row) is one join.  Numbers, and types json refuses, go to json.dumps.
+    Unlike json, a dict key must be a str.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        if _STR.issuperset(map(type, obj)):
+            items = map(_escape, obj)
+        else:
+            items = [_layout(x, inner) for x in obj]
+    elif isinstance(obj, dict):
+        brackets = "{}"
+        items = [_escape(k) + ": " + _layout(v, inner) for k, v in obj.items()]
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def write_json(path, payload):
+    """Write ``json.dumps(payload, indent=1)`` and a newline with one write.
+
+    The text is complete before the file is opened, so a payload that cannot
+    be serialised leaves no file.
+    """
+    text = _layout(payload, "")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):
@@ -199,7 +248,7 @@ def certificate_payload(inst: HKInstance, rec: ConstructionRecord, wall, budgets
             "g": _enc_int(wall.g),
             "C1": _enc_int(wall.C1),
             "C0": _enc_int(wall.C0),
-            "tested_a": [[_enc_int(a), _enc_int(r)] for a, r in wall.tested_a],
+            "tested_a": list(map(_enc_ints, wall.tested_a)),
             "verdict": bool(wall.verdict),
         },
         "checks": checks,
@@ -323,7 +372,7 @@ def verify_payload(payload):
     sig_mat = tuple(sig_mat)
     sigma = None
     try:
-        sigma = Isometry(sig_mat, L)
+        sigma = Isometry._of_ints(sig_mat, L)
         add("sigma_gram_identity", True)
     except ValueError as exc:
         add("sigma_gram_identity", False, str(exc))
@@ -367,7 +416,7 @@ def verify_payload(payload):
     else:
         try:
             recomputed_wall = obstruction.wall_certificate(wg, wc1, wc0)
-            tested = [[_enc_int(a), _enc_int(r)] for a, r in recomputed_wall.tested_a]
+            tested = list(map(_enc_ints, recomputed_wall.tested_a))
             add("wall_enumeration", tested == recorded_tested)
             add(
                 "wall_verdict",

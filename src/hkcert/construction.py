@@ -112,6 +112,15 @@ def find_omega(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     return linear_combination(inst.lattice, coeffs, inst.pic_basis)
 
 
+def _first_unit_divisibility(gx, gy, ks):
+    """The first k of ``ks`` with div(X + kY) = 1, or None, given the pairings
+    gx = G X and gy = G Y of X and Y with the basis."""
+    for k in ks:
+        if gcd(*[px + k * py for px, py in zip(gx, gy)]) == 1:
+            return k
+    return None
+
+
 def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: int = 10**6):
     """Smallest u >= 1 with div(A + u*omega) = 1 and (A + u*omega)^2 > 2*C0*C1.
 
@@ -119,37 +128,27 @@ def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: i
     turns pathologies into a reported error rather than a wrong answer.
     """
     C1 = pair(A, inst.W)
-    ga = _gram_times(A)
-    gw = _gram_times(omega)
-    a2 = pair(A, A)
-    aw = pair(A, omega)
-    w2 = pair(omega, omega)
+    a2, aw, w2 = pair(A, A), pair(A, omega), pair(omega, omega)
     bound = 2 * inst.C0 * C1
-    for u in range(1, u_budget + 1):
-        nrm = a2 + 2 * u * aw + u * u * w2
-        if nrm <= bound:
-            continue
-        d = 0
-        for pa, pw in zip(ga, gw):
-            d = gcd(d, pa + u * pw)
-        if d == 1:
-            D = A + u * omega
-            return D, nrm // 2, C1, u
-    raise SearchExhausted(f"no admissible u within budget {u_budget}")
+
+    def norm_at(u):
+        return a2 + 2 * u * aw + u * u * w2
+
+    us = (u for u in range(1, u_budget + 1) if norm_at(u) > bound)
+    u = _first_unit_divisibility(_gram_times(A), _gram_times(omega), us)
+    if u is None:
+        raise SearchExhausted(f"no admissible u within budget {u_budget}")
+    return A + u * omega, norm_at(u) // 2, C1, u
 
 
 def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) -> int:
     """Smallest t >= 1 with div(D + 4*g*t*d*B) = 1."""
-    gd = _gram_times(D)
-    gb = _gram_times(inst.B)
     step = 4 * g * inst.d
-    for t in range(1, t_budget + 1):
-        dd = 0
-        for pd, pb in zip(gd, gb):
-            dd = gcd(dd, pd + step * t * pb)
-        if dd == 1:
-            return t
-    raise SearchExhausted(f"no admissible t within budget {t_budget}")
+    gb = [step * p for p in _gram_times(inst.B)]
+    t = _first_unit_divisibility(_gram_times(D), gb, range(1, t_budget + 1))
+    if t is None:
+        raise SearchExhausted(f"no admissible t within budget {t_budget}")
+    return t
 
 
 def mukai_data(n: int, g: int, t: int, d: int, e: int):
@@ -174,9 +173,10 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
         raise ValueError("parameters must be positive with n >= 2")
     r, m, s, H2 = mukai_data(n, g, t, d, e)
     v0 = MukaiVector(r=r, m=m, s=s, H2=H2)
+    v0_square = v0.self_pairing()
     stab = g * m  # 4gtd^2
     checks = [
-        CheckResult("mukai_isotropic", v0.self_pairing() == 0, f"v0^2 = {v0.self_pairing()}"),
+        CheckResult("mukai_isotropic", v0_square == 0, f"v0^2 = {v0_square}"),
         CheckResult("mukai_gcd_rs", gcd(r, s) == 1, f"gcd({r}, {s})"),
         CheckResult("mukai_rank", r >= 2, f"r = {r}"),
         CheckResult(
@@ -212,9 +212,10 @@ def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_eps
     """Isometry carrying the canonical degree class minus 2gtd^2*delta onto
     epsilon * (D + 4gtd*B); epsilon = +1 is attempted first."""
     source, target = transport_ends(inst, D, g, t, H2)
-    if norm(source) != norm(target):
+    source_norm, target_norm = norm(source), norm(target)
+    if source_norm != target_norm:
         raise ConstructionInvariantViolated(
-            f"norm mismatch: source {norm(source)} vs target {norm(target)}"
+            f"norm mismatch: source {source_norm} vs target {target_norm}"
         )
     if divisibility(source) != 1 or divisibility(target) != 1:
         raise ConstructionInvariantViolated("source/target must have divisibility 1")
@@ -276,22 +277,23 @@ def run_pipeline(
     alpha, verdict = pushforward_brauer(inst, sigma, g, t, epsilon)
     if not verdict:
         raise ConstructionInvariantViolated("pushed-forward class differs from [-B/d]")
+    d_norm = norm(D)
+    source_norm = norm(source)
+    target_div = divisibility(target)
     checks = [
         CheckResult("divisor_formula", D == A + u * omega),
         CheckResult("divisor_divisibility", divisibility(D) == 1),
-        CheckResult("divisor_norm", norm(D) == 2 * g, f"norm {norm(D)}"),
+        CheckResult("divisor_norm", d_norm == 2 * g, f"norm {d_norm}"),
         CheckResult("divisor_bound", g > inst.C0 * C1, f"g={g} > C0*C1={inst.C0 * C1}"),
         CheckResult("divisor_pairing_w", pair(D, inst.W) == C1),
         CheckResult("divisor_pairing_b", pair(D, inst.B) == 0),
-        CheckResult("twist_divisibility", divisibility(target) == 1),
+        CheckResult("twist_divisibility", target_div == 1),
     ]
     checks += mukai_checks
     checks += [
-        CheckResult(
-            "transport_norms", norm(source) == norm(target), f"{norm(source)}"
-        ),
+        CheckResult("transport_norms", source_norm == norm(target), f"{source_norm}"),
         CheckResult("transport_div_source", divisibility(source) == 1),
-        CheckResult("transport_div_target", divisibility(target) == 1),
+        CheckResult("transport_div_target", target_div == 1),
         CheckResult("transport_maps", sigma.apply(source) == epsilon * target),
         CheckResult("transport_det", sigma.det() == 1),
         CheckResult("brauer_pushforward", verdict),

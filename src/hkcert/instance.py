@@ -11,7 +11,6 @@ import random
 from operator import mul
 
 from . import lattice as lat
-from . import obstruction
 from . import snf
 from .errors import SearchExhausted
 from .lattice import (
@@ -116,16 +115,15 @@ def validate_instance(inst: HKInstance):
     checks.append(CheckResult("w_in_pic", in_span))
     w_prim = (not inst.W.is_zero()) and is_primitive(inst.W)
     checks.append(CheckResult("w_primitive", w_prim))
-    w_bound = (not inst.W.is_zero()) and obstruction.mbm_bound_check(inst.W, inst.C0)
-    checks.append(
-        CheckResult("w_norm_bound", w_bound, f"norm {norm(inst.W)}, C0 {inst.C0}")
-    )
+    # the MBM bound: W primitive with 0 < -(W, W) < C0
+    w_norm = norm(inst.W)
+    w_bound = w_prim and 0 < -w_norm < inst.C0
+    checks.append(CheckResult("w_norm_bound", w_bound, f"norm {w_norm}, C0 {inst.C0}"))
 
     orth = all(pair(inst.B, p) == 0 for p in inst.pic_basis)
     checks.append(CheckResult("b_orthogonal_pic", orth))
-    checks.append(
-        CheckResult("b_norm_positive", norm(inst.B) > 0, f"norm {norm(inst.B)}")
-    )
+    b_norm = norm(inst.B)
+    checks.append(CheckResult("b_norm_positive", b_norm > 0, f"norm {b_norm}"))
     b_prim = (not inst.B.is_zero()) and is_primitive(inst.B)
     checks.append(CheckResult("b_primitive", b_prim))
     return checks

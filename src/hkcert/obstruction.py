@@ -1,23 +1,16 @@
-"""Wall-obstruction arithmetic: the MBM norm bound, the coprime coefficient
-bounds, and the divisibility contradiction that certifies the wall condition."""
+"""Wall-obstruction arithmetic: the coprime coefficient bounds and the
+divisibility contradiction that certifies the wall condition.  The MBM norm
+bound on W is an instance check (``instance.validate_instance``)."""
 
 from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .lattice import LatticeVector, is_primitive, norm
 from .record import Record
 
 
 class WallCertificate(Record):
     __slots__ = _fields = ("g", "C1", "C0", "tested_a", "verdict")
-
-
-def mbm_bound_check(W: LatticeVector, C0: int) -> bool:
-    """True iff W is primitive with 0 < -(W, W) < C0."""
-    if W.is_zero():
-        return False
-    return is_primitive(W) and 0 < -norm(W) < C0
 
 
 def max_a(C0: int) -> int:

@@ -5,9 +5,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkcert import certificate as cert
 from hkcert import lattice, snf
@@ -64,6 +66,58 @@ def test_dec_ints_matches_per_entry_decoding(odd):
         except cert.CertificateFormatError as exc:
             got = "error", str(exc)
         assert got == _per_entry(seq, "sigma")
+
+
+# text with what json escapes: quotes, backslashes, control characters,
+# non-ASCII, astral characters and lone surrogates
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ud800\udfff\U0001f600'),
+        st.characters(codec=None, exclude_categories=()),
+    ),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+@example(1.5)
+@example(None)
+@example([[1]])
+@example(True)
+@example("")
+@example({"checks": [], "wall": {}, "v": ["1", "-2"], "ok": [True, False, None, 1.5, [[1]], ""]})
+def test_write_json_matches_json_dumps(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        cert.write_json(path, obj)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(obj, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: [1]}}, [{1.5: True}], {(): 1}, [set()]])
+def test_write_json_refuses_other_values(obj, tmp_path):
+    # json would turn int, float, bool and None keys into strings; no
+    # payload has them, so the writer takes str keys only
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cert.write_json(path, obj)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("wrap", [lambda x: x, lambda x: {"instance": {"n": "2", "d": x}}])
+def test_write_json_oversized_int_leaves_no_file(wrap, tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cert.write_json(path, wrap(10**4300))  # 4301 digits
+    assert not path.exists()
 
 
 def test_verify_clean_certificate(e2_payload):

@@ -2,17 +2,25 @@ from math import gcd
 
 import pytest
 
+from hkcert.instance import HKInstance, validate_instance
 from hkcert.lattice import DELTA_INDEX
-from hkcert.obstruction import mbm_bound_check, proportionality_bound, wall_certificate
+from hkcert.obstruction import proportionality_bound, wall_certificate
 
 
 def test_mbm_bound_examples(lam2):
     e1 = lam2.basis_vector(0)
     delta = lam2.basis_vector(DELTA_INDEX)
-    assert mbm_bound_check(e1 + delta, 3)          # norm -2
-    assert not mbm_bound_check(e1, 3)              # norm 0
-    assert not mbm_bound_check(2 * delta, 100)     # not primitive
-    assert not mbm_bound_check(e1 + delta, 2)      # bound not strict
+
+    def mbm_bound(W, C0):
+        # the instance check: W primitive with 0 < -(W, W) < C0
+        inst = HKInstance(n=2, pic_basis=(W, lam2.basis_vector(1)), W=W,
+                          B=lam2.basis_vector(2), d=1, C0=C0)
+        return {c.name: c.ok for c in validate_instance(inst)}["w_norm_bound"]
+
+    assert mbm_bound(e1 + delta, 3)          # norm -2
+    assert not mbm_bound(e1, 3)              # norm 0
+    assert not mbm_bound(2 * delta, 100)     # not primitive
+    assert not mbm_bound(e1 + delta, 2)      # bound not strict
 
 
 def test_proportionality_examples():
