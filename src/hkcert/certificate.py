@@ -372,7 +372,7 @@ def verify_payload(payload):
     sig_mat = tuple(sig_mat)
     sigma = None
     try:
-        sigma = Isometry._of_ints(sig_mat, L)
+        sigma = Isometry(sig_mat, L)
         add("sigma_gram_identity", True)
     except ValueError as exc:
         add("sigma_gram_identity", False, str(exc))

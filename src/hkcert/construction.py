@@ -130,15 +130,11 @@ def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: i
     C1 = pair(A, inst.W)
     a2, aw, w2 = pair(A, A), pair(A, omega), pair(omega, omega)
     bound = 2 * inst.C0 * C1
-
-    def norm_at(u):
-        return a2 + 2 * u * aw + u * u * w2
-
-    us = (u for u in range(1, u_budget + 1) if norm_at(u) > bound)
+    us = (u for u in range(1, u_budget + 1) if a2 + 2 * u * aw + u * u * w2 > bound)
     u = _first_unit_divisibility(_gram_times(A), _gram_times(omega), us)
     if u is None:
         raise SearchExhausted(f"no admissible u within budget {u_budget}")
-    return A + u * omega, norm_at(u) // 2, C1, u
+    return A + u * omega, (a2 + 2 * u * aw + u * u * w2) // 2, C1, u
 
 
 def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) -> int:

@@ -173,26 +173,20 @@ class Isometry(Record):
     __slots__ = _fields = ("matrix", "lattice")
 
     def __init__(self, matrix, lattice):
+        # matrix is a tuple of tuples of ints (an assembled sigma, or one
+        # decoded by _dec_ints); it is stored as given
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "lattice", lattice)
         # looked up on the instance: bench/spans.py times every construction
         # by wrapping Isometry.__post_init__
-        self.__post_init__(tuple(tuple(map(int, row)) for row in matrix), lattice)
+        self.__post_init__()
 
-    @classmethod
-    def _of_ints(cls, matrix, lattice):
-        # internal fast path: matrix is already a tuple of tuples of ints (an
-        # assembled sigma, or one decoded by _dec_ints)
-        iso = object.__new__(cls)
-        iso.__post_init__(matrix, lattice)
-        return iso
-
-    def __post_init__(self, m, lattice):
-        # store the normalised fields, then check the shape and M^T G M = G
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "lattice", lattice)
-        n = lattice.rank
+    def __post_init__(self):
+        m = self.matrix
+        n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("isometry matrix shape does not match lattice rank")
-        g = lattice.gram
+        g = self.lattice.gram
         # G*M first, then M^T (G M): mat_mul skips the zero entries of both
         # factors, and G, M and G M are all sparse
         if snf.mat_mul(snf.transpose(m), snf.mat_mul(g, m)) != [list(r) for r in g]:
@@ -457,7 +451,7 @@ def _isometry_of_ops(ops, inverse_ops, L):
         for op in undo:
             _transvect(op, x)
         cols.append(x)
-    return Isometry._of_ints(tuple(zip(*cols)), L)
+    return Isometry(tuple(zip(*cols)), L)
 
 
 def _hyperbolic_pairs(L: GramLattice):
