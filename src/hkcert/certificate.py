@@ -200,8 +200,8 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:
-        # JSONDecodeError, and also the int/str digit limit on a bare integer
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a bare integer over the int/str digit limit, or deep nesting
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
 
 

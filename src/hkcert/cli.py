@@ -14,7 +14,6 @@ from . import certificate as cert
 from . import construction
 from .errors import ConstructionInvariantViolated, SearchExhausted
 from .instance import normalize_brauer, random_instance, validate_instance
-from .lattice import norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -36,8 +35,7 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
         "isometry_budget": isometry_budget,
     }
     try:
-        if norm(inst.B) <= 0:
-            inst = normalize_brauer(inst)
+        inst = normalize_brauer(inst)
         failures = [c for c in validate_instance(inst) if not c.ok]
         if failures:
             bad = failures[0]

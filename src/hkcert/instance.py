@@ -70,7 +70,7 @@ class CheckResult(Record):
 
 def _pic_snf(inst):
     # Smith form of the Picard matrix (columns are the basis vectors), cached
-    # under the same key as the span solver's, so brauer_equal shares it too
+    # under the key brauer_equal's span test uses, so it shares it too
     return lat._span_snf(inst.lattice, tuple(p.coords for p in inst.pic_basis))
 
 

@@ -673,47 +673,48 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _span_snf(L: GramLattice, span_coords):
-    # Smith form of the span matrix M, whose columns are the span vectors;
-    # for a Picard basis, instance validation and coordinates share it
+    # Smith form U M V = D of the span matrix M, whose columns are the span
+    # vectors; for a Picard basis, validation, coordinates and brauer_equal share it
     return snf.smith_normal_form([[c[i] for c in span_coords] for i in range(L.rank)])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _span_solver(L: GramLattice, span_coords):
-    # integer rows K spanning the rational relations y . M = 0 of the span
-    # matrix M, plus the SNF of K for solving
-    if span_coords:
-        K = snf.left_kernel_basis(_span_snf(L, span_coords))
-    else:
-        K = snf.identity_matrix(L.rank)
-    return K, (snf.smith_normal_form(K) if K else None)
+def _span_relations(L: GramLattice, S):
+    # K: the rows of U at the zero rows of D, which span the relations y M = 0
+    # (an empty span's matrix M has no columns, so U = I and K = I)
+    if any(s.lattice != L for s in S):
+        raise ValueError("span vectors live in a different lattice")
+    return snf.left_kernel_basis(_span_snf(L, tuple(s.coords for s in S)))
 
 
 def in_span_plus_lattice(q: RationalClass, S) -> bool:
-    """True iff q is a rational combination of S plus an integral vector."""
-    return span_lattice_witness(q, S) is not None
+    """True iff q is a rational combination of S plus an integral vector.
+
+    With q = num/den and K the relations of the span, x is in the rational
+    span of S iff K x = 0, so an integral mu with q - mu in it solves
+    K mu = (K num)/den.  K is made of rows of the unimodular U, so K mu = y
+    has an integral solution for every integral y (mu = U^-1 z, where z is y
+    at those rows and 0 elsewhere).  Hence the test is K num = 0 (mod den).
+    """
+    K = _span_relations(q.numerator.lattice, S)
+    den = q.denominator
+    return not any(x % den for x in snf.mat_vec(K, q.numerator.coords))
 
 
 def span_lattice_witness(q: RationalClass, S):
     """Integral vector mu with q - mu in the rational span of S, or None.
 
-    Decided exactly: with K the integer relations of the span, mu must solve
-    K mu = (K num)/den, an integer linear system handled through the Smith
-    form of K.
+    The tests' reference for in_span_plus_lattice: it solves
+    K mu = (K num)/den through the Smith form of K.
     """
     L = q.numerator.lattice
-    for s in S:
-        if s.lattice != L:
-            raise ValueError("span vectors live in a different lattice")
-    key = tuple(s.coords for s in S)
-    K, ksnf = _span_solver(L, key)
+    K = _span_relations(L, S)
     if not K:
         return L.zero()
     den = q.denominator
-    c = snf.mat_vec(K, list(q.numerator.coords))
-    if any(x % den != 0 for x in c):
+    c = snf.mat_vec(K, q.numerator.coords)
+    if any(x % den for x in c):
         return None
-    sol = snf.solve_integer(ksnf, [x // den for x in c])
+    sol = snf.solve_integer(snf.smith_normal_form(K), [x // den for x in c])
     if sol is None:
         return None
     return L.vector(sol)

@@ -430,8 +430,12 @@ def test_verify_rank_factor_small_r_with_huge_n_fast(e2_payload, r):
 
 
 def test_verify_builds_picard_smith_form_once(e2_payload, monkeypatch):
+    # from cold caches with the Gram Smith form warm, the Picard matrix's is
+    # the only Smith form built: by verify alone, and by construct then verify
     inst = cert.instance_from_payload(e2_payload["instance"])
     pic = [[p.coords[i] for p in inst.pic_basis] for i in range(inst.lattice.rank)]
+    lattice._gram_snf(inst.lattice)
+    caches = [f for f in vars(lattice).values() if hasattr(f, "cache_clear")]
     calls = []
     real = snf.smith_normal_form
 
@@ -440,10 +444,15 @@ def test_verify_builds_picard_smith_form_once(e2_payload, monkeypatch):
         return real(M)
 
     monkeypatch.setattr(snf, "smith_normal_form", counting)
-    for cache in (lattice._span_snf, lattice._span_solver):
-        cache.cache_clear()
-    assert all(c.ok for c in cert.verify_payload(e2_payload))
-    assert sum(calls) == 1
+    for run_construct in (False, True):
+        for cache in caches:
+            if cache is not lattice._gram_snf:
+                cache.cache_clear()
+        calls.clear()
+        if run_construct:
+            run_pipeline(inst)
+        assert all(c.ok for c in cert.verify_payload(e2_payload))
+        assert calls == [True]
 
 
 def _bare_big_u(payload):
@@ -475,6 +484,27 @@ def test_cli_verify_jobs_int_digit_limit_keeps_good_verdict(e2_payload, tmp_path
     text = out.getvalue()
     assert f"{bad}: malformed certificate: not valid JSON" in text
     assert f"{good}: OK" in text
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_deeply_nested_json_is_format_error(e2_payload, tmp_path, jobs):
+    # nested past the decoder's recursion limit, json.load raises
+    # RecursionError rather than a ValueError
+    bad, good = tmp_path / "deep.json", tmp_path / "good.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    cert.write_json(good, e2_payload)
+    out = io.StringIO()
+    assert cmd_verify([str(bad), str(good)], jobs=jobs, out=out) == EXIT_INPUT
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"{bad}: malformed certificate: not valid JSON: ")
+    assert lines[1] == f"{good}: OK ({len(cert.verify_payload(e2_payload))} checks)"
+    out = io.StringIO()
+    assert cmd_construct(str(bad), str(tmp_path / "out.json"), out=out) == EXIT_INPUT
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {bad}: not valid JSON: ")
+    assert not (tmp_path / "out.json").exists()
 
 
 def _huge_omega(payload):

@@ -21,7 +21,6 @@ from hkcert.lattice import (
     divisibility,
     _gram_snf,
     _span_snf,
-    _span_solver,
     eichler_transvection,
     first_orthogonal_tuple,
     graded_coefficient_tuples,
@@ -455,6 +454,55 @@ def test_in_span_constructed_positives(uu):
         assert in_span_plus_lattice(q, tuple(S))
 
 
+@st.composite
+def _span_membership_cases(draw):
+    # span coordinates of rank 4 (U+U) or 23 (Lambda_2), and q = num/den with
+    # num = (combination of the span) + den * mu + a perturbation that may be 0
+    rank = draw(st.sampled_from((4, 23)))
+    small = st.integers(-3, 3)
+
+    def vec():
+        coords = [0] * rank
+        for i in draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=5)):
+            coords[i] = draw(small)
+        return coords
+
+    kind = draw(st.sampled_from(("empty", "random", "dependent", "non_saturated", "full")))
+    if kind == "empty":
+        span = []
+    elif kind == "full":
+        # triangular with nonzero diagonal: full rank, saturated only if the
+        # diagonal is +-1
+        diag = st.sampled_from((1, -1, 2, 3))
+        span = [[0] * i + [draw(diag)] + [draw(small) for _ in range(rank - i - 1)]
+                for i in range(rank)]
+    else:
+        span = [vec() for _ in range(draw(st.integers(1, 3)))]
+        if kind == "dependent":
+            a, b = draw(small), draw(small)
+            span.append([a * x + b * y for x, y in zip(span[0], span[-1])])
+        elif kind == "non_saturated":
+            k = draw(st.integers(2, 5))
+            span[0] = [k * x for x in span[0]]
+    den = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**30), st.just(10**30 + 7)))
+    coeffs = [draw(st.integers(-(10**30), 10**30)) for _ in span]
+    num = [sum(c * s[i] for c, s in zip(coeffs, span)) for i in range(rank)]
+    mu = [draw(small) for _ in range(rank)]
+    wobble = vec() if draw(st.booleans()) else [0] * rank
+    num = [x + den * m + w for x, m, w in zip(num, mu, wobble)]
+    return rank, span, num, den
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_span_membership_cases())
+def test_in_span_matches_witness_reference(uu, lam2, case):
+    rank, span, num, den = case
+    L = uu if rank == 4 else lam2
+    q = RationalClass(L.vector(num), den)
+    S = tuple(L.vector(s) for s in span)
+    assert in_span_plus_lattice(q, S) == (span_lattice_witness(q, S) is not None)
+
+
 # --- search order -----------------------------------------------------------
 
 def test_graded_order_prefix():
@@ -527,7 +575,7 @@ def test_first_orthogonal_tuple_needs_a_nonzero_weight():
 # --- caches -----------------------------------------------------------------
 
 def test_caches_stay_within_their_bound(uu):
-    caches = (_span_solver, _span_snf, _gram_snf, build_lambda)
+    caches = (_span_snf, _gram_snf, build_lambda)
     assert all(c.cache_info().maxsize == CACHE_SIZE for c in caches)
     q = RationalClass(uu.vector([1, 0, 0, 0]), 2)
     for k in range(CACHE_SIZE + 20):
