@@ -206,14 +206,19 @@ def transport_ends(inst: HKInstance, D, g, t, H2):
 
 def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_epsilon=None):
     """Isometry carrying the canonical degree class minus 2gtd^2*delta onto
-    epsilon * (D + 4gtd*B); epsilon = +1 is attempted first."""
+    epsilon * (D + 4gtd*B); epsilon = +1 is attempted first.
+
+    Returns (source, target, sigma, epsilon, invariants), where invariants is
+    (norm(source), norm(target), div(source), div(target)) as checked here.
+    """
     source, target = transport_ends(inst, D, g, t, H2)
     source_norm, target_norm = norm(source), norm(target)
+    source_div, target_div = divisibility(source), divisibility(target)
     if source_norm != target_norm:
         raise ConstructionInvariantViolated(
             f"norm mismatch: source {source_norm} vs target {target_norm}"
         )
-    if divisibility(source) != 1 or divisibility(target) != 1:
+    if source_div != 1 or target_div != 1:
         raise ConstructionInvariantViolated("source/target must have divisibility 1")
     eps_order = (1, -1) if force_epsilon is None else (force_epsilon,)
     last = None
@@ -223,7 +228,7 @@ def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_eps
         except SearchExhausted as exc:
             last = exc
             continue
-        return source, target, sigma, eps
+        return source, target, sigma, eps, (source_norm, target_norm, source_div, target_div)
     raise last
 
 
@@ -267,15 +272,14 @@ def run_pipeline(
     t = choose_t(inst, D, g, t_budget)
     e = inst.e()
     H2, v0, mukai_checks = degree_and_mukai(inst.n, g, t, inst.d, e)
-    source, target, sigma, epsilon = transport(
+    source, target, sigma, epsilon, invariants = transport(
         inst, D, g, t, H2, step_budget=isometry_budget
     )
+    source_norm, target_norm, source_div, target_div = invariants
     alpha, verdict = pushforward_brauer(inst, sigma, g, t, epsilon)
     if not verdict:
         raise ConstructionInvariantViolated("pushed-forward class differs from [-B/d]")
     d_norm = norm(D)
-    source_norm = norm(source)
-    target_div = divisibility(target)
     checks = [
         CheckResult("divisor_formula", D == A + u * omega),
         CheckResult("divisor_divisibility", divisibility(D) == 1),
@@ -287,8 +291,8 @@ def run_pipeline(
     ]
     checks += mukai_checks
     checks += [
-        CheckResult("transport_norms", source_norm == norm(target), f"{source_norm}"),
-        CheckResult("transport_div_source", divisibility(source) == 1),
+        CheckResult("transport_norms", source_norm == target_norm, f"{source_norm}"),
+        CheckResult("transport_div_source", source_div == 1),
         CheckResult("transport_div_target", target_div == 1),
         CheckResult("transport_maps", sigma.apply(source) == epsilon * target),
         CheckResult("transport_det", sigma.det() == 1),

@@ -772,31 +772,58 @@ def first_orthogonal_tuple(weights, bound, accept):
     sum c_i w_i = 0 that satisfies ``accept``, or None.  Some weight must be
     nonzero.
 
-    Only orthogonal tuples are visited.  With w_j != 0 one coordinate is
-    solved: the other coordinates run through ascending grade f, and c_j is
-    -sum_{i != j} c_i w_i / w_j when that is an integer of size at most
-    ``bound``.  This reaches every nonzero orthogonal tuple exactly once.
+    Only orthogonal tuples are visited.  The coordinate j with the largest
+    |w_j| is solved, and one free coordinate k is stepped: the one with the
+    largest step m = |w_j| / gcd(w_j, w_k).  The other coordinates form a
+    prefix with pairing s, run through the zero prefix and then ascending
+    grade f.  c_j = -(s + x w_k) / w_j is an integer iff gcd(w_j, w_k)
+    divides s and x lies in one residue class mod m, so x steps through that
+    class directly.  This reaches every nonzero orthogonal tuple exactly once
+    (the innermost-interval step of Fincke-Pohst, for one linear equation).
     The result is the search_order_key minimum of the accepted ones, which is
-    the generator's first hit.  A tuple's grade is at least f, so the scan
-    stops once f exceeds the grade of the best hit so far.
+    the generator's first hit.  A tuple's grade is at least f + |x|, so the
+    scan stops once f exceeds the grade of the best hit so far, and x stays
+    within that grade less f.
     """
-    j = max(range(len(weights)), key=lambda i: abs(weights[i]))
+    rho = len(weights)
+    j = max(range(rho), key=lambda i: abs(weights[i]))
     wj = weights[j]
     if wj == 0:
         raise ValueError("at least one weight must be nonzero")
-    others = weights[:j] + weights[j + 1:]
-    best = best_key = None
-    for rest in graded_coefficient_tuples(len(others), bound):
-        f = sum(map(abs, rest))
-        if best_key is not None and f > best_key[0]:
+    if rho == 1:
+        return None  # only the zero tuple is orthogonal
+    k = max((i for i in range(rho) if i != j), key=lambda i: abs(wj) // gcd(wj, weights[i]))
+    wk = weights[k]
+    g = gcd(wj, wk)
+    m = abs(wj) // g
+    inverse = pow(wk // g, -1, m)
+    prefix_at = [i for i in range(rho) if i not in (j, k)]
+    prefix_weights = [weights[i] for i in prefix_at]
+    best = None
+    top = rho * bound  # the grade of the best hit so far, once there is one
+    prefixes = itertools.chain([(0,) * (rho - 2)], graded_coefficient_tuples(rho - 2, bound))
+    for prefix in prefixes:
+        f = sum(map(abs, prefix))
+        if f > top:
             break
-        cj, r = divmod(-sum(c * w for c, w in zip(rest, others)), wj)
-        if r or abs(cj) > bound:
+        s = sum(map(mul, prefix, prefix_weights))
+        if s % g:
             continue
-        coeffs = rest[:j] + (cj,) + rest[j:]
-        key = search_order_key(coeffs)
-        if (best_key is None or key < best_key) and accept(coeffs):
-            best, best_key = coeffs, key
+        coeffs = [0] * rho
+        for i, c in zip(prefix_at, prefix):
+            coeffs[i] = c
+        lim = min(bound, top - f)
+        x0 = -s // g * inverse  # c_j is an integer iff x = x0 (mod m)
+        for x in range(-lim + (x0 + lim) % m, lim + 1, m):
+            cj = -(s + x * wk) // wj
+            grade = f + abs(x) + abs(cj)
+            if abs(cj) > bound or grade > top or grade == 0:
+                continue
+            coeffs[k], coeffs[j] = x, cj
+            cand = tuple(coeffs)
+            key = search_order_key(cand)
+            if (best is None or key < best_key) and accept(cand):
+                best, best_key, top = cand, key, grade
     return best
 
 

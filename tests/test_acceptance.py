@@ -111,7 +111,7 @@ def test_criterion_3_property_suite_200_instances():
         # (iv) pushed-forward class equals [-B/d]
         assert brauer_equal(rec.alpha_x, b_field_class(inst))
         # (v) epsilon-independence
-        _, _, sig_m, _ = transport(
+        _, _, sig_m, _, _ = transport(
             inst, rec.D, rec.g, rec.t, rec.H2, force_epsilon=-rec.epsilon
         )
         alpha_m, ok_m = pushforward_brauer(inst, sig_m, rec.g, rec.t, -rec.epsilon)

@@ -130,6 +130,9 @@ def test_find_omega_matches_full_scan_on_rank_4():
     for k in range(1, 8):
         inst = random_instance(2 + k % 4, 4, 3 + k % 4, 1 + k % 3, seed=50000 + k)
         _assert_same_omega(inst, (16, 1, 2, 3))
+    # the slowest rank-4 samples known to the old search, hits of grade 15-32
+    for n, seed in ((2, 50000), (3, 50016), (4, 50024)):
+        _assert_same_omega(random_instance(n, 4, 3, 3, seed=seed), (16, 1, 2, 3))
 
 
 def test_find_omega_matches_full_scan_with_zero_pairings(lam2):
@@ -244,8 +247,8 @@ def test_pushforward_e2(e2_instance):
 
 
 def test_pushforward_epsilon_independent(e2_instance):
-    src, tgt, sig_p, eps_p = transport(e2_instance, *_dgt(e2_instance), force_epsilon=1)
-    _, _, sig_m, eps_m = transport(e2_instance, *_dgt(e2_instance), force_epsilon=-1)
+    src, tgt, sig_p, eps_p, _ = transport(e2_instance, *_dgt(e2_instance), force_epsilon=1)
+    _, _, sig_m, eps_m, _ = transport(e2_instance, *_dgt(e2_instance), force_epsilon=-1)
     assert (eps_p, eps_m) == (1, -1)
     assert sig_m.apply(src) == -tgt
     a_p, ok_p = pushforward_brauer(e2_instance, sig_p, 6, 1, 1)

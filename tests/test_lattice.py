@@ -540,9 +540,13 @@ def _reference_first_hit(weights, bound, accept):
 
 @st.composite
 def _orthogonal_search_cases(draw):
-    length = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 5))
+    # small weights give many orthogonal tuples within bound 3, large ones few
+    top = draw(st.sampled_from((6, 70)))
     weights = draw(
-        st.lists(st.integers(-6, 6), min_size=length, max_size=length).filter(any)
+        st.lists(
+            st.one_of(st.just(0), st.integers(-top, top)), min_size=length, max_size=length
+        ).filter(any)
     )
     entries = st.integers(-4, 4)
     gram = [[0] * length for _ in range(length)]
@@ -570,6 +574,38 @@ def test_first_orthogonal_tuple_matches_full_scan(case):
 def test_first_orthogonal_tuple_needs_a_nonzero_weight():
     with pytest.raises(ValueError):
         first_orthogonal_tuple([0, 0, 0], 3, lambda c: True)
+
+
+def test_first_orthogonal_tuple_empty_searches_return_none():
+    # one coordinate leaves only the zero tuple; a bound <= 0 leaves no tuple
+    assert first_orthogonal_tuple([5], 16, lambda c: True) is None
+    assert first_orthogonal_tuple([-1], 1, lambda c: True) is None
+    for bound in (0, -1):
+        assert first_orthogonal_tuple([3, -14, -7], bound, lambda c: True) is None
+        assert first_orthogonal_tuple([2, 0], bound, lambda c: True) is None
+
+
+@pytest.mark.parametrize(
+    "weights", [(3, -14, -7), (2, 0, 0), (1, 8, -8), (6, 6, -6), (4, 6, 3)]
+)
+def test_first_orthogonal_tuple_visits_each_orthogonal_tuple_once(weights):
+    # step m = 14, m = 1 with a zero free weight, m = 8, m = 1 with nonzero
+    # weights, and gcd(w_j, w_k) = 2 with odd prefix pairings to skip
+    bound = 16
+    seen = []
+
+    def record(c):
+        seen.append(c)
+        return False
+
+    assert first_orthogonal_tuple(weights, bound, record) is None
+    orthogonal = {
+        c
+        for c in itertools.product(range(-bound, bound + 1), repeat=len(weights))
+        if any(c) and sum(a * w for a, w in zip(c, weights)) == 0
+    }
+    assert len(seen) == len(set(seen))
+    assert set(seen) == orthogonal
 
 
 # --- caches -----------------------------------------------------------------
