@@ -384,36 +384,12 @@ def acts_trivially_on_discriminant(iso: Isometry) -> bool:
 
 # ---------------------------------------------------------------------------
 # Eichler transvections
-
-def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
-    """The isometry x -> x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e.
-
-    Requires (e,e) = 0 and (e,a) = 0; (a,a) must be even so the last
-    coefficient is an integer.  The result has determinant +1 and acts
-    trivially on the discriminant group.
-    """
-    if e.lattice != a.lattice:
-        raise ValueError("vectors live in different lattices")
-    if norm(e) != 0:
-        raise ValueError("e must be isotropic")
-    if pair(e, a) != 0:
-        raise ValueError("a must be orthogonal to e")
-    if norm(a) % 2 != 0:
-        raise ValueError("(a,a) must be even")
-    return _isometry_of_ops([_transvection(e, a)], (), e.lattice)
-
-
-def _transvection(e: LatticeVector, a: LatticeVector):
-    """Sparse record (e, a, Ge, Ga, (a,a)/2) of t(e, a): each vector as its
-    nonzero (index, value) pairs, Ge and Ga the pairings with the basis."""
-    return (
-        _sparse(e.coords),
-        _sparse(a.coords),
-        _sparse(_gram_times(e)),
-        _sparse(_gram_times(a)),
-        norm(a) // 2,
-    )
-
+#
+# t(e, a): x -> x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e, for isotropic e
+# orthogonal to a with (a,a) even, is an isometry of determinant +1 that acts
+# trivially on the discriminant group.  An op is its sparse record
+# (e, a, Ge, Ga, (a,a)/2): each vector as its nonzero (index, value) pairs,
+# Ge and Ga the pairings with the basis.
 
 def _transvect(op, x):
     """Apply t(e, a) to the coordinate list x, in place; touches only the
@@ -440,16 +416,23 @@ def _inverse(op):
 
 
 def _isometry_of_ops(ops, inverse_ops, L):
-    """The isometry that applies ``ops`` in order, then undoes ``inverse_ops``."""
+    """The isometry that applies ``ops`` in order, then undoes ``inverse_ops``.
+
+    Only the columns of basis vectors in the supports of some Ge or Ga are
+    replayed: any other basis vector pairs to zero with every e and a, so
+    every op fixes it and its column stays the unit column.
+    """
     undo = [_inverse(op) for op in reversed(inverse_ops)]
+    moved = {j for _, _, ge, ga, _ in itertools.chain(ops, inverse_ops) for j, _ in ge + ga}
     cols = []
     for j in range(L.rank):
         x = [0] * L.rank
         x[j] = 1
-        for op in ops:
-            _transvect(op, x)
-        for op in undo:
-            _transvect(op, x)
+        if j in moved:
+            for op in ops:
+                _transvect(op, x)
+            for op in undo:
+                _transvect(op, x)
         cols.append(x)
     return Isometry(tuple(zip(*cols)), L)
 
@@ -468,9 +451,10 @@ class _Reduction:
     """Drives a primitive divisibility-1 vector to e1 + (norm/2) f1.
 
     Works entirely through Eichler transvections t(e, a) with e one of the
-    four isotropic basis vectors of the first two hyperbolic planes.  The
-    recorded op list is replayed (or replayed inverted, a -> -a in reverse
-    order) to build the final isometry.
+    four isotropic basis vectors of the first two hyperbolic planes, and a
+    with a few nonzero entries, so each op is built from e's basis index and
+    a's (index, value) pairs.  The recorded op list is replayed (or replayed
+    inverted, a -> -a in reverse order) to build the final isometry.
     """
 
     def __init__(self, L, pairs, budget):
@@ -481,47 +465,47 @@ class _Reduction:
         self.r_indices = [k for k in range(L.rank) if k not in self.u_indices]
         self.ops = []
 
-    def _unit(self, idx, k=1):
-        c = [0] * self.L.rank
-        c[idx] = k
-        return c
-
-    def _push(self, e_coords, a_coords, cur):
-        if all(c == 0 for c in a_coords):
+    def _push(self, ie, a, cur):
+        """Record t(e, a) for e the basis vector ie and apply it to cur; a is
+        given as (index, value) pairs in ascending index order, zeros allowed."""
+        a = tuple((i, c) for i, c in a if c)
+        if not a:
             return cur
         if len(self.ops) >= self.budget:
             raise SearchExhausted(
                 f"isometry reduction exceeded the step budget of {self.budget} transvections"
             )
-        op = _transvection(self.L.vector(e_coords), self.L.vector(a_coords))
+        rows = self.L.sparse_rows
+        ga = {}
+        for i, c in a:
+            for j, r in rows[i]:
+                ga[j] = ga.get(j, 0) + c * r
+        op = (
+            ((ie, 1),),
+            a,
+            rows[ie],
+            tuple(sorted((j, p) for j, p in ga.items() if p)),
+            sum(c * ga.get(i, 0) for i, c in a) // 2,
+        )
         self.ops.append(op)
         _transvect(op, cur)
         return cur
 
-    def run(self, v: LatticeVector):
+    def run(self, v: LatticeVector, half_norm: int):
+        """The op list taking v, of norm 2 * half_norm, to e1 + half_norm f1."""
         cur = list(v.coords)
-        target_n = norm(v) // 2
         cur = self._make_p2_one(cur)
         # kill the part outside the two hyperbolic planes
-        r_part = [0] * self.L.rank
-        for k in self.r_indices:
-            r_part[k] = -cur[k]
-        cur = self._push(self._unit(self.ie2), r_part, cur)
+        cur = self._push(self.ie2, [(k, -cur[k]) for k in self.r_indices], cur)
         # kill the first-plane coefficients
         p1, q1 = self._pairings(cur)[:2]
-        a = [0] * self.L.rank
-        a[self.ie1] = -q1
-        a[self.if1] = -p1
-        cur = self._push(self._unit(self.ie2), a, cur)
+        cur = self._push(self.ie2, [(self.ie1, -q1), (self.if1, -p1)], cur)
         # move e2-plane canonical form into the first plane
-        cur = self._push(self._unit(self.ie2), self._unit(self.ie1), cur)
-        a = [0] * self.L.rank
-        a[self.ie2] = -target_n
-        a[self.if2] = -1
-        cur = self._push(self._unit(self.if1), a, cur)
+        cur = self._push(self.ie2, [(self.ie1, 1)], cur)
+        cur = self._push(self.if1, [(self.ie2, -half_norm), (self.if2, -1)], cur)
         expect = [0] * self.L.rank
         expect[self.ie1] = 1
-        expect[self.if1] = target_n
+        expect[self.if1] = half_norm
         if cur != expect:
             raise RuntimeError("reduction did not reach the canonical vector")  # unreachable
         return self.ops
@@ -535,19 +519,19 @@ class _Reduction:
     # the five planar moves, written as (e, a) pairs; effects on the pairing
     # tuple (p1, q1, p2, q2) = ((e1,v), (f1,v), (e2,v), (f2,v)) are noted.
     def _E1(self, k, cur):  # p2 += k*p1 ; q1 -= k*q2
-        return self._push(self._unit(self.ie1), self._unit(self.if2, k), cur)
+        return self._push(self.ie1, [(self.if2, k)], cur)
 
     def _E2(self, k, cur):  # p1 += k*p2 ; q2 -= k*q1
-        return self._push(self._unit(self.ie2), self._unit(self.if1, k), cur)
+        return self._push(self.ie2, [(self.if1, k)], cur)
 
     def _F1(self, k, cur):  # p2 += k*q1 ; p1 -= k*q2
-        return self._push(self._unit(self.if1), self._unit(self.if2, k), cur)
+        return self._push(self.if1, [(self.if2, k)], cur)
 
     def _G2(self, k, cur):  # q1 += k*p2 ; q2 -= k*p1
-        return self._push(self._unit(self.ie2), self._unit(self.ie1, k), cur)
+        return self._push(self.ie2, [(self.ie1, k)], cur)
 
     def _H2(self, k, cur):  # q1 += k*q2 ; p2 -= k*p1
-        return self._push(self._unit(self.if2), self._unit(self.ie1, k), cur)
+        return self._push(self.if2, [(self.ie1, k)], cur)
 
     def _r_pairings(self, cur):
         return [(idx, self._against(idx, cur)) for idx in self.r_indices]
@@ -570,7 +554,7 @@ class _Reduction:
                     # all four plane pairings vanish; divisibility 1 lives in
                     # the rest of the lattice, so solve (a, v) = -1 there
                     a = self._solve_r_pairing(cur, -1)
-                    cur = self._push(self._unit(self.if2), a, cur)
+                    cur = self._push(self.if2, a, cur)
                 continue
             if p2 == -1:
                 cur = self._G2(q1 - 1, cur)   # q1 -> 1
@@ -596,7 +580,7 @@ class _Reduction:
             bad = next((idx for idx, val in self._r_pairings(cur) if val % p2 != 0), None)
             if bad is None:
                 raise RuntimeError("pairing gcd exceeded 1 during reduction")  # unreachable
-            cur = self._push(self._unit(self.ie1), self._unit(bad), cur)
+            cur = self._push(self.ie1, [(bad, 1)], cur)
             # q1 is now nonzero mod p2; the next pass shrinks |p2|
 
     @staticmethod
@@ -615,10 +599,7 @@ class _Reduction:
         if g == 0 or want % g != 0:
             raise RuntimeError("divisibility-1 precondition violated")  # unreachable
         scale = want // g
-        a = [0] * self.L.rank
-        for (idx, _), c in zip(pairs, coeffs):
-            a[idx] = c * scale
-        return a
+        return [(idx, c * scale) for (idx, _), c in zip(pairs, coeffs)]
 
 
 def _extended_gcd_combination(vals):
@@ -646,8 +627,9 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
     if v.lattice != w.lattice:
         raise ValueError("vectors live in different lattices")
     L = v.lattice
-    if norm(v) != norm(w):
-        raise NoIsometryError(f"norm mismatch: {norm(v)} != {norm(w)}")
+    nv, nw = norm(v), norm(w)
+    if nv != nw:
+        raise NoIsometryError(f"norm mismatch: {nv} != {nw}")
     dv, dw = divisibility(v), divisibility(w)
     if dv != dw:
         raise NoIsometryError(f"divisibility mismatch: {dv} != {dw}")
@@ -660,8 +642,8 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
         raise ValueError("lattice must be even")
     if v == w:
         return _isometry_of_ops([], (), L)
-    ops_v = _Reduction(L, pairs, step_budget).run(v)
-    ops_w = _Reduction(L, pairs, step_budget).run(w)
+    ops_v = _Reduction(L, pairs, step_budget).run(v, nv // 2)
+    ops_w = _Reduction(L, pairs, step_budget).run(w, nv // 2)
     iso = _isometry_of_ops(ops_v, ops_w, L)
     if iso.apply(v) != w:
         raise RuntimeError("constructed isometry failed to map v to w")  # unreachable

@@ -1,0 +1,205 @@
+"""Dense reference versions of the Eichler transvection code in
+``hkcert.lattice``, kept for the tests only.
+
+``eichler_transvection`` builds one transvection as an ``Isometry``.
+``DenseReduction`` and ``isometry_of_ops_full`` are the reduction and the
+sigma assembly as first written: every op record goes through full
+coordinate vectors, and every one of the rank columns is replayed through
+every op.  The package's sparse ``_Reduction`` and ``_isometry_of_ops`` must
+give the same op lists and the same sigma.
+"""
+
+from hkcert.errors import SearchExhausted
+from hkcert.lattice import (
+    Isometry,
+    LatticeVector,
+    _extended_gcd_combination,
+    _gram_times,
+    _inverse,
+    _sparse,
+    _transvect,
+    norm,
+    pair,
+)
+
+
+def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
+    """The isometry x -> x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e.
+
+    Requires (e,e) = 0 and (e,a) = 0; (a,a) must be even so the last
+    coefficient is an integer.  The result has determinant +1 and acts
+    trivially on the discriminant group.
+    """
+    if e.lattice != a.lattice:
+        raise ValueError("vectors live in different lattices")
+    if norm(e) != 0:
+        raise ValueError("e must be isotropic")
+    if pair(e, a) != 0:
+        raise ValueError("a must be orthogonal to e")
+    if norm(a) % 2 != 0:
+        raise ValueError("(a,a) must be even")
+    return isometry_of_ops_full([transvection(e, a)], (), e.lattice)
+
+
+def transvection(e: LatticeVector, a: LatticeVector):
+    """Sparse record (e, a, Ge, Ga, (a,a)/2) of t(e, a), built from full
+    coordinate vectors."""
+    return (
+        _sparse(e.coords),
+        _sparse(a.coords),
+        _sparse(_gram_times(e)),
+        _sparse(_gram_times(a)),
+        norm(a) // 2,
+    )
+
+
+def isometry_of_ops_full(ops, inverse_ops, L):
+    """The isometry that applies ``ops`` in order, then undoes
+    ``inverse_ops``, replaying every column."""
+    undo = [_inverse(op) for op in reversed(inverse_ops)]
+    cols = []
+    for j in range(L.rank):
+        x = [0] * L.rank
+        x[j] = 1
+        for op in ops:
+            _transvect(op, x)
+        for op in undo:
+            _transvect(op, x)
+        cols.append(x)
+    return Isometry(tuple(zip(*cols)), L)
+
+
+class DenseReduction:
+    """Drives a primitive divisibility-1 vector to e1 + (norm/2) f1, with
+    every e and a passed as a full coordinate list."""
+
+    def __init__(self, L, pairs, budget):
+        self.L = L
+        self.budget = budget
+        (self.ie1, self.if1), (self.ie2, self.if2) = pairs[0], pairs[1]
+        self.u_indices = {self.ie1, self.if1, self.ie2, self.if2}
+        self.r_indices = [k for k in range(L.rank) if k not in self.u_indices]
+        self.ops = []
+
+    def _unit(self, idx, k=1):
+        c = [0] * self.L.rank
+        c[idx] = k
+        return c
+
+    def _push(self, e_coords, a_coords, cur):
+        if all(c == 0 for c in a_coords):
+            return cur
+        if len(self.ops) >= self.budget:
+            raise SearchExhausted(
+                f"isometry reduction exceeded the step budget of {self.budget} transvections"
+            )
+        op = transvection(self.L.vector(e_coords), self.L.vector(a_coords))
+        self.ops.append(op)
+        _transvect(op, cur)
+        return cur
+
+    def run(self, v: LatticeVector):
+        cur = list(v.coords)
+        target_n = norm(v) // 2
+        cur = self._make_p2_one(cur)
+        r_part = [0] * self.L.rank
+        for k in self.r_indices:
+            r_part[k] = -cur[k]
+        cur = self._push(self._unit(self.ie2), r_part, cur)
+        p1, q1 = self._pairings(cur)[:2]
+        a = [0] * self.L.rank
+        a[self.ie1] = -q1
+        a[self.if1] = -p1
+        cur = self._push(self._unit(self.ie2), a, cur)
+        cur = self._push(self._unit(self.ie2), self._unit(self.ie1), cur)
+        a = [0] * self.L.rank
+        a[self.ie2] = -target_n
+        a[self.if2] = -1
+        cur = self._push(self._unit(self.if1), a, cur)
+        expect = [0] * self.L.rank
+        expect[self.ie1] = 1
+        expect[self.if1] = target_n
+        assert cur == expect
+        return self.ops
+
+    def _against(self, idx, cur):
+        return sum(r * cur[j] for j, r in self.L.sparse_rows[idx])
+
+    def _pairings(self, cur):
+        return tuple(self._against(idx, cur) for idx in (self.ie1, self.if1, self.ie2, self.if2))
+
+    def _E1(self, k, cur):
+        return self._push(self._unit(self.ie1), self._unit(self.if2, k), cur)
+
+    def _E2(self, k, cur):
+        return self._push(self._unit(self.ie2), self._unit(self.if1, k), cur)
+
+    def _F1(self, k, cur):
+        return self._push(self._unit(self.if1), self._unit(self.if2, k), cur)
+
+    def _G2(self, k, cur):
+        return self._push(self._unit(self.ie2), self._unit(self.ie1, k), cur)
+
+    def _H2(self, k, cur):
+        return self._push(self._unit(self.if2), self._unit(self.ie1, k), cur)
+
+    def _r_pairings(self, cur):
+        return [(idx, self._against(idx, cur)) for idx in self.r_indices]
+
+    def _make_p2_one(self, cur):
+        while True:
+            p1, q1, p2, q2 = self._pairings(cur)
+            if p2 == 1:
+                return cur
+            if p2 == 0:
+                if p1 != 0:
+                    cur = self._E1(1, cur)
+                elif q1 != 0:
+                    cur = self._F1(1, cur)
+                elif q2 != 0:
+                    cur = self._H2(1, cur)
+                else:
+                    a = self._solve_r_pairing(cur, -1)
+                    cur = self._push(self._unit(self.if2), a, cur)
+                continue
+            if p2 == -1:
+                cur = self._G2(q1 - 1, cur)
+                cur = self._F1(2, cur)
+                continue
+            if p1 % p2 != 0:
+                cur = self._E2(-(p1 // p2), cur)
+                p1 = self._pairings(cur)[0]
+                cur = self._E1(self._step_to_residue(p2, p1), cur)
+                continue
+            if q1 % p2 != 0:
+                cur = self._G2(-(q1 // p2), cur)
+                q1 = self._pairings(cur)[1]
+                cur = self._F1(self._step_to_residue(p2, q1), cur)
+                continue
+            if q2 % p2 != 0:
+                if p1:
+                    cur = self._E2(-(p1 // p2), cur)
+                cur = self._H2(1, cur)
+                continue
+            bad = next((idx for idx, val in self._r_pairings(cur) if val % p2 != 0), None)
+            assert bad is not None
+            cur = self._push(self._unit(self.ie1), self._unit(bad), cur)
+
+    @staticmethod
+    def _step_to_residue(value, modulus):
+        t = value % abs(modulus)
+        if t == 0:
+            t = abs(modulus)
+        return (t - value) // modulus
+
+    def _solve_r_pairing(self, cur, want):
+        pairs = self._r_pairings(cur)
+        vals = [val for _, val in pairs]
+        coeffs = _extended_gcd_combination(vals)
+        g = sum(c * v for c, v in zip(coeffs, vals))
+        assert g != 0 and want % g == 0
+        scale = want // g
+        a = [0] * self.L.rank
+        for (idx, _), c in zip(pairs, coeffs):
+            a[idx] = c * scale
+        return a

@@ -4,9 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hkcert.errors import NoIsometryError
+from hkcert.errors import NoIsometryError, SearchExhausted
 from hkcert.lattice import (
     CACHE_SIZE,
     DELTA_INDEX,
@@ -19,9 +19,11 @@ from hkcert.lattice import (
     direct_sum,
     discriminant_group,
     divisibility,
+    _Reduction,
     _gram_snf,
+    _hyperbolic_pairs,
+    _isometry_of_ops,
     _span_snf,
-    eichler_transvection,
     first_orthogonal_tuple,
     graded_coefficient_tuples,
     hyperbolic_plane,
@@ -34,6 +36,8 @@ from hkcert.lattice import (
     span_lattice_witness,
 )
 from hkcert.snf import det_bareiss, mat_mul
+from lattice_reference import DenseReduction, eichler_transvection, isometry_of_ops_full
+from test_corpus import CORPUS, certified
 
 
 # --- builders ---------------------------------------------------------------
@@ -353,6 +357,87 @@ def test_isometry_from_canonical_form(lam2):
     w = lam2.vector([0, 0, 1, 3] + [0] * 19)                  # e2 + 3 f2
     iso = isometry_between(v, w)
     assert iso.apply(v) == w
+
+
+# --- sparse reduction against the dense reference ---------------------------
+
+def _reduce(v, budget=10000):
+    L = v.lattice
+    return _Reduction(L, _hyperbolic_pairs(L), budget).run(v, norm(v) // 2)
+
+
+def _reduce_dense(v, budget=10000):
+    L = v.lattice
+    return DenseReduction(L, _hyperbolic_pairs(L), budget).run(v)
+
+
+def _corpus_transports():
+    # (source, epsilon * target, sigma) of every corpus certificate
+    for entry in CORPUS:
+        rec = certified(entry)[0]
+        yield rec.source, rec.epsilon * rec.target, rec.sigma
+
+
+def test_reduction_matches_dense_reference_on_corpus():
+    for source, target, sigma in _corpus_transports():
+        ops_v, ops_w = _reduce(source), _reduce(target)
+        assert ops_v == _reduce_dense(source)
+        assert ops_w == _reduce_dense(target)
+        assert isometry_between(source, target).matrix == sigma.matrix
+        assert isometry_of_ops_full(ops_v, ops_w, source.lattice).matrix == sigma.matrix
+
+
+@pytest.mark.parametrize("index", [1, 2, 61])
+def test_reduction_budget_matches_dense_reference(index):
+    # every budget below the op count stops both reductions with the same
+    # message; the op count itself lets both finish
+    source = certified(CORPUS[index])[0].source
+    count = len(_reduce_dense(source))
+    assert count > 5
+    for budget in range(count + 1):
+        outcomes = []
+        for reduce in (_reduce, _reduce_dense):
+            try:
+                outcomes.append(reduce(source, budget))
+            except SearchExhausted as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (budget < count)
+
+
+_BIG = st.integers(-(10**30), 10**30)
+_BIG_NONZERO = _BIG.filter(bool)
+
+
+@st.composite
+def _reduction_vector_pairs(draw):
+    # divisibility-1 vectors over Lambda(n); "zero_plane" leaves the two
+    # reduction planes empty, "dense_r" fills every other coordinate, so
+    # every column moves
+    n = draw(st.integers(2, 6))
+    L = build_lambda(n)
+    vectors = []
+    for _ in range(2):
+        shape = draw(st.sampled_from(("sparse", "zero_plane", "dense_r")))
+        entry = _BIG_NONZERO if shape == "dense_r" else st.one_of(st.just(0), _BIG)
+        coords = [draw(entry) for _ in range(L.rank)]
+        if shape == "zero_plane":
+            coords[:4] = [0, 0, 0, 0]
+        v = L.vector(coords)
+        assume(not v.is_zero() and divisibility(v) == 1)
+        vectors.append(v)
+    return vectors
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_reduction_vector_pairs())
+def test_reduction_matches_dense_reference_on_big_vectors(vectors):
+    v, w = vectors
+    ops_v, ops_w = _reduce(v), _reduce(w)
+    assert ops_v == _reduce_dense(v)
+    assert ops_w == _reduce_dense(w)
+    iso = _isometry_of_ops(ops_v, ops_w, v.lattice)
+    assert iso.matrix == isometry_of_ops_full(ops_v, ops_w, v.lattice).matrix
 
 
 # --- rational span membership -----------------------------------------------

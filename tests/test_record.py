@@ -17,10 +17,10 @@ from hkcert.lattice import (
     _gram_snf,
     build_lambda,
     discriminant_group,
-    eichler_transvection,
     hyperbolic_plane,
 )
 from hkcert.obstruction import WallCertificate, wall_certificate
+from lattice_reference import eichler_transvection
 
 # one record of each class, built from the worked instance
 BUILDERS = {
