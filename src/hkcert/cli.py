@@ -86,6 +86,9 @@ def _verify_one(path):
         # CertificateFormatError is a ValueError; so is an integer too large
         # to print in a check's details
         return EXIT_INPUT, [f"{path}: malformed certificate: {exc}"]
+    except Exception as exc:
+        # any other crash stays this file's verdict, not the batch's
+        return EXIT_INPUT, [f"{path}: malformed certificate: {type(exc).__name__}: {exc}"]
     bad = [c for c in checks if not c.ok]
     if bad:
         for c in bad:

@@ -167,10 +167,14 @@ class Isometry(Record):
 
     Construction checks M^T G M = G exactly.  Since the lattice is
     nondegenerate, that identity gives det(M)^2 = 1, so every Isometry is
-    unimodular without a separate determinant check.
+    unimodular without a separate determinant check.  Only the rows j in S,
+    the moved columns (M e_j != e_j), are multiplied out: M^T G M and G are
+    symmetric, they agree at (i, j) outside S x S as e_i^T G e_j = G_ij, and
+    an entry with one index in S mirrors an entry of an S row.
     """
 
-    __slots__ = _fields = ("matrix", "lattice")
+    __slots__ = ("matrix", "lattice", "_moved")
+    _fields = ("matrix", "lattice")
 
     def __init__(self, matrix, lattice):
         # matrix is a tuple of tuples of ints (an assembled sigma, or one
@@ -182,14 +186,16 @@ class Isometry(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        m = self.matrix
-        n = self.lattice.rank
+        m, L = self.matrix, self.lattice
+        n = L.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("isometry matrix shape does not match lattice rank")
-        g = self.lattice.gram
-        # G*M first, then M^T (G M): mat_mul skips the zero entries of both
-        # factors, and G, M and G M are all sparse
-        if snf.mat_mul(snf.transpose(m), snf.mat_mul(g, m)) != [list(r) for r in g]:
+        cols = list(zip(*m))
+        s = [j for j, c in enumerate(cols) if c[j] != 1 or c.count(0) != n - 1]
+        object.__setattr__(self, "_moved", s)
+        # row j of M^T G M is (G M e_j)^T M; mat_mul skips the zeros of both
+        rows = snf.mat_mul([_gram_times(L._vec(cols[j])) for j in s], m)
+        if rows != [list(L.gram[j]) for j in s]:
             raise ValueError("matrix does not preserve the Gram form")
 
     def apply(self, v: LatticeVector) -> LatticeVector:
@@ -206,9 +212,12 @@ class Isometry(Record):
         It is +-1 for every Isometry (see the class docstring), and 1 and -1
         differ mod 3, so det M mod 3 decides the sign exactly.  That residue
         comes from Gaussian elimination over GF(3), whose entries stay in
-        {0, 1, 2} instead of growing from sigma's large ones.
+        {0, 1, 2} instead of growing from sigma's large ones.  The columns
+        outside S are unit vectors, so M is block triangular with an identity
+        block (order S first) and det M = det M[S][S].
         """
-        return 1 if snf.det_bareiss(self.matrix, 3) == 1 else -1
+        s, m = self._moved, self.matrix
+        return 1 if snf.det_bareiss([[m[i][j] for j in s] for i in s], 3) == 1 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ def mat_mul(A, B):
 
     Each row of B is reduced once, by ``compress``, to its nonzero (column,
     value) pairs, and each row of A meets only the rows of B at its own
-    nonzero entries.  Both factors of an isometry's Gram identity
-    M^T (G M) are sparse: G, M and G M are mostly zeros.
+    nonzero entries.  Both factors of an isometry's Gram check, the rows
+    (G M e_j)^T of its moved columns and M, are mostly zeros.
     """
     cols = len(B[0]) if B else 0
     js = range(cols)

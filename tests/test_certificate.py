@@ -144,6 +144,21 @@ def test_verify_detects_sigma_corruption(e2_payload):
     assert "sigma_gram_identity" in failed
 
 
+def test_verify_detects_tamper_in_fixed_sigma_column(e2_payload, lam2):
+    # the Gram identity is multiplied out on the moved columns only, so a
+    # column sigma fixes must leave that set once it is edited
+    rows = e2_payload["record"]["sigma"]
+    sigma = lattice.Isometry(tuple(cert._dec_ints(row, "sigma") for row in rows), lam2)
+    assert 0 < len(sigma._moved) < lam2.rank
+    j = next(j for j in range(lam2.rank) if j not in sigma._moved)
+    i = (j + 1) % lam2.rank
+    for row, value in ((i, "1"), (j, "0"), (j, "2")):
+        bad = copy.deepcopy(e2_payload)
+        bad["record"]["sigma"][row][j] = value
+        failed = {c.name: c.details for c in cert.verify_payload(bad) if not c.ok}
+        assert failed["sigma_gram_identity"] == "matrix does not preserve the Gram form"
+
+
 def test_verify_detects_h2_tamper(e2_payload):
     bad = copy.deepcopy(e2_payload)
     bad["record"]["H2"] = str(int(bad["record"]["H2"]) - 2)
@@ -505,6 +520,36 @@ def test_cli_deeply_nested_json_is_format_error(e2_payload, tmp_path, jobs):
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {bad}: not valid JSON: ")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_verify_crash_keeps_other_verdicts(e2_payload, tmp_path, monkeypatch, jobs):
+    # an unexpected exception is one line for its own file; every other
+    # file's lines are the ones it gets alone, in input order
+    paths = [tmp_path / f"c{i}.json" for i in range(3)]
+    for p in paths:
+        cert.write_json(p, e2_payload)
+    alone = []
+    for p in paths:
+        out = io.StringIO()
+        assert cmd_verify([str(p)], out=out) == EXIT_OK
+        alone.append(out.getvalue())
+    crash = copy.deepcopy(e2_payload)
+    crash["crash"] = True
+    cert.write_json(paths[1], crash)
+    real = cert.verify_payload
+
+    def verify_payload(payload):
+        if payload.get("crash"):
+            raise ZeroDivisionError("boom")
+        return real(payload)
+
+    monkeypatch.setattr(cert, "verify_payload", verify_payload)
+    out = io.StringIO()
+    assert cmd_verify([str(p) for p in paths], jobs=jobs, out=out) == EXIT_INPUT
+    assert out.getvalue() == "".join(
+        [alone[0], f"{paths[1]}: malformed certificate: ZeroDivisionError: boom\n", alone[2]]
+    )
 
 
 def _huge_omega(payload):

@@ -46,9 +46,14 @@ from hkcert.lattice import (
     DELTA_INDEX,
     Isometry,
     _gram_snf,
+    _hyperbolic_pairs,
+    _isometry_of_ops,
+    _Reduction,
     acts_trivially_on_discriminant,
     build_k3_lattice,
     build_lambda,
+    divisibility,
+    norm,
 )
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -313,11 +318,62 @@ def _isometry_outcome(build, matrix, L):
     return "accepted", getattr(result, "matrix", result)
 
 
+def _dense_r_sigma():
+    # the dense-r-part case of the reduction's hypothesis test: every
+    # coordinate of both vectors nonzero, so every column of sigma moves
+    rng = random.Random(4343)
+    L = build_lambda(3)
+    ops = []
+    while len(ops) < 2:
+        v = L.vector([rng.choice((-1, 1)) * rng.randint(1, 10**30) for _ in range(L.rank)])
+        if divisibility(v) == 1:
+            ops.append(_Reduction(L, _hyperbolic_pairs(L), 10000).run(v, norm(v) // 2))
+    return _isometry_of_ops(ops[0], ops[1], L)
+
+
+def _moved_set_cases(L):
+    # (name, matrix, expected moved set) where finding S decides the outcome
+    n = L.rank
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def edit(*changes):
+        m = [list(row) for row in eye]
+        for i, j, x in changes:
+            m[i][j] = x
+        return tuple(map(tuple, m))
+
+    e3, f3 = 4, 5
+    yield "identity", edit(), []
+    yield "minus_identity", tuple(tuple(-x for x in row) for row in eye), list(range(n))
+    yield "swap_e3_f3", edit((e3, e3, 0), (f3, e3, 1), (f3, f3, 0), (e3, f3, 1)), [e3, f3]
+    yield "negated_e3", edit((e3, e3, -1)), [e3]
+    yield "negated_delta", edit((DELTA_INDEX, DELTA_INDEX, -1)), [DELTA_INDEX]
+    for j in (0, e3, 9, DELTA_INDEX):
+        yield f"zero_diagonal_{j}", edit((j, j, 0)), [j]
+        yield f"two_diagonal_{j}", edit((j, j, 2)), [j]
+        for i in (1, f3, 10, DELTA_INDEX):
+            if i != j:
+                yield f"off_diagonal_{i}_{j}", edit((i, j, 1)), [j]
+
+
 def test_isometry_check_matches_dense_reference():
     def same(matrix, L):
         fast = _isometry_outcome(Isometry, matrix, L)
         assert fast == _isometry_outcome(dense_isometry_reference, matrix, L)
+        if fast[0] == "accepted":
+            assert Isometry(matrix, L).det() == snf.det_bareiss(matrix)
         return fast[0]
+
+    for L in (build_lambda(2), build_lambda(5)):
+        accepted = set()
+        for name, matrix, moved in _moved_set_cases(L):
+            if same(matrix, L) == "accepted":
+                assert Isometry(matrix, L)._moved == moved
+                accepted.add(name)
+        assert accepted == {"identity", "minus_identity", "swap_e3_f3", "negated_delta"}
+    dense = _dense_r_sigma()
+    assert dense._moved == list(range(dense.lattice.rank))
+    assert same(dense.matrix, dense.lattice) == "accepted"
 
     sigmas = [certified(entry)[0].sigma for entry in CORPUS]
     assert len(sigmas) == 67
