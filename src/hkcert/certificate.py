@@ -26,7 +26,6 @@ from .construction import (
     transport_ends,
 )
 from .instance import (
-    BrauerClass,
     CheckResult,
     HKInstance,
     b_field_class,
@@ -36,6 +35,7 @@ from .instance import (
 )
 from .lattice import (
     Isometry,
+    LatticeVector,
     RationalClass,
     acts_trivially_on_discriminant,
     build_lambda,
@@ -103,11 +103,7 @@ def _enc_vec(v):
 def _dec_vec(L, data, what="vector"):
     if not isinstance(data, list) or len(data) != L.rank:
         raise CertificateFormatError(f"{what}: expected {L.rank} coordinates")
-    return L._vec(_dec_ints(data, what))
-
-
-def _enc_mat(rows):
-    return [_enc_ints(row) for row in rows]
+    return LatticeVector(_dec_ints(data, what), L)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +204,10 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 # certificates
 
-def _canonical_dumps(payload):
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-
-
 def compute_digest(payload):
     body = {k: v for k, v in payload.items() if k != "digest"}
-    return "sha256:" + hashlib.sha256(_canonical_dumps(body).encode("utf-8")).hexdigest()
+    canonical = json.dumps(body, separators=(",", ":"), sort_keys=True)
+    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def certificate_payload(inst: HKInstance, rec: ConstructionRecord, wall, budgets):
@@ -236,7 +229,7 @@ def certificate_payload(inst: HKInstance, rec: ConstructionRecord, wall, budgets
             "D": _enc_vec(rec.D),
             "source": _enc_vec(rec.source),
             "target": _enc_vec(rec.target),
-            "sigma": _enc_mat(rec.sigma.matrix),
+            "sigma": list(map(_enc_ints, rec.sigma.matrix)),
             "epsilon": _enc_int(rec.epsilon),
             "rk_un": _enc_int(rec.rk_un),
             "alpha_x": {
@@ -390,7 +383,7 @@ def verify_payload(payload):
         alpha_den = _dec_int(_require(af, "den", "alpha_x"), "alpha_x.den")
         if alpha_den == 0:
             raise CertificateFormatError("alpha_x: zero denominator")
-        recorded_alpha = BrauerClass(RationalClass(alpha_num, alpha_den), inst.pic_basis)
+        recorded_alpha = RationalClass(alpha_num, alpha_den)
         if den == 0:
             add("alpha_matches_record", False, "4gtd^2 = 0")
             add("alpha_is_b_field", False, "4gtd^2 = 0")
@@ -398,7 +391,7 @@ def verify_payload(payload):
             recomputed = pushed_class(inst, sigma, H2, den, epsilon)
             add(
                 "alpha_matches_record",
-                recomputed.representative == recorded_alpha.representative,
+                recomputed.representative == recorded_alpha,
             )
             add("alpha_is_b_field", brauer_equal(recomputed, b_field_class(inst)))
 

@@ -41,13 +41,7 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
             bad = failures[0]
             print(f"error: invalid instance: {bad.name} {bad.details}".rstrip(), file=out)
             return EXIT_INPUT
-        rec = construction.run_pipeline(
-            inst,
-            coeff_bound=coeff_bound,
-            u_budget=u_budget,
-            t_budget=t_budget,
-            isometry_budget=isometry_budget,
-        )
+        rec = construction.run_pipeline(inst, **budgets)
         wall = construction.wall_for_record(inst, rec)
         # every integer is turned into a decimal string here, before the
         # certificate file is opened
@@ -99,7 +93,6 @@ def _verify_one(path):
 
 
 def cmd_verify(paths, jobs=1, out=sys.stdout):
-    results = []
     if jobs > 1 and len(paths) > 1:
         # imported here: it pulls in multiprocessing, which every other
         # command would pay for at start-up
@@ -188,11 +181,9 @@ def main(argv=None):
         )
     if args.command == "verify":
         return cmd_verify(args.certs, jobs=args.jobs)
-    if args.command == "random":
-        return cmd_random(
-            args.n, args.pic_rank, args.c0, args.d_max, args.seed, args.count, args.out_dir
-        )
-    return EXIT_INPUT
+    return cmd_random(
+        args.n, args.pic_rank, args.c0, args.d_max, args.seed, args.count, args.out_dir
+    )
 
 
 if __name__ == "__main__":

@@ -249,8 +249,9 @@ def pushed_class(inst: HKInstance, sigma: Isometry, H2: int, den: int, epsilon: 
     class and den = 4gtd^2 != 0."""
     L = inst.lattice
     h = canonical_degree_class(L, H2)
-    q = RationalClass(epsilon * h - (den // 2) * L.basis_vector(DELTA_INDEX), den)
-    return BrauerClass(-sigma.apply_rational(q), inst.pic_basis)
+    num = epsilon * h - (den // 2) * L.basis_vector(DELTA_INDEX)
+    # sigma is unimodular, so reducing num/den before or after applying it agrees
+    return BrauerClass(RationalClass(-sigma.apply(num), den), inst.pic_basis)
 
 
 def rank_factor(n: int, r: int) -> int:

@@ -142,20 +142,25 @@ def brauer_equal(a: BrauerClass, b: BrauerClass) -> bool:
     return in_span_plus_lattice(a.representative - b.representative, a.pic_basis)
 
 
-def normalize_brauer(inst: HKInstance, coeff_bound: int = 8, candidate_budget: int = 200000):
+_NORMALIZE_COEFF_BOUND = 8
+_NORMALIZE_CANDIDATES = 200000
+
+
+def normalize_brauer(inst: HKInstance):
     """Shift B by d * (integral class orthogonal to Pic) until its norm is positive.
 
     The Brauer class [-B/d] is unchanged.  Identity when the norm is already
     positive.  Candidates are enumerated in the documented search order over
-    the canonical complement basis with per-coefficient bound ``coeff_bound``.
+    the canonical complement basis with per-coefficient bound
+    _NORMALIZE_COEFF_BOUND, at most _NORMALIZE_CANDIDATES of them.
     """
     if norm(inst.B) > 0:
         return inst
     comp = orthogonal_complement_basis(inst.lattice, inst.pic_basis)
     seen = 0
-    for coeffs in graded_coefficient_tuples(len(comp), coeff_bound):
+    for coeffs in graded_coefficient_tuples(len(comp), _NORMALIZE_COEFF_BOUND):
         seen += 1
-        if seen > candidate_budget:
+        if seen > _NORMALIZE_CANDIDATES:
             break
         cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
         if cand.is_zero() or norm(cand) <= 0:
@@ -164,8 +169,8 @@ def normalize_brauer(inst: HKInstance, coeff_bound: int = 8, candidate_budget: i
             continue
         return inst.replace(B=cand)
     raise SearchExhausted(
-        f"no orthogonal shift with positive norm within coefficient bound {coeff_bound} "
-        f"({min(seen, candidate_budget)} candidates tried)"
+        f"no orthogonal shift with positive norm within coefficient bound "
+        f"{_NORMALIZE_COEFF_BOUND} ({min(seen, _NORMALIZE_CANDIDATES)} candidates tried)"
     )
 
 
@@ -255,7 +260,7 @@ def _sample_b(rng, L, comp):
     return None
 
 
-def _pipeline_feasible(inst, coeff_bound=16):
+def _pipeline_feasible(inst):
     # reject instances the bounded searches could not handle: a small
     # divisibility-1 class pairing nontrivially with W must exist, and the
     # orthogonal-to-W sublattice must contain a positive-norm class whose
@@ -274,6 +279,6 @@ def _pipeline_feasible(inst, coeff_bound=16):
     gens = snf.transpose(kern)
     for kcoeffs in graded_coefficient_tuples(len(kern), 12):
         coeffs = [sum(map(mul, row, kcoeffs)) for row in gens]
-        if all(abs(c) <= coeff_bound for c in coeffs) and form_value(sub_gram, coeffs) > 0:
+        if all(abs(c) <= 16 for c in coeffs) and form_value(sub_gram, coeffs) > 0:
             return True
     return False

@@ -35,6 +35,7 @@ from operator import mul
 from .errors import NoIsometryError, SearchExhausted
 from . import snf
 from .record import Record
+from .snf import smith_normal_form  # noqa: F401  (re-exported for callers)
 
 
 class GramLattice(Record):
@@ -79,10 +80,6 @@ class GramLattice(Record):
 
     def vector(self, coords) -> "LatticeVector":
         return LatticeVector(tuple(map(int, coords)), self)
-
-    def _vec(self, coords_tuple) -> "LatticeVector":
-        # internal fast path: coords_tuple is already a tuple of ints
-        return LatticeVector(coords_tuple, self)
 
     def basis_vector(self, i: int) -> "LatticeVector":
         return self.vector([1 if j == i else 0 for j in range(self.rank)])
@@ -148,18 +145,12 @@ class RationalClass(Record):
         object.__setattr__(self, "denominator", den)
 
     def __sub__(self, other):
-        if other.numerator.lattice != self.numerator.lattice:
-            raise ValueError("classes live in different lattices")
         a, b = self.denominator, other.denominator
         num = b * self.numerator - a * other.numerator
         return RationalClass(num, a * b)
 
     def __neg__(self):
         return RationalClass(-self.numerator, self.denominator)
-
-
-class DiscriminantData(Record):
-    __slots__ = _fields = ("invariant_factors",)
 
 
 class Isometry(Record):
@@ -194,17 +185,14 @@ class Isometry(Record):
         s = [j for j, c in enumerate(cols) if c[j] != 1 or c.count(0) != n - 1]
         object.__setattr__(self, "_moved", s)
         # row j of M^T G M is (G M e_j)^T M; mat_mul skips the zeros of both
-        rows = snf.mat_mul([_gram_times(L._vec(cols[j])) for j in s], m)
+        rows = snf.mat_mul([_gram_times(LatticeVector(cols[j], L)) for j in s], m)
         if rows != [list(L.gram[j]) for j in s]:
             raise ValueError("matrix does not preserve the Gram form")
 
     def apply(self, v: LatticeVector) -> LatticeVector:
         if v.lattice != self.lattice:
             raise ValueError("vector lives in a different lattice")
-        return self.lattice._vec(tuple(snf.mat_vec(self.matrix, v.coords)))
-
-    def apply_rational(self, q: RationalClass) -> RationalClass:
-        return RationalClass(self.apply(q.numerator), q.denominator)
+        return LatticeVector(tuple(snf.mat_vec(self.matrix, v.coords)), self.lattice)
 
     def det(self) -> int:
         """The determinant, +1 or -1.
@@ -320,7 +308,7 @@ def linear_combination(L: GramLattice, coeffs, vectors) -> LatticeVector:
         if c:
             for i, x in _sparse(v.coords):
                 out[i] += c * x
-    return L._vec(tuple(out))
+    return LatticeVector(tuple(out), L)
 
 
 def _gram_times(v: LatticeVector):
@@ -353,18 +341,9 @@ def is_primitive(v: LatticeVector) -> bool:
     return g == 1
 
 
-def smith_normal_form(M):
-    """Exact Smith normal form; see snf.smith_normal_form."""
-    return snf.smith_normal_form(M)
-
-
-def discriminant_group(L: GramLattice) -> DiscriminantData:
+def discriminant_group(L: GramLattice):
     """Invariant factors of the quotient (dual lattice)/(lattice)."""
-    U, D, V = _gram_snf(L)
-    diag = snf.snf_diagonal(D)
-    if any(d == 0 for d in diag):
-        raise ValueError("lattice is degenerate")
-    return DiscriminantData(tuple(d for d in diag if d != 1))
+    return tuple(d for d in snf.snf_diagonal(_gram_snf(L)[1]) if d != 1)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -725,7 +704,7 @@ def orthogonal_complement_basis(L: GramLattice, vectors):
 # ---------------------------------------------------------------------------
 # search-order enumeration
 
-def graded_coefficient_tuples(length, bound, max_grade=None):
+def graded_coefficient_tuples(length, bound):
     """Yield nonzero coefficient tuples in the documented search order.
 
     Ascending grade (sum of absolute values), then absolute-value tuples in
@@ -735,10 +714,7 @@ def graded_coefficient_tuples(length, bound, max_grade=None):
     is what makes recorded certificates reproducible bit for bit.
     ``search_order_key`` sorts any set of such tuples into the same order.
     """
-    top = length * bound
-    if max_grade is not None:
-        top = min(top, max_grade)
-    for s in range(1, top + 1):
+    for s in range(1, length * bound + 1):
         for abs_t in _abs_tuples(length, s, bound):
             nz = [i for i, c in enumerate(abs_t) if c]
             for signs in itertools.product((1, -1), repeat=len(nz)):

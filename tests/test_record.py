@@ -9,14 +9,12 @@ from hkcert.construction import (
 )
 from hkcert.instance import BrauerClass, CheckResult, HKInstance, b_field_class
 from hkcert.lattice import (
-    DiscriminantData,
     GramLattice,
     Isometry,
     LatticeVector,
     RationalClass,
     _gram_snf,
     build_lambda,
-    discriminant_group,
     hyperbolic_plane,
 )
 from hkcert.obstruction import WallCertificate, wall_certificate
@@ -27,7 +25,6 @@ BUILDERS = {
     GramLattice: lambda lam2, inst: hyperbolic_plane(),
     LatticeVector: lambda lam2, inst: inst.W,
     RationalClass: lambda lam2, inst: RationalClass(inst.B, 4),
-    DiscriminantData: lambda lam2, inst: discriminant_group(lam2),
     Isometry: lambda lam2, inst: eichler_transvection(lam2.basis_vector(0), lam2.basis_vector(2)),
     HKInstance: lambda lam2, inst: inst,
     BrauerClass: lambda lam2, inst: b_field_class(inst),
