@@ -23,11 +23,6 @@ EXIT_BUDGET = 3
 
 def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
                   t_budget=10**6, isometry_budget=10000, out=sys.stdout):
-    try:
-        inst = cert.instance_from_payload(cert.read_json(input_path))
-    except (OSError, cert.CertificateFormatError) as exc:
-        print(f"error: {input_path}: {exc}", file=out)
-        return EXIT_INPUT
     budgets = {
         "coeff_bound": coeff_bound,
         "u_budget": u_budget,
@@ -35,6 +30,7 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
         "isometry_budget": isometry_budget,
     }
     try:
+        inst = cert.instance_from_payload(cert.read_json(input_path))
         inst = normalize_brauer(inst)
         failures = [c for c in validate_instance(inst) if not c.ok]
         if failures:
@@ -52,10 +48,15 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
     except ConstructionInvariantViolated as exc:
         print(f"error: {exc}", file=out)
         return EXIT_FAIL
-    except ValueError as exc:
-        # among others an integer over the int/str digit limit, in the
+    except (OSError, ValueError) as exc:
+        # an unreadable or malformed instance (CertificateFormatError is a
+        # ValueError), or an integer over the int/str digit limit, in the
         # certificate or in a check's details
         print(f"error: {input_path}: {exc}", file=out)
+        return EXIT_INPUT
+    except Exception as exc:
+        # any other crash ends in one line, as in _verify_one
+        print(f"error: {input_path}: {type(exc).__name__}: {exc}", file=out)
         return EXIT_INPUT
     try:
         cert.write_json(output_path, payload)
@@ -98,7 +99,8 @@ def cmd_verify(paths, jobs=1, out=sys.stdout):
         # command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool launches all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             results = list(pool.map(_verify_one, paths))
     else:
         results = [_verify_one(p) for p in paths]
@@ -127,7 +129,11 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
             failed.append(sub_seed)
             continue
         path = os.path.join(out_dir, f"instance_{seed}_{i:04d}.json")
-        cert.write_json(path, cert.instance_to_payload(inst))
+        try:
+            cert.write_json(path, cert.instance_to_payload(inst))
+        except OSError as exc:
+            print(f"error: {path}: {exc}", file=out)
+            return EXIT_INPUT
         print(path, file=out)
     if failed:
         print(f"error: generation exhausted for seeds {failed}", file=out)

@@ -265,6 +265,47 @@ def test_cli_construct_unwritable_output(e2_instance, tmp_path):
     assert not cert_path.exists()
 
 
+def test_cli_construct_records_every_budget(e2_instance, tmp_path, monkeypatch):
+    # each budget reaches the pipeline and the certificate under its own name
+    from hkcert import construction
+
+    real, passed = construction.run_pipeline, []
+
+    def run_pipeline(inst, **budgets):
+        passed.append(budgets)
+        return real(inst, **budgets)
+
+    monkeypatch.setattr(construction, "run_pipeline", run_pipeline)
+    inst_path = tmp_path / "e2.json"
+    cert_path = tmp_path / "e2.cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
+    rc = cmd_construct(
+        str(inst_path), str(cert_path), coeff_bound=15, u_budget=999999,
+        t_budget=999998, isometry_budget=9999, out=io.StringIO(),
+    )
+    assert rc == EXIT_OK
+    budgets = {"coeff_bound": 15, "u_budget": 999999, "t_budget": 999998, "isometry_budget": 9999}
+    assert passed == [budgets]
+    assert cert.read_json(cert_path)["budgets"] == {k: str(v) for k, v in budgets.items()}
+    assert cmd_verify([str(cert_path)], out=io.StringIO()) == EXIT_OK
+
+
+def test_cli_construct_unexpected_error_is_one_line(e2_instance, tmp_path, monkeypatch):
+    from hkcert import construction
+
+    def run_pipeline(inst, **budgets):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(construction, "run_pipeline", run_pipeline)
+    inst_path = tmp_path / "e2.json"
+    cert_path = tmp_path / "e2.cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
+    out = io.StringIO()
+    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: {inst_path}: ZeroDivisionError: boom\n"
+    assert not cert_path.exists()
+
+
 @pytest.mark.parametrize("k", [200, 1200])
 def test_cli_construct_huge_d_is_input_error_subprocess(tmp_path, k):
     # d = 10^k: at k = 200 the rank factor n! r^n, at k = 1200 already a
@@ -320,6 +361,41 @@ def test_cli_verify_multiple_jobs(e2_payload, tmp_path):
         cert.write_json(p, e2_payload)
         paths.append(str(p))
     assert cmd_verify(paths, jobs=2) == EXIT_OK
+
+
+def test_cli_verify_jobs_starts_no_more_workers_than_files(e2_payload, tmp_path, monkeypatch):
+    # a fork-started pool launches max_workers processes at the first submit,
+    # so the pool is asked for one worker per file at most; the stand-in pool
+    # maps in this process and starts none
+    import concurrent.futures
+
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    paths = []
+    for i in range(2):
+        p = tmp_path / f"c{i}.json"
+        cert.write_json(p, e2_payload)
+        paths.append(str(p))
+    alone = io.StringIO()
+    rc = cmd_verify(paths, out=alone)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    out = io.StringIO()
+    assert cmd_verify(paths, jobs=64, out=out) == rc == EXIT_OK
+    assert asked == [2]
+    assert out.getvalue() == alone.getvalue()
 
 
 def _forged(payload, fields):
@@ -613,6 +689,17 @@ def test_cli_random_count_zero(tmp_path):
     d = tmp_path / "none"
     assert cmd_random(2, 2, 3, 3, seed=7, count=0, out_dir=str(d)) == EXIT_OK
     assert list(d.iterdir()) == []
+
+
+def test_cli_random_unwritable_file_is_one_line(tmp_path):
+    # a directory where the instance file should go
+    d = tmp_path / "rnd"
+    path = d / "instance_7_0000.json"
+    path.mkdir(parents=True)
+    out = io.StringIO()
+    assert cmd_random(2, 2, 3, 3, seed=7, count=1, out_dir=str(d), out=out) == EXIT_INPUT
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
 
 def test_cli_random_outputs_validate(tmp_path):
