@@ -158,10 +158,15 @@ class Isometry(Record):
 
     Construction checks M^T G M = G exactly.  Since the lattice is
     nondegenerate, that identity gives det(M)^2 = 1, so every Isometry is
-    unimodular without a separate determinant check.  Only the rows j in S,
-    the moved columns (M e_j != e_j), are multiplied out: M^T G M and G are
-    symmetric, they agree at (i, j) outside S x S as e_i^T G e_j = G_ij, and
-    an entry with one index in S mirrors an entry of an S row.
+    unimodular without a separate determinant check.  Let S be the moved
+    columns (M e_j != e_j).  Both sides are symmetric, so it suffices to
+    compare the entries (j, i) with j in S or i in S, and of those with both
+    in S only the upper triangle i >= j; with neither in S they agree, as
+    e_j^T G e_i = G_ji.  For j in S the vector G M e_j is formed once.  At a
+    fixed column i (M e_i = e_i) the entry is its coordinate
+    (M^T G M)_ji = (G M e_j)_i; at a moved i >= j it is the pairing of
+    G M e_j with M e_i.  That is k(k+1)/2 pairings of sigma's (possibly
+    huge) columns for k = |S|, against k^2 for the whole S x S block.
     """
 
     __slots__ = ("matrix", "lattice", "_moved")
@@ -184,10 +189,17 @@ class Isometry(Record):
         cols = list(zip(*m))
         s = [j for j, c in enumerate(cols) if c[j] != 1 or c.count(0) != n - 1]
         object.__setattr__(self, "_moved", s)
-        # row j of M^T G M is (G M e_j)^T M; mat_mul skips the zeros of both
-        rows = snf.mat_mul([_gram_times(LatticeVector(cols[j], L)) for j in s], m)
-        if rows != [list(L.gram[j]) for j in s]:
-            raise ValueError("matrix does not preserve the Gram form")
+        # row j of M_S^T G is (G M e_j)^T, as G is symmetric
+        for a, (j, gmj) in enumerate(zip(s, snf.mat_mul([cols[j] for j in s], L.gram))):
+            gj = L.gram[j]
+            upper = s[a:]
+            pairings = [sum(map(mul, gmj, cols[i])) for i in upper]
+            # the fixed columns are compared in place; (j, i) for a moved
+            # i < j was row i's pairing
+            for i in s:
+                gmj[i] = gj[i]
+            if pairings != [gj[i] for i in upper] or gmj != list(gj):
+                raise ValueError("matrix does not preserve the Gram form")
 
     def apply(self, v: LatticeVector) -> LatticeVector:
         if v.lattice != self.lattice:

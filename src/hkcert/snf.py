@@ -17,18 +17,24 @@ def identity_matrix(n):
 def mat_mul(A, B):
     """A*B, summed over the products of nonzero entries only.
 
-    Each row of B is reduced once, by ``compress``, to its nonzero (column,
-    value) pairs, and each row of A meets only the rows of B at its own
-    nonzero entries.  Both factors of an isometry's Gram check, the rows
-    (G M e_j)^T of its moved columns and M, are mostly zeros.
+    Each row of A meets only the rows of B at its own nonzero entries.  A
+    row of B is reduced to its nonzero (column, value) pairs, by
+    ``compress``, the first time some row of A needs it, and a row that no
+    row of A touches is never scanned.  In an isometry's Gram check A is the
+    moved columns M e_j of M, whose supports meet few of the rows of B = G,
+    and a row of G has at most 4 nonzero entries.
     """
     cols = len(B[0]) if B else 0
     js = range(cols)
-    sparse_rows = [list(compress(zip(js, row), row)) for row in B]
+    sparse_rows = [None] * len(B)
     out = []
     for ai in A:
         oi = [0] * cols
-        for a, bk in compress(zip(ai, sparse_rows), ai):
+        for k, a in compress(enumerate(ai), ai):
+            bk = sparse_rows[k]
+            if bk is None:
+                row = B[k]
+                bk = sparse_rows[k] = list(compress(zip(js, row), row))
             for j, b in bk:
                 oi[j] += a * b
         out.append(oi)

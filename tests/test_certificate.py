@@ -430,6 +430,40 @@ def test_cli_verify_jobs_reports_every_file(e2_payload, tmp_path):
     assert f"{good}: OK" in "\n".join(lines)
 
 
+@pytest.fixture(scope="module")
+def bigd_payload():
+    # the corpus entry bigd-41006: d_max = 10^150, sigma entries of over 1600
+    # digits on five moved columns
+    from hkcert.instance import random_instance
+
+    inst = random_instance(3, 2, 5, 10**150, 41006)
+    rec = run_pipeline(inst)
+    budgets = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
+    return cert.certificate_payload(inst, rec, wall_for_record(inst, rec), budgets)
+
+
+def test_verify_detects_tamper_in_big_sigma_block(bigd_payload, tmp_path):
+    # the Gram identity pairs the moved columns on one triangle of their
+    # block only: an entry off by one below, on or above its diagonal fails it
+    rows = bigd_payload["record"]["sigma"]
+    L = lattice.build_lambda(3)
+    s = lattice.Isometry(tuple(cert._dec_ints(row, "sigma") for row in rows), L)._moved
+    assert len(s) == 5 and max(len(x) for row in rows for x in row) > 1600
+    p = tmp_path / "bigd.json"
+    cert.write_json(p, bigd_payload)
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_OK
+    assert out.getvalue().startswith(f"{p}: OK")
+    for i, j in ((s[3], s[1]), (s[2], s[2]), (s[1], s[3])):
+        sigma = copy.deepcopy(rows)
+        sigma[i][j] = str(int(sigma[i][j]) + 1)
+        cert.write_json(p, _forged(bigd_payload, {("record", "sigma"): sigma}))
+        out = io.StringIO()
+        assert cmd_verify([str(p)], out=out) == EXIT_FAIL
+        lines = out.getvalue().splitlines()
+        assert lines == [f"{p}: FAIL sigma_gram_identity matrix does not preserve the Gram form"]
+
+
 ZERO_VECTOR = ["0"] * 23
 ZERO_FORGERIES = {  # forged fields -> the check that must fail instead of raising
     "source": ({("record", "source"): ZERO_VECTOR}, "transport_div_source"),

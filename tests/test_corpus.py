@@ -394,6 +394,24 @@ def test_isometry_check_matches_dense_reference():
         assert same([row + (0,) for row in m], L) == "rejected"
     assert "rejected" in verdicts
 
+    # the big-d sigmas: every entry of every moved column, off by one, where
+    # the pairings multiply entries of hundreds to thousands of digits
+    big = [s for entry, s in zip(CORPUS, sigmas) if entry["label"] == "bigd"]
+    assert len(big) == 6
+    cases = 0
+    for sigma in big:
+        m, L = sigma.matrix, sigma.lattice
+        assert max(abs(x) for row in m for x in row) > 10**500
+        bad = [list(row) for row in m]
+        for j in sigma._moved:
+            for i in range(L.rank):
+                for delta in (-1, 1):
+                    bad[i][j] += delta
+                    assert same(bad, L) == "rejected"
+                    bad[i][j] -= delta
+                    cases += 1
+    assert cases == 2 * 23 * 41
+
 
 def test_minus_identity_on_discriminant():
     for L in [build_lambda(n) for n in range(2, 7)] + [build_k3_lattice()]:
