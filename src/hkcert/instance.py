@@ -221,8 +221,9 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     sub_gram = gram_of(pic)
     if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
         return None
-    mat = [[p.coords[i] for p in pic] for i in range(L.rank)]
-    data = snf.smith_normal_form(mat)
+    # the Picard matrix's other rows are zero and add no nonzero minor, so
+    # its invariant factors are those of the _PIC_SUPPORT rows
+    data = snf.smith_normal_form([[p.coords[i] for p in pic] for i in _PIC_SUPPORT])
     diag = [d for d in snf.snf_diagonal(data[1]) if d != 0]
     if len(diag) != pic_rank or any(d != 1 for d in diag):
         return None
@@ -249,13 +250,19 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
 
 def _sample_b(rng, L, comp):
     # mix at most three complement vectors; positive norm needs a hyperbolic
-    # contribution, so weight retries generously
+    # contribution, so weight retries generously.  A candidate's norm comes
+    # from the Gram matrix of the complement basis, and only a candidate of
+    # positive norm (so nonzero) is built
+    basis = [c.coords for c in comp]
+    gram = snf.mat_mul(snf.mat_mul(basis, L.gram), snf.transpose(basis))
     for _ in range(120):
         k = rng.randint(1, min(3, len(comp)))
         picks = rng.sample(range(len(comp)), k)
         coeffs = [rng.randint(-2, 2) for _ in picks]
+        if form_value([[gram[a][b] for b in picks] for a in picks], coeffs) <= 0:
+            continue
         cand = linear_combination(L, coeffs, [comp[idx] for idx in picks])
-        if not cand.is_zero() and norm(cand) > 0 and is_primitive(cand):
+        if is_primitive(cand):
             return cand
     return None
 

@@ -38,6 +38,9 @@ from .record import Record
 from .snf import smith_normal_form  # noqa: F401  (re-exported for callers)
 
 
+_DET_PRIME = 2**31 - 1  # GramLattice's nondegeneracy check works mod this prime first
+
+
 class GramLattice(Record):
     """An integral lattice presented by an exact Gram matrix.
 
@@ -60,7 +63,9 @@ class GramLattice(Record):
             for j in range(i + 1, rank):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix is not symmetric")
-        if rank and snf.det_bareiss([list(r) for r in g]) == 0:
+        # det mod a prime first: a nonzero residue settles it, and only a
+        # zero one needs the exact determinant
+        if rank and not snf.det_bareiss(g, _DET_PRIME) and not snf.det_bareiss(g):
             raise ValueError("gram matrix is degenerate")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", g)
@@ -703,14 +708,29 @@ def span_lattice_witness(q: RationalClass, S):
 
 
 def orthogonal_complement_basis(L: GramLattice, vectors):
-    """Canonical basis of {x : (x, v) = 0 for all v}, as HNF rows."""
+    """Canonical basis of {x : (x, v) = 0 for all v}, as HNF rows.
+
+    The pairing rows G v are zero outside the columns T that some v touches,
+    so the complement is the kernel K of their T columns plus the unit
+    vectors of the other coordinates.  Those unit vectors are HNF rows whose
+    pivot columns no other row touches, so the HNF of the whole is the HNF
+    of K, put back in T, merged with them by pivot column.  The HNF of a
+    lattice is unique, so this is the basis the kernel over all L.rank
+    columns gives.
+    """
     rows = [_gram_times(v) for v in vectors]
-    if not rows:
-        basis = snf.identity_matrix(L.rank)
-    else:
-        basis = snf.kernel_basis(snf.smith_normal_form(rows))
-    basis = snf.hermite_rows(basis)
-    return [L.vector(b) for b in basis]
+    touched = sorted({j for row in rows for j, x in enumerate(row) if x})
+    n = L.rank
+    basis = [(i, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in set(range(n)).difference(touched)]
+    if touched:
+        kernel = snf.kernel_basis(snf.smith_normal_form([[row[j] for j in touched] for row in rows]))
+        for k in snf.hermite_rows(kernel):
+            x = [0] * n
+            for j, c in zip(touched, k):
+                x[j] = c
+            basis.append((touched[next(p for p, c in enumerate(k) if c)], tuple(x)))
+    basis.sort()  # by pivot column, one per row
+    return [LatticeVector(x, L) for _, x in basis]
 
 
 # ---------------------------------------------------------------------------

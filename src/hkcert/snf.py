@@ -126,16 +126,29 @@ def smith_normal_form(M):
     V = identity_matrix(n)
 
     def row_combine(i, j, a, b, c, d):
-        # rows (i, j) <- (a*ri + b*rj, c*ri + d*rj); a*d - b*c = +-1
+        # rows (i, j) <- (a*ri + b*rj, c*ri + d*rj); a*d - b*c = +-1.  A
+        # (1, 0, c, 1) step, the common one, changes row j only
         for X in (A, U):
             ri, rj = X[i], X[j]
-            for k in range(len(ri)):
-                ri[k], rj[k] = a * ri[k] + b * rj[k], c * ri[k] + d * rj[k]
+            if a == 1 and b == 0 and d == 1:
+                X[j] = [c * x + y for x, y in zip(ri, rj)]
+            else:
+                X[i] = [a * x + b * y for x, y in zip(ri, rj)]
+                X[j] = [c * x + d * y for x, y in zip(ri, rj)]
 
     def col_combine(i, j, a, b, c, d):
+        # the same on columns; a row with zeros at both i and j is left as is
         for X in (A, V):
-            for row in X:
-                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
+            if a == 1 and b == 0 and d == 1:
+                for row in X:
+                    x = row[i]
+                    if x:
+                        row[j] += c * x
+            else:
+                for row in X:
+                    x, y = row[i], row[j]
+                    if x or y:
+                        row[i], row[j] = a * x + b * y, c * x + d * y
 
     def clear_position(t):
         # make A[t][t] the gcd of row/column t and zero out the rest of both
@@ -161,11 +174,17 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(m, n):
-        piv = None
+        # the first entry of least absolute value, in row-major order; no
+        # later entry can beat an entry of absolute value 1
+        piv, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
+            for j, x in enumerate(A[i][t:], t):
+                if x and (not least or abs(x) < least):
+                    piv, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:

@@ -1,5 +1,5 @@
-"""Dense reference versions of the Eichler transvection code in
-``hkcert.lattice``, kept for the tests only.
+"""Dense reference versions of code in ``hkcert.lattice`` and
+``hkcert.snf``, kept for the tests only.
 
 ``eichler_transvection`` builds one transvection as an ``Isometry``.
 ``DenseReduction`` and ``isometry_of_ops_full`` are the reduction and the
@@ -7,8 +7,14 @@ sigma assembly as first written: every op record goes through full
 coordinate vectors, and every one of the rank columns is replayed through
 every op.  The package's sparse ``_Reduction`` and ``_isometry_of_ops`` must
 give the same op lists and the same sigma.
+
+``smith_normal_form`` is the Smith form as first written, updating one
+entry at a time and scanning every entry for the pivot;
+``orthogonal_complement_basis`` takes the kernel over all coordinates.  The
+package's versions must give the same (U, D, V) and the same basis.
 """
 
+from hkcert import snf
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
     Isometry,
@@ -21,6 +27,7 @@ from hkcert.lattice import (
     norm,
     pair,
 )
+from hkcert.snf import _xgcd, identity_matrix
 
 
 def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
@@ -203,3 +210,93 @@ class DenseReduction:
         for (idx, _), c in zip(pairs, coeffs):
             a[idx] = c * scale
         return a
+
+
+def orthogonal_complement_basis(L, vectors):
+    """HNF basis of {x : (x, v) = 0 for all v}, from the kernel of the
+    pairing rows over all L.rank coordinates."""
+    rows = [_gram_times(v) for v in vectors]
+    if not rows:
+        basis = identity_matrix(L.rank)
+    else:
+        basis = snf.kernel_basis(snf.smith_normal_form(rows))
+    return [L.vector(b) for b in snf.hermite_rows(basis)]
+
+
+def smith_normal_form(M):
+    """Return (U, D, V) with U*M*V = D, D diagonal, d_i | d_{i+1}."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [[int(x) for x in row] for row in M]
+    U = identity_matrix(m)
+    V = identity_matrix(n)
+
+    def row_combine(i, j, a, b, c, d):
+        for X in (A, U):
+            ri, rj = X[i], X[j]
+            for k in range(len(ri)):
+                ri[k], rj[k] = a * ri[k] + b * rj[k], c * ri[k] + d * rj[k]
+
+    def col_combine(i, j, a, b, c, d):
+        for X in (A, V):
+            for row in X:
+                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
+
+    def clear_position(t):
+        while True:
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    p, q = A[t][t], A[i][t]
+                    if p and q % p == 0:
+                        row_combine(t, i, 1, 0, -(q // p), 1)
+                    else:
+                        g, x, y = _xgcd(p, q)
+                        row_combine(t, i, x, y, -(q // g), p // g)
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    p, q = A[t][t], A[t][j]
+                    if p and q % p == 0:
+                        col_combine(t, j, 1, 0, -(q // p), 1)
+                    else:
+                        g, x, y = _xgcd(p, q)
+                        col_combine(t, j, x, y, -(q // g), p // g)
+            if all(A[i][t] == 0 for i in range(t + 1, m)):
+                break
+
+    t = 0
+    while t < min(m, n):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_combine(t, piv[0], 0, 1, -1, 0)
+        if piv[1] != t:
+            col_combine(t, piv[1], 0, 1, -1, 0)
+        clear_position(t)
+        t += 1
+    rank = t
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if b % a != 0:
+                row_combine(i, i + 1, 1, 1, 0, 1)
+                g, x, y = _xgcd(a, b)
+                col_combine(i, i + 1, x, y, -(b // g), a // g)
+                p = A[i][i]
+                if A[i + 1][i]:
+                    row_combine(i, i + 1, 1, 0, -(A[i + 1][i] // p), 1)
+                if A[i][i + 1]:
+                    col_combine(i, i + 1, 1, 0, -(A[i][i + 1] // p), 1)
+                changed = True
+    for i in range(rank):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+    return U, A, V

@@ -31,12 +31,18 @@ from hkcert.lattice import (
     is_primitive,
     isometry_between,
     norm,
+    orthogonal_complement_basis,
     pair,
     search_order_key,
     span_lattice_witness,
 )
 from hkcert.snf import det_bareiss, mat_mul
-from lattice_reference import DenseReduction, eichler_transvection, isometry_of_ops_full
+from lattice_reference import (
+    DenseReduction,
+    eichler_transvection,
+    isometry_of_ops_full,
+    orthogonal_complement_basis as dense_complement_basis,
+)
 from test_corpus import CORPUS, certified
 
 
@@ -438,6 +444,50 @@ def test_reduction_matches_dense_reference_on_big_vectors(vectors):
     assert ops_w == _reduce_dense(w)
     iso = _isometry_of_ops(ops_v, ops_w, v.lattice)
     assert iso.matrix == isometry_of_ops_full(ops_v, ops_w, v.lattice).matrix
+
+
+# --- orthogonal complement ----------------------------------------------------
+
+@st.composite
+def _complement_inputs(draw):
+    # 0 to 5 vectors over Lambda(n): "picard" on e1, f1, e2, f2, delta as the
+    # sampler draws them, "no_delta" on some of the 22 coordinates before
+    # delta, "full" nonzero at all 23, "zero" the zero vector
+    L = build_lambda(draw(st.integers(2, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = draw(st.sampled_from((3, 10**3)))
+    vectors = []
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(("picard", "no_delta", "full", "zero")))
+        coords = [0] * L.rank
+        if shape == "picard":
+            for i in (0, 1, 2, 3, DELTA_INDEX):
+                coords[i] = rng.randint(-bound, bound)
+        elif shape == "no_delta":
+            for i in rng.sample(range(DELTA_INDEX), rng.randint(1, 6)):
+                coords[i] = rng.randint(-bound, bound)
+        elif shape == "full":
+            coords = [rng.choice((-1, 1)) * rng.randint(1, bound) for _ in range(L.rank)]
+        vectors.append(L.vector(coords))
+    return L, vectors
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_complement_inputs())
+def test_complement_matches_full_width_reference(case):
+    L, vectors = case
+    basis = orthogonal_complement_basis(L, vectors)
+    assert basis == dense_complement_basis(L, vectors)
+    assert all(pair(b, v) == 0 for b in basis for v in vectors)
+
+
+def test_complement_edge_cases(lam2, uu):
+    assert orthogonal_complement_basis(lam2, []) == [lam2.basis_vector(i) for i in range(23)]
+    assert orthogonal_complement_basis(lam2, [lam2.zero()]) == dense_complement_basis(lam2, [lam2.zero()])
+    v = uu.vector([1, 2, 0, 3])
+    assert orthogonal_complement_basis(uu, [v]) == dense_complement_basis(uu, [v])
+    full = [uu.vector([1, 1, 1, 1]), uu.vector([1, -1, 2, 0]), uu.vector([0, 0, 1, 5]), uu.vector([3, 1, 4, 1])]
+    assert orthogonal_complement_basis(uu, full) == [] == dense_complement_basis(uu, full)
 
 
 # --- rational span membership -----------------------------------------------

@@ -17,6 +17,7 @@ from hkcert.snf import (
     solve_integer,
     transpose,
 )
+from lattice_reference import smith_normal_form as reference_smith_normal_form
 
 
 def check_snf(M):
@@ -65,6 +66,63 @@ def test_random_matrices_200():
         n = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         check_snf(M)
+
+
+# --- Smith form against the entry-by-entry reference ------------------------
+
+@st.composite
+def snf_inputs(draw):
+    # m x n up to 8 x 8, entries up to 10^30 at a drawn density, with zero
+    # rows and columns, repeated rows and entries of absolute value 1 common
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10 ** draw(st.sampled_from((0, 1, 3, 30)))
+    density = draw(st.sampled_from((0.15, 0.5, 1.0)))
+    M = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):
+        M[draw(st.integers(0, m - 1))] = [0] * n
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = 0
+    if m > 1 and draw(st.booleans()):
+        i, k = rng.sample(range(m), 2)
+        M[i] = [rng.randint(-3, 3) * x for x in M[k]]
+    return M
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(snf_inputs())
+def test_snf_matches_reference(M):
+    assert smith_normal_form(M) == reference_smith_normal_form(M)
+
+
+def test_snf_matches_reference_on_gram_and_picard_matrices():
+    from hkcert.lattice import _gram_times, build_lambda
+
+    cases = []
+    for n in range(2, 7):
+        L = build_lambda(n)
+        cases.append([list(r) for r in L.gram])
+    # Picard-shaped: rho vectors with entries in [-3, 3] on e1, f1, e2, f2
+    # and delta, as 23 x rho columns and as rho x 23 pairing rows
+    rng = random.Random(15)
+    for _ in range(60):
+        L = build_lambda(rng.randint(2, 6))
+        rho = rng.randint(2, 4)
+        vecs = []
+        for _ in range(rho):
+            coords = [0] * L.rank
+            for idx in (0, 1, 2, 3, L.rank - 1):
+                coords[idx] = rng.randint(-3, 3)
+            vecs.append(L.vector(coords))
+        cases.append([[v.coords[i] for v in vecs] for i in range(L.rank)])
+        cases.append([_gram_times(v) for v in vecs])
+    for M in cases:
+        assert smith_normal_form(M) == reference_smith_normal_form(M)
 
 
 def test_solve_integer():
