@@ -38,9 +38,6 @@ from .record import Record
 from .snf import smith_normal_form  # noqa: F401  (re-exported for callers)
 
 
-_DET_PRIME = 2**31 - 1  # GramLattice's nondegeneracy check works mod this prime first
-
-
 class GramLattice(Record):
     """An integral lattice presented by an exact Gram matrix.
 
@@ -63,9 +60,9 @@ class GramLattice(Record):
             for j in range(i + 1, rank):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix is not symmetric")
-        # det mod a prime first: a nonzero residue settles it, and only a
-        # zero one needs the exact determinant
-        if rank and not snf.det_bareiss(g, _DET_PRIME) and not snf.det_bareiss(g):
+        # det mod the prime 2^31 - 1 first: a nonzero residue settles it, and
+        # only a zero one needs the exact determinant
+        if rank and not snf.det_bareiss(g, 2**31 - 1) and not snf.det_bareiss(g):
             raise ValueError("gram matrix is degenerate")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", g)
@@ -712,11 +709,9 @@ def orthogonal_complement_basis(L: GramLattice, vectors):
 
     The pairing rows G v are zero outside the columns T that some v touches,
     so the complement is the kernel K of their T columns plus the unit
-    vectors of the other coordinates.  Those unit vectors are HNF rows whose
-    pivot columns no other row touches, so the HNF of the whole is the HNF
-    of K, put back in T, merged with them by pivot column.  The HNF of a
-    lattice is unique, so this is the basis the kernel over all L.rank
-    columns gives.
+    vectors of the other coordinates.  No other row touches those unit
+    vectors' pivots, so the unique HNF of the whole is the HNF of K, put
+    back in T, merged with them by pivot column.
     """
     rows = [_gram_times(v) for v in vectors]
     touched = sorted({j for row in rows for j, x in enumerate(row) if x})

@@ -139,16 +139,10 @@ def smith_normal_form(M):
     def col_combine(i, j, a, b, c, d):
         # the same on columns; a row with zeros at both i and j is left as is
         for X in (A, V):
-            if a == 1 and b == 0 and d == 1:
-                for row in X:
-                    x = row[i]
-                    if x:
-                        row[j] += c * x
-            else:
-                for row in X:
-                    x, y = row[i], row[j]
-                    if x or y:
-                        row[i], row[j] = a * x + b * y, c * x + d * y
+            for row in X:
+                x, y = row[i], row[j]
+                if x or y:
+                    row[i], row[j] = a * x + b * y, c * x + d * y
 
     def clear_position(t):
         # make A[t][t] the gcd of row/column t and zero out the rest of both

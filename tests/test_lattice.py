@@ -88,6 +88,11 @@ def test_invalid_gram_rejected():
         GramLattice(2, ((0, 1), (0, 0)))   # not symmetric
     with pytest.raises(ValueError):
         GramLattice(2, ((1, 1), (1, 1)))   # degenerate
+    p = 2**31 - 1  # the nondegeneracy check's prime: det 0 mod p needs the exact det
+    assert GramLattice(1, ((p,),)).rank == 1
+    assert GramLattice(2, ((p + 1, 1), (1, 1))).rank == 2
+    with pytest.raises(ValueError):
+        GramLattice(2, ((p, 2 * p), (2 * p, 4 * p)))   # degenerate, 0 mod p too
 
 
 # --- pairings ---------------------------------------------------------------
