@@ -11,7 +11,10 @@ from operator import mul
 
 
 def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def mat_mul(A, B):
@@ -121,7 +124,7 @@ def smith_normal_form(M):
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [[int(x) for x in row] for row in M]
+    A = [list(map(int, row)) for row in M]
     U = identity_matrix(m)
     V = identity_matrix(n)
 
