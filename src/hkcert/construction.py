@@ -259,6 +259,22 @@ def rank_factor(n: int, r: int) -> int:
     return factorial(n) * r**n
 
 
+# construct refuses a rank factor n! r^n of more than this many bits (about
+# 315 000 decimal digits); see the README's CLI section
+RANK_FACTOR_MAX_BITS = 2**20
+
+
+def check_rank_factor_size(n: int, r: int) -> None:
+    """Raise ValueError if n! r^n (n, r >= 1) has more than
+    RANK_FACTOR_MAX_BITS bits, without forming it: n! >= (n/e)^n and e < 4
+    make n (bitlen(n) + bitlen(r) - 4) a lower bound on its bit length."""
+    if n * (n.bit_length() + r.bit_length() - 4) > RANK_FACTOR_MAX_BITS:
+        raise ValueError(
+            f"rank factor n! r^n would have more than {RANK_FACTOR_MAX_BITS} bits "
+            f"(n has {n.bit_length()} bits, r has {r.bit_length()})"
+        )
+
+
 def run_pipeline(
     inst: HKInstance,
     coeff_bound: int = 16,
@@ -302,6 +318,7 @@ def run_pipeline(
     bad = [c for c in checks if not c.ok]
     if bad:
         raise ConstructionInvariantViolated(f"pipeline check failed: {bad[0].name}")
+    check_rank_factor_size(inst.n, v0.r)
     return ConstructionRecord(
         A=A,
         omega=omega,

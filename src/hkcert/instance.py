@@ -8,6 +8,8 @@ generator used by the property suite and the CLI.
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
+from math import gcd
 from operator import mul
 
 from . import lattice as lat
@@ -22,10 +24,12 @@ from .lattice import (
     graded_coefficient_tuples,
     in_span_plus_lattice,
     is_primitive,
+    line_box_interval,
     linear_combination,
     norm,
     orthogonal_complement_basis,
     pair,
+    positive_on_interval,
 )
 from .record import Record
 
@@ -221,11 +225,8 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     sub_gram = gram_of(pic)
     if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
         return None
-    # the Picard matrix's other rows are zero and add no nonzero minor, so
-    # its invariant factors are those of the _PIC_SUPPORT rows
-    data = snf.smith_normal_form([[p.coords[i] for p in pic] for i in _PIC_SUPPORT])
-    diag = [d for d in snf.snf_diagonal(data[1]) if d != 0]
-    if len(diag) != pic_rank or any(d != 1 for d in diag):
+    # the Picard matrix's other rows are zero and add no nonzero minor
+    if not _saturated([[p.coords[i] for p in pic] for i in _PIC_SUPPORT], pic_rank):
         return None
 
     W = None
@@ -267,6 +268,18 @@ def _sample_b(rng, L, comp):
     return None
 
 
+def _saturated(rows, rank):
+    # the columns of an integer matrix with `rank` columns are independent
+    # and span a saturated sublattice iff the gcd of its rank x rank minors
+    # (the product of its invariant factors) is 1
+    g = 0
+    for minor in combinations(rows, rank):
+        g = gcd(g, snf.det_bareiss(minor))
+        if g == 1:
+            return True
+    return False
+
+
 def _pipeline_feasible(inst):
     # reject instances the bounded searches could not handle: a small
     # divisibility-1 class pairing nontrivially with W must exist, and the
@@ -278,14 +291,26 @@ def _pipeline_feasible(inst):
         find_A(inst, 3)
     except SearchExhausted:
         return False
-    weights = w_pairings(inst)
+    return _kernel_has_bounded_positive(gram_of(inst.pic_basis), w_pairings(inst))
+
+
+def _kernel_has_bounded_positive(sub_gram, weights):
+    # whether a nonzero k in [-12, 12]^K over the kernel basis of the weights
+    # gives Picard coefficients c = sum k_i kern_i, each |c_j| <= 16, of
+    # positive norm.  With all but the last k_i fixed, c = base + x step is
+    # a line, its bounds an interval for x, and its norm a x^2 + b x + c
     kern = snf.kernel_basis(snf.smith_normal_form([weights]))
     if not kern:
         return False
-    sub_gram = gram_of(inst.pic_basis)
-    gens = snf.transpose(kern)
-    for kcoeffs in graded_coefficient_tuples(len(kern), 12):
-        coeffs = [sum(map(mul, row, kcoeffs)) for row in gens]
-        if all(abs(c) <= 16 for c in coeffs) and form_value(sub_gram, coeffs) > 0:
+    cols = list(zip(*kern))
+    step = kern[-1]
+    a = form_value(sub_gram, step)
+    g_step = snf.mat_vec(sub_gram, step)
+    for prefix in product(range(-12, 13), repeat=len(kern) - 1):
+        # map stops at the shorter prefix, so each base_j leaves step out
+        base = [sum(map(mul, col, prefix)) for col in cols]
+        lo, hi = line_box_interval(base, step, 16, -12, 12)
+        b = 2 * sum(map(mul, base, g_step))
+        if positive_on_interval(a, b, form_value(sub_gram, base), lo, hi):
             return True
     return False

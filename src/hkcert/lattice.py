@@ -821,6 +821,37 @@ def first_orthogonal_tuple(weights, bound, accept):
     return best
 
 
+def line_box_interval(base, step, bound, lo, hi):
+    """(lo', hi'): the integers x in [lo, hi] with |base_i + x step_i| <= bound
+    for every i, an interval since each constraint is one; empty when
+    lo' > hi'."""
+    for b, s in zip(base, step):
+        if s < 0:
+            b, s = -b, -s  # |b + x s| = |-b - x s|
+        if s:
+            lo = max(lo, -((bound + b) // s))
+            hi = min(hi, (bound - b) // s)
+        elif abs(b) > bound:
+            return 1, 0
+    return lo, hi
+
+
+def positive_on_interval(a, b, c, lo, hi):
+    """Whether a x^2 + b x + c > 0 for some integer x with lo <= x <= hi.
+
+    The maximum on the interval is at an end, or, for a < 0, at the vertex
+    -b / 2a; over the integers, at its floor or ceiling.  Exact: only
+    integer arithmetic (the innermost-interval step of Fincke-Pohst).
+    """
+    if lo > hi:
+        return False
+    xs = [lo, hi]
+    if a < 0:
+        v = b // (-2 * a)  # floor of the vertex
+        xs += [x for x in (v, v + 1) if lo < x < hi]
+    return any((a * x + b) * x + c > 0 for x in xs)
+
+
 def _abs_tuples(length, total, bound):
     if length == 1:
         if 0 <= total <= bound:

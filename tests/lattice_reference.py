@@ -12,7 +12,15 @@ give the same op lists and the same sigma.
 entry at a time and scanning every entry for the pivot;
 ``orthogonal_complement_basis`` takes the kernel over all coordinates.  The
 package's versions must give the same (U, D, V) and the same basis.
+
+``kernel_has_bounded_positive`` and ``saturated_by_snf`` are the seeded
+sampler's feasibility scan and saturation pre-check as first written: every
+nonzero kernel coefficient tuple in the documented order, and the Smith form
+of the support matrix.  The package's interval test and minors gcd must
+give the same booleans.
 """
+
+from operator import mul
 
 from hkcert import snf
 from hkcert.errors import SearchExhausted
@@ -24,6 +32,8 @@ from hkcert.lattice import (
     _inverse,
     _sparse,
     _transvect,
+    form_value,
+    graded_coefficient_tuples,
     norm,
     pair,
 )
@@ -300,3 +310,24 @@ def smith_normal_form(M):
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
     return U, A, V
+
+
+def kernel_has_bounded_positive(sub_gram, weights):
+    """Whether some nonzero tuple of [-12, 12]^K over the kernel basis of the
+    weights gives Picard coefficients, each within 16, of positive norm."""
+    kern = snf.kernel_basis(snf.smith_normal_form([weights]))
+    if not kern:
+        return False
+    gens = snf.transpose(kern)
+    for kcoeffs in graded_coefficient_tuples(len(kern), 12):
+        coeffs = [sum(map(mul, row, kcoeffs)) for row in gens]
+        if all(abs(c) <= 16 for c in coeffs) and form_value(sub_gram, coeffs) > 0:
+            return True
+    return False
+
+
+def saturated_by_snf(rows, rank):
+    """Whether the columns of ``rows`` are independent and saturated: all
+    ``rank`` invariant factors of the matrix are 1."""
+    diag = [d for d in snf.snf_diagonal(snf.smith_normal_form(rows)[1]) if d != 0]
+    return len(diag) == rank and all(d == 1 for d in diag)

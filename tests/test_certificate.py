@@ -331,6 +331,25 @@ def test_cli_construct_huge_d_is_input_error_subprocess(tmp_path, k):
     assert not cert_path.exists()
 
 
+def test_cli_construct_huge_n_is_refused_at_once(tmp_path):
+    # n = 10^6 makes n! r^n about 2 * 10^7 bits; construct refuses it from
+    # the bit lengths alone, in one line, before forming the product
+    from test_construction import huge_n_instance
+
+    inst_path = tmp_path / "huge_n.json"
+    cert_path = tmp_path / "huge_n.cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(huge_n_instance(10**6)))
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert out.getvalue() == (
+        f"error: {inst_path}: rank factor n! r^n would have more than 1048576 bits "
+        "(n has 20 bits, r has 7)\n"
+    )
+    assert not cert_path.exists()
+
+
 def test_cli_construct_normalizes_negative_b(e2_instance, lam2, tmp_path):
     neg = e2_instance.replace(B=lam2.vector([0, 0, 1, -1] + [0] * 19), d=1)
     inst_path = tmp_path / "neg.json"

@@ -1,16 +1,21 @@
 import random
+import time
 from math import gcd
 
 import pytest
 
+from hkcert import construction
 from hkcert.errors import SearchExhausted
 from hkcert.construction import (
+    check_rank_factor_size,
     choose_t,
     degree_and_mukai,
     find_A,
     find_D,
     find_omega,
+    mukai_data,
     pushforward_brauer,
+    rank_factor,
     run_pipeline,
     transport,
 )
@@ -21,6 +26,7 @@ from hkcert.instance import (
     random_instance,
 )
 from hkcert.lattice import (
+    build_lambda,
     divisibility,
     graded_coefficient_tuples,
     linear_combination,
@@ -307,3 +313,52 @@ def test_pipeline_on_random_instances():
         assert rec.rk_un > 0
         done += 1
     assert done >= 30
+
+
+def huge_n_instance(n):
+    """Pic = {e1, f1}, W = e1 - f1, B = e2 + f2, d = 1, C0 = 3 on Lambda_n:
+    a valid instance whose rank factor n! r^n has r = 96."""
+    L = build_lambda(n)
+    e1, f1 = L.basis_vector(0), L.basis_vector(1)
+    return HKInstance(
+        n=n, pic_basis=(e1, f1), W=e1 - f1, B=L.vector([0, 0, 1, 1] + [0] * 19), d=1, C0=3
+    )
+
+
+def test_run_pipeline_refuses_huge_rank_factor_at_once():
+    # n! r^n at n = 10^6 has about 2 * 10^7 bits; forming it took 15 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rank factor"):
+        run_pipeline(huge_n_instance(10**6))
+    assert time.perf_counter() - start < 1
+
+
+def test_rank_factor_size_check_is_a_lower_bound(monkeypatch):
+    # with a small cap, every refused (n, r) really has a longer rank factor,
+    # and the bound is within 4n bits of it
+    cap = 600
+    monkeypatch.setattr(construction, "RANK_FACTOR_MAX_BITS", cap)
+    refused = 0
+    for n in (1, 2, 3, 5, 8, 13, 40, 100, 150):
+        for r in (1, 2, 3, 96, 2**40 - 1, 2**40, 10**30):
+            bits = rank_factor(n, r).bit_length()
+            try:
+                check_rank_factor_size(n, r)
+            except ValueError:
+                refused += 1
+                assert bits > cap
+            else:
+                assert bits <= cap + 4 * n
+    assert refused
+
+
+@pytest.mark.parametrize("k", [200, 600, 1200])
+def test_rank_factor_cap_admits_thousand_digit_d(k):
+    # d up to 10^k at n = 6, the largest n: a rank factor of about 96 000
+    # bits (k = 1200) is far inside the cap, as is every bigint instance
+    inst = random_instance(6, 2, 3, 10**k, 5)
+    A, omega = find_A(inst), find_omega(inst)
+    D, g, _, _ = find_D(inst, A, omega)
+    r = mukai_data(inst.n, g, choose_t(inst, D, g), inst.d, inst.e())[0]
+    check_rank_factor_size(inst.n, r)
+    assert rank_factor(inst.n, r).bit_length() > 75 * k  # r > d^4, d of k digits

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkcert.errors import SearchExhausted
 from hkcert.instance import (
     BrauerClass,
     HKInstance,
+    _kernel_has_bounded_positive,
+    _saturated,
     b_field_class,
     brauer_equal,
     normalize_brauer,
@@ -14,6 +17,7 @@ from hkcert.instance import (
     validate_instance,
 )
 from hkcert.lattice import RationalClass, norm, pair
+from lattice_reference import kernel_has_bounded_positive, saturated_by_snf
 
 
 def failing(inst):
@@ -190,3 +194,112 @@ def test_random_instances_valid_200_seeds():
         assert pair(inst.B, inst.W) == 0
         for p in inst.pic_basis:
             assert pair(inst.B, p) == 0
+
+
+# --- the sampler's feasibility and saturation tests ------------------------
+
+_SIGNS = {
+    "definite": lambda rho: [1] * rho,
+    "negative": lambda rho: [-1] * rho,
+    "indefinite": lambda rho: [1] + [-1] * (rho - 1),
+    "degenerate": lambda rho: [1] + [-1] * (rho - 2) + [0],
+}
+
+
+@st.composite
+def _feasibility_cases(draw):
+    # sub-Grams A^T S A for a sign pattern S (a singular A makes any of them
+    # degenerate too) or plain symmetric; weights with zero entries, all zero
+    # only below rank 4, where the reference scans 25^rho tuples
+    rho = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(sorted(_SIGNS) + ["symmetric"]))
+    if kind == "symmetric":
+        gram = [[0] * rho for _ in range(rho)]
+        for i in range(rho):
+            for j in range(i, rho):
+                gram[i][j] = gram[j][i] = draw(st.integers(-12, 12))
+    else:
+        a = [[draw(st.integers(-3, 3)) for _ in range(rho)] for _ in range(rho)]
+        s = _SIGNS[kind](rho)
+        gram = [
+            [sum(a[k][i] * s[k] * a[k][j] for k in range(rho)) for j in range(rho)]
+            for i in range(rho)
+        ]
+    top = draw(st.sampled_from((4, 40)))
+    weights = draw(
+        st.lists(st.one_of(st.just(0), st.integers(-top, top)), min_size=rho, max_size=rho)
+        .filter(lambda w: rho < 4 or any(w))
+    )
+    return kind, gram, weights
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_feasibility_cases())
+def test_feasibility_interval_test_matches_scan(case):
+    kind, gram, weights = case
+    got = _kernel_has_bounded_positive(gram, weights)
+    assert got == kernel_has_bounded_positive(gram, weights)
+    if kind == "negative":
+        assert not got  # a negative semidefinite form has no positive value
+
+
+def test_feasibility_interval_test_edge_cases():
+    cases = [
+        ([[1]], [3], False),  # rank 1: no kernel
+        ([[0, 1], [1, 0]], [0, 0], True),  # zero weights: the whole box
+        ([[-1, 0], [0, -1]], [0, 0], False),
+        # the kernel is spanned by (1, w): inside |c| <= 16 only up to w = 16
+        ([[1, 0], [0, 1]], [16, -1], True),
+        ([[1, 0], [0, 1]], [17, -1], False),
+        # the kernel of (1, 0, 0) is spanned by e2, e3, the last of them the
+        # line's step; y^2 - (x - m y)^2 is positive on (x, y) = +-(m, 1)
+        # only, inside the kernel box [-12, 12] up to m = 12
+        ([[-1, 0, 0], [0, -1, 12], [0, 12, -143]], [1, 0, 0], True),
+        ([[-1, 0, 0], [0, -143, 12], [0, 12, -1]], [1, 0, 0], True),
+        ([[-1, 0, 0], [0, -1, 13], [0, 13, -168]], [1, 0, 0], False),
+        ([[-1, 0, 0], [0, -168, 13], [0, 13, -1]], [1, 0, 0], False),
+    ]
+    for gram, weights, expected in cases:
+        assert _kernel_has_bounded_positive(gram, weights) == expected
+        assert kernel_has_bounded_positive(gram, weights) == expected
+
+
+def _add_column(rows, src, dst, c):
+    for row in rows:
+        row[dst] += c * row[src]
+
+
+@st.composite
+def _support_matrices(draw):
+    # 5 x rho support matrices: dependent columns (minors' gcd 0), a column
+    # basis change of determinant k >= 2 (gcd divisible by k), or an
+    # identity block under a unimodular change (gcd 1), rows shuffled
+    rho = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("random", "dependent", "unsaturated", "saturated")))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(rho)] for _ in range(5)]
+    if kind == "saturated":
+        for i in range(rho):
+            rows[i] = [int(i == j) for j in range(rho)]
+    if kind == "dependent":
+        for row in rows:
+            row[-1] = 0
+        for src in range(rho - 1):
+            _add_column(rows, src, rho - 1, draw(st.integers(-3, 3)))
+    elif kind == "unsaturated":
+        k = draw(st.integers(2, 5))
+        for row in rows:
+            row[0] *= k
+    for _ in range(draw(st.integers(0, 6))):
+        src, dst = draw(st.permutations(range(rho)))[:2]
+        _add_column(rows, src, dst, draw(st.integers(-2, 2)))
+    return kind, draw(st.permutations(rows)), rho
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_support_matrices())
+def test_saturation_minors_gcd_matches_smith_form(case):
+    kind, rows, rho = case
+    got = _saturated(rows, rho)
+    assert got == saturated_by_snf(rows, rho)
+    if kind != "random":
+        assert got == (kind == "saturated")

@@ -30,9 +30,11 @@ from hkcert.lattice import (
     in_span_plus_lattice,
     is_primitive,
     isometry_between,
+    line_box_interval,
     norm,
     orthogonal_complement_basis,
     pair,
+    positive_on_interval,
     search_order_key,
     span_lattice_witness,
 )
@@ -723,6 +725,37 @@ def test_first_orthogonal_tuple_empty_searches_return_none():
     for bound in (0, -1):
         assert first_orthogonal_tuple([3, -14, -7], bound, lambda c: True) is None
         assert first_orthogonal_tuple([2, 0], bound, lambda c: True) is None
+
+
+_COEFF = st.one_of(st.integers(-40, 40), st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(-6, 6), _COEFF, _COEFF, st.integers(-15, 15), st.integers(-15, 15))
+def test_positive_on_interval_matches_brute_force(a, b, c, lo, hi):
+    brute = any(a * x * x + b * x + c > 0 for x in range(lo, hi + 1))
+    assert positive_on_interval(a, b, c, lo, hi) == brute
+
+
+def test_positive_on_interval_at_the_vertex_only():
+    # 2 - (2x - 5)^2 = -4x^2 + 20x - 23 is positive only at x = 2, 3
+    for lo, hi, expected in ((-9, 9, True), (3, 9, True), (-9, 2, True), (4, 9, False)):
+        assert positive_on_interval(-4, 20, -23, lo, hi) == expected
+    assert not positive_on_interval(-1, 0, 1, 1, 0)  # empty interval
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-6, 6)), min_size=1, max_size=4),
+    st.integers(0, 20),
+)
+def test_line_box_interval_matches_brute_force(pairs, bound):
+    base, step = zip(*pairs)
+    lo, hi = line_box_interval(base, step, bound, -12, 12)
+    inside = [
+        x for x in range(-12, 13) if all(abs(b + x * s) <= bound for b, s in pairs)
+    ]
+    assert list(range(lo, hi + 1)) == inside
 
 
 @pytest.mark.parametrize(
