@@ -241,6 +241,25 @@ def test_cli_construct_invalid_instance(e2_instance, tmp_path):
     assert cmd_construct(str(inst_path), str(tmp_path / "out.json")) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "field, line", [("W", "w_primitive"), ("pic_basis", "pic_independent")]
+)
+def test_cli_construct_zero_vector_instance(e2_instance, tmp_path, field, line):
+    # a zero W, or a zero Picard vector, is a failed instance check, not a crash
+    payload = cert.instance_to_payload(e2_instance)
+    if field == "W":
+        payload["W"] = ZERO_VECTOR
+    else:
+        payload["pic_basis"][1] = ZERO_VECTOR
+    inst_path = tmp_path / "zero.json"
+    cert_path = tmp_path / "zero.cert.json"
+    cert.write_json(inst_path, payload)
+    out = io.StringIO()
+    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: invalid instance: {line}\n"
+    assert not cert_path.exists()
+
+
 def test_cli_construct_parse_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -488,6 +507,27 @@ ZERO_FORGERIES = {  # forged fields -> the check that must fail instead of raisi
     "source": ({("record", "source"): ZERO_VECTOR}, "transport_div_source"),
     "target": ({("record", "target"): ZERO_VECTOR}, "transport_div_target"),
     "D_and_g": ({("record", "D"): ZERO_VECTOR, ("record", "g"): "0"}, "twist_divisibility"),
+    "A": ({("record", "A"): ZERO_VECTOR}, "class_a_divisibility"),
+    "W": ({("instance", "W"): ZERO_VECTOR}, "instance_w_primitive"),
+    "B": ({("instance", "B"): ZERO_VECTOR}, "instance_b_primitive"),
+}
+# each forgery's full set of failing checks: a zero vector has divisibility 0
+# and is not primitive, so it fails exactly the checks that ask for 1
+ZERO_FORGERY_FAILURES = {
+    "source": {"source_formula", "transport_div_source", "transport_maps", "transport_norms"},
+    "target": {"target_formula", "transport_div_target", "transport_maps", "transport_norms"},
+    "D_and_g": {
+        "alpha_is_b_field", "alpha_matches_record", "degree_formula", "divisor_bound",
+        "divisor_divisibility", "divisor_formula", "divisor_pairing_w", "mukai_r_formula",
+        "mukai_s_formula", "mukai_stability", "source_formula", "target_formula",
+        "twist_divisibility", "wall_parameters",
+    },
+    "A": {"class_a_divisibility", "class_a_pairing", "divisor_formula"},
+    "W": {"class_a_pairing", "divisor_pairing_w", "instance_w_norm_bound", "instance_w_primitive"},
+    "B": {
+        "alpha_is_b_field", "e_matches_b", "instance_b_norm_positive", "instance_b_primitive",
+        "target_formula",
+    },
 }
 
 
@@ -501,6 +541,13 @@ def test_verify_zero_vector_fails_cleanly(e2_payload, tmp_path, case):
     p = tmp_path / "zero.json"
     cert.write_json(p, bad)
     assert cmd_verify([str(p)], out=io.StringIO()) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_FORGERIES))
+def test_verify_zero_vector_failing_checks(e2_payload, case):
+    fields, _ = ZERO_FORGERIES[case]
+    failed = {c.name for c in cert.verify_payload(_forged(e2_payload, fields)) if not c.ok}
+    assert failed == ZERO_FORGERY_FAILURES[case]
 
 
 def test_cli_verify_jobs_reports_every_file_with_zero_vectors(e2_payload, tmp_path):

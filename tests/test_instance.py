@@ -9,6 +9,7 @@ from hkcert.instance import (
     HKInstance,
     _kernel_has_bounded_positive,
     _saturated,
+    _try_sample,
     b_field_class,
     brauer_equal,
     normalize_brauer,
@@ -194,6 +195,30 @@ def test_random_instances_valid_200_seeds():
         assert pair(inst.B, inst.W) == 0
         for p in inst.pic_basis:
             assert pair(inst.B, p) == 0
+
+
+class _ScriptedRng:
+    """A stand-in for random.Random whose randint returns scripted values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.calls = 0
+
+    def randint(self, a, b):
+        self.calls += 1
+        return next(self.values)
+
+
+@pytest.mark.parametrize("rho, zero_at", [(2, 0), (2, 1), (3, 2)])
+def test_try_sample_rejects_zero_picard_vector(lam2, rho, zero_at):
+    # one draw per support index for each Picard vector, then a rejection
+    # before any further draw: the stream of later samples is unchanged
+    draws = []
+    for k in range(rho):
+        draws += [0] * 5 if k == zero_at else [1, k, 0, 1, 1]
+    rng = _ScriptedRng(draws)
+    assert _try_sample(rng, lam2, 2, rho, 3, 3) is None
+    assert rng.calls == 5 * rho
 
 
 # --- the sampler's feasibility and saturation tests ------------------------
