@@ -302,7 +302,7 @@ def verify_payload(payload):
     rk_un = _dec_int(_require(rec, "rk_un", "record"), "rk_un")
 
     add("class_a_in_pic", pic_coordinates(inst, A) is not None)
-    add("class_a_divisibility", not A.is_zero() and divisibility(A) == 1)
+    add("class_a_divisibility", divisibility(A) == 1)
     a_w = pair(A, inst.W)
     add("class_a_pairing", a_w == C1 and C1 > 0, f"(A,W) = {a_w}")
     add("omega_in_pic", pic_coordinates(inst, omega) is not None)
@@ -311,7 +311,7 @@ def verify_payload(payload):
     add("omega_positive", omega_norm > 0, f"norm {omega_norm}")
 
     add("divisor_formula", u >= 1 and D == A + u * omega)
-    add("divisor_divisibility", not D.is_zero() and divisibility(D) == 1)
+    add("divisor_divisibility", divisibility(D) == 1)
     d_norm = norm(D)
     add("divisor_norm", d_norm == 2 * g, f"norm {d_norm} vs 2g = {2 * g}")
     add("divisor_bound", g > inst.C0 * C1, f"g = {g}, C0*C1 = {inst.C0 * C1}")
@@ -320,7 +320,7 @@ def verify_payload(payload):
 
     # the transport ends of the recorded D, g, t and H2; the target is the twist
     expected_source, twist = transport_ends(inst, D, g, t, H2)
-    add("twist_divisibility", t >= 1 and not twist.is_zero() and divisibility(twist) == 1)
+    add("twist_divisibility", t >= 1 and divisibility(twist) == 1)
     b_norm = norm(inst.B)
     add("e_matches_b", b_norm == 2 * e, f"norm(B) = {b_norm}")
 
@@ -351,8 +351,8 @@ def verify_payload(payload):
     add("target_formula", target == twist)
     source_norm, target_norm = norm(source), norm(target)
     add("transport_norms", source_norm == target_norm, f"{source_norm} vs {target_norm}")
-    add("transport_div_source", not source.is_zero() and divisibility(source) == 1)
-    add("transport_div_target", not target.is_zero() and divisibility(target) == 1)
+    add("transport_div_source", divisibility(source) == 1)
+    add("transport_div_target", divisibility(target) == 1)
 
     sig_rows = _require(rec, "sigma", "record")
     if not isinstance(sig_rows, list) or len(sig_rows) != L.rank:

@@ -21,6 +21,15 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _reason(exc):
+    """The one-line reason an input failed.  An unreadable or malformed file
+    (CertificateFormatError is a ValueError) or an integer over the int/str
+    digit limit gives its message alone; any other crash is named too."""
+    if isinstance(exc, (OSError, ValueError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
                   t_budget=10**6, isometry_budget=10000, out=sys.stdout):
     budgets = {
@@ -48,15 +57,8 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
     except ConstructionInvariantViolated as exc:
         print(f"error: {exc}", file=out)
         return EXIT_FAIL
-    except (OSError, ValueError) as exc:
-        # an unreadable or malformed instance (CertificateFormatError is a
-        # ValueError), or an integer over the int/str digit limit, in the
-        # certificate or in a check's details
-        print(f"error: {input_path}: {exc}", file=out)
-        return EXIT_INPUT
     except Exception as exc:
-        # any other crash ends in one line, as in _verify_one
-        print(f"error: {input_path}: {type(exc).__name__}: {exc}", file=out)
+        print(f"error: {input_path}: {_reason(exc)}", file=out)
         return EXIT_INPUT
     try:
         cert.write_json(output_path, payload)
@@ -77,13 +79,9 @@ def _verify_one(path):
     try:
         payload = cert.read_json(path)
         checks = cert.verify_payload(payload)
-    except (OSError, ValueError) as exc:
-        # CertificateFormatError is a ValueError; so is an integer too large
-        # to print in a check's details
-        return EXIT_INPUT, [f"{path}: malformed certificate: {exc}"]
     except Exception as exc:
-        # any other crash stays this file's verdict, not the batch's
-        return EXIT_INPUT, [f"{path}: malformed certificate: {type(exc).__name__}: {exc}"]
+        # a crash stays this file's verdict, not the batch's
+        return EXIT_INPUT, [f"{path}: malformed certificate: {_reason(exc)}"]
     bad = [c for c in checks if not c.ok]
     if bad:
         for c in bad:

@@ -82,7 +82,6 @@ def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     for coeffs in graded_coefficient_tuples(len(weights), coeff_bound):
         c1 = sum(c * w for c, w in zip(coeffs, weights))
         if c1:
-            # nonzero, since it pairs nontrivially with W
             cand = linear_combination(inst.lattice, coeffs, inst.pic_basis)
             if divisibility(cand) == 1:
                 return cand if c1 > 0 else -cand

@@ -16,7 +16,8 @@ class SearchExhausted(RuntimeError):
 
 class NoIsometryError(ValueError):
     """Isometry construction was not attempted: norm or divisibility mismatch,
-    or a divisibility > 1 orbit, which this package does not implement."""
+    or a divisibility other than 1 (a zero vector has divisibility 0), which
+    this package does not implement."""
 
 
 class ConstructionInvariantViolated(RuntimeError):

@@ -117,7 +117,7 @@ def validate_instance(inst: HKInstance):
 
     in_span = snf.solve_integer(data, list(inst.W.coords)) is not None
     checks.append(CheckResult("w_in_pic", in_span))
-    w_prim = (not inst.W.is_zero()) and is_primitive(inst.W)
+    w_prim = is_primitive(inst.W)
     checks.append(CheckResult("w_primitive", w_prim))
     # the MBM bound: W primitive with 0 < -(W, W) < C0
     w_norm = norm(inst.W)
@@ -128,7 +128,7 @@ def validate_instance(inst: HKInstance):
     checks.append(CheckResult("b_orthogonal_pic", orth))
     b_norm = norm(inst.B)
     checks.append(CheckResult("b_norm_positive", b_norm > 0, f"norm {b_norm}"))
-    b_prim = (not inst.B.is_zero()) and is_primitive(inst.B)
+    b_prim = is_primitive(inst.B)
     checks.append(CheckResult("b_primitive", b_prim))
     return checks
 
@@ -167,11 +167,8 @@ def normalize_brauer(inst: HKInstance):
         if seen > _NORMALIZE_CANDIDATES:
             break
         cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
-        if cand.is_zero() or norm(cand) <= 0:
-            continue
-        if not is_primitive(cand):
-            continue
-        return inst.replace(B=cand)
+        if norm(cand) > 0 and is_primitive(cand):
+            return inst.replace(B=cand)
     raise SearchExhausted(
         f"no orthogonal shift with positive norm within coefficient bound "
         f"{_NORMALIZE_COEFF_BOUND} ({min(seen, _NORMALIZE_CANDIDATES)} candidates tried)"
@@ -220,8 +217,6 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
         for idx in _PIC_SUPPORT:
             coords[idx] = rng.randint(-3, 3)
         pic.append(L.vector(coords))
-    if any(p.is_zero() for p in pic):
-        return None
     sub_gram = gram_of(pic)
     if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
         return None
@@ -235,7 +230,7 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
         if not 0 < -form_value(sub_gram, coeffs) < C0:
             continue
         cand = linear_combination(L, coeffs, pic)
-        if not cand.is_zero() and is_primitive(cand):
+        if is_primitive(cand):
             W = cand
             break
     if W is None:

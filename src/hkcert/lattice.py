@@ -136,10 +136,7 @@ class RationalClass(Record):
         num = numerator
         if den < 0:
             den, num = -den, -num
-        g = 0
-        for c in num.coords:
-            g = gcd(g, c)
-        g = gcd(g, den)
+        g = gcd(den, *num.coords)
         if g > 1:
             num = num.lattice.vector([c // g for c in num.coords])
             den //= g
@@ -337,22 +334,14 @@ def _gram_times(v: LatticeVector):
 
 
 def divisibility(v: LatticeVector) -> int:
-    """Positive generator of the pairing ideal {(v, mu) : mu in the lattice}."""
-    if v.is_zero():
-        raise ValueError("divisibility of the zero vector is undefined")
-    d = 0
-    for p in _gram_times(v):
-        d = gcd(d, p)
-    return d
+    """Nonnegative generator of the pairing ideal {(v, mu) : mu in the lattice}:
+    0 for the zero vector, whose ideal is zero."""
+    return gcd(*_gram_times(v))
 
 
 def is_primitive(v: LatticeVector) -> bool:
-    if v.is_zero():
-        raise ValueError("primitivity of the zero vector is undefined")
-    g = 0
-    for c in v.coords:
-        g = gcd(g, c)
-    return g == 1
+    """gcd of the coordinates is 1; false for the zero vector."""
+    return gcd(*v.coords) == 1
 
 
 def discriminant_group(L: GramLattice):

@@ -220,6 +220,11 @@ def snf_diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
+def _rank(D):
+    # the chain d_i | d_{i+1} puts the zero slots of the diagonal last
+    return sum(1 for d in snf_diagonal(D) if d)
+
+
 def solve_integer(snf_data, b):
     """Solve A x = b over the integers, given snf_data = smith_normal_form(A).
 
@@ -227,43 +232,28 @@ def solve_integer(snf_data, b):
     exists.
     """
     U, D, V = snf_data
-    m = len(D)
-    n = len(D[0]) if m else 0
+    r = _rank(D)
     c = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < n else 0
-        if d:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
+    if any(c[r:]):
+        return None
+    y = [0] * len(V)
+    for i in range(r):
+        y[i], rem = divmod(c[i], D[i][i])
+        if rem:
             return None
     return mat_vec(V, y)
 
 
 def kernel_basis(snf_data):
-    """Basis of {x in Z^n : A x = 0}; columns of V at zero diagonal slots."""
+    """Basis of {x in Z^n : A x = 0}; the columns of V past the rank."""
     U, D, V = snf_data
-    m = len(D)
-    n = len(D[0]) if m else 0
-    cols = []
-    for j in range(n):
-        if j >= m or D[j][j] == 0:
-            cols.append([V[i][j] for i in range(n)])
-    return cols
+    return [[row[j] for row in V] for j in range(_rank(D), len(V))]
 
 
 def left_kernel_basis(snf_data):
-    """Basis of {y in Z^m : y A = 0}; rows of U at zero rows of D."""
+    """Basis of {y in Z^m : y A = 0}; the rows of U past the rank."""
     U, D, V = snf_data
-    m = len(D)
-    n = len(D[0]) if m else 0
-    rows = []
-    for i in range(m):
-        if i >= n or D[i][i] == 0:
-            rows.append(list(U[i]))
-    return rows
+    return [list(row) for row in U[_rank(D):]]
 
 
 def hermite_rows(rows):

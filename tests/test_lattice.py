@@ -118,8 +118,7 @@ def test_divisibility_examples(lam2):
     assert divisibility(e1) == 1
     assert divisibility(delta) == 2
     assert divisibility(2 * e1 + 2 * f1) == 2
-    with pytest.raises(ValueError):
-        divisibility(lam2.zero())
+    assert divisibility(lam2.zero()) == 0
 
 
 def test_divisibility_brute_force_oracle():
@@ -167,8 +166,7 @@ def test_is_primitive(lam2):
     assert is_primitive(e1 + delta)
     assert not is_primitive(3 * delta)
     assert is_primitive(2 * e1 + 5 * f1 + 2 * delta)
-    with pytest.raises(ValueError):
-        is_primitive(lam2.zero())
+    assert not is_primitive(lam2.zero())
 
 
 # --- discriminant groups ----------------------------------------------------
@@ -316,6 +314,12 @@ def test_isometry_divisibility_two_rejected(lam2):
     delta = lam2.basis_vector(DELTA_INDEX)
     with pytest.raises(NoIsometryError):
         isometry_between(delta, delta + lam2.zero())
+
+
+def test_isometry_zero_vector_rejected(lam2):
+    # the zero vector has divisibility 0, which no isometry is built for
+    with pytest.raises(NoIsometryError, match="only divisibility 1 is implemented, got 0"):
+        isometry_between(lam2.zero(), lam2.zero())
 
 
 def test_isometry_needs_two_planes():
