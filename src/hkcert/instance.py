@@ -157,8 +157,12 @@ def normalize_brauer(inst: HKInstance):
     positive.  Candidates are enumerated in the documented search order over
     the canonical complement basis with per-coefficient bound
     _NORMALIZE_COEFF_BOUND, at most _NORMALIZE_CANDIDATES of them.
+
+    Also identity when no shift can be primitive: a common factor of d and
+    every coordinate of B divides every B - d*c.  Validation then names the
+    failing check at once.
     """
-    if norm(inst.B) > 0:
+    if norm(inst.B) > 0 or gcd(inst.d, *inst.B.coords) > 1:
         return inst
     comp = orthogonal_complement_basis(inst.lattice, inst.pic_basis)
     seen = 0

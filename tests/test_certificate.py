@@ -225,6 +225,30 @@ def test_tamper_detection_500(e2_payload):
 
 # --- CLI ----------------------------------------------------------------------
 
+def _buffered_child_env():
+    """The environment for a child that imports the same hkcert as this
+    process, installed or not.  Its stdout is block-buffered even where the
+    caller's environment sets PYTHONUNBUFFERED, so what reaches the pipe is
+    what the entry flushed before `os._exit`."""
+    src = os.path.dirname(os.path.dirname(cert.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return env
+
+
+def _hkcert(*args, **kwargs):
+    """`python -m hkcert ARGS` in a child with `_buffered_child_env()`."""
+    return subprocess.run(
+        [sys.executable, "-m", "hkcert", *args], text=True, env=_buffered_child_env(), **kwargs
+    )
+
+
+def _sigma_tampered(payload):
+    bad = copy.deepcopy(payload)
+    bad["record"]["sigma"][2][3] = str(int(bad["record"]["sigma"][2][3]) + 1)
+    return bad
+
+
 def test_cli_construct_verify_round_trip(e2_instance, tmp_path):
     inst_path = tmp_path / "e2.json"
     cert_path = tmp_path / "e2.cert.json"
@@ -335,14 +359,7 @@ def test_cli_construct_huge_d_is_input_error_subprocess(tmp_path, k):
     inst_path = tmp_path / "huge.json"
     cert_path = tmp_path / "huge.cert.json"
     cert.write_json(inst_path, cert.instance_to_payload(random_instance(6, 2, 3, 10**k, 5)))
-    src = os.path.dirname(os.path.dirname(cert.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    r = subprocess.run(
-        [sys.executable, "-m", "hkcert", "construct", "-i", str(inst_path), "-o", str(cert_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    r = _hkcert("construct", "-i", str(inst_path), "-o", str(cert_path), capture_output=True)
     assert r.returncode == EXIT_INPUT, r.stdout + r.stderr
     lines = r.stdout.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {inst_path}: ")
@@ -378,11 +395,31 @@ def test_cli_construct_normalizes_negative_b(e2_instance, lam2, tmp_path):
     assert cmd_verify([str(cert_path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "coords, line",
+    [([0] * 23, "b_norm_positive norm 0"), ([0, 0, 2, -2] + [0] * 19, "b_norm_positive norm -8")],
+    ids=["zero_b", "twice_e2_minus_f2"],
+)
+def test_cli_construct_unnormalizable_b_is_refused_at_once(e2_instance, lam2, tmp_path, coords, line):
+    # with d = 2, gcd(d, content(B)) = 2 divides every shift B - d*c, so none is
+    # primitive: construct names validation's first failing check instead
+    # of scanning all 200 000 shifts into "search exhausted"
+    inst_path = tmp_path / "unnormalizable.json"
+    cert_path = tmp_path / "unnormalizable.cert.json"
+    inst = e2_instance.replace(B=lam2.vector(coords))
+    assert inst.d == 2
+    cert.write_json(inst_path, cert.instance_to_payload(inst))
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert out.getvalue() == f"error: invalid instance: {line}\n"
+    assert not cert_path.exists()
+
+
 def test_cli_verify_tampered_exit_code(e2_payload, tmp_path):
-    bad = copy.deepcopy(e2_payload)
-    bad["record"]["sigma"][2][3] = str(int(bad["record"]["sigma"][2][3]) + 1)
     p = tmp_path / "tampered.json"
-    cert.write_json(p, bad)
+    cert.write_json(p, _sigma_tampered(e2_payload))
     assert cmd_verify([str(p)]) == EXIT_FAIL
 
 
@@ -812,29 +849,129 @@ def test_cli_random_outputs_validate(tmp_path):
         assert all(c.ok for c in validate_instance(inst))
 
 
-def test_cli_entry_point_subprocess(e2_instance, tmp_path):
-    # the module is runnable end to end as `python -m hkcert`
-    inst_path = tmp_path / "e2.json"
-    cert_path = tmp_path / "e2.cert.json"
-    cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
-    # the child imports the same hkcert as this process, installed or not
-    src = os.path.dirname(os.path.dirname(cert.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    r = subprocess.run(
-        [sys.executable, "-m", "hkcert", "construct", "-i", str(inst_path), "-o", str(cert_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert r.returncode == 0, r.stdout + r.stderr
-    r = subprocess.run(
-        [sys.executable, "-m", "hkcert", "verify", str(cert_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert r.returncode == 0
-    assert "OK" in r.stdout
+def test_cli_entry_point_subprocess(e2_instance, e2_payload, tmp_path):
+    # `python -m hkcert` ends in os._exit after flushing: each exit code and
+    # each stdout byte is the one the in-process command returns and prints
+    inst = str(tmp_path / "e2.json")
+    cert_path = str(tmp_path / "e2.cert.json")
+    tampered = str(tmp_path / "tampered.json")
+    missing = str(tmp_path / "missing.json")
+    unwritten = str(tmp_path / "unwritten.json")
+    cert.write_json(inst, cert.instance_to_payload(e2_instance))
+    cert.write_json(tampered, _sigma_tampered(e2_payload))
+    cases = [
+        (["construct", "-i", inst, "-o", cert_path], EXIT_OK,
+         lambda out: cmd_construct(inst, cert_path, out=out)),
+        (["verify", cert_path], EXIT_OK, lambda out: cmd_verify([cert_path], out=out)),
+        (["verify", tampered], EXIT_FAIL, lambda out: cmd_verify([tampered], out=out)),
+        (["verify", missing], EXIT_INPUT, lambda out: cmd_verify([missing], out=out)),
+        (["construct", "-i", missing, "-o", unwritten], EXIT_INPUT,
+         lambda out: cmd_construct(missing, unwritten, out=out)),
+        (["construct", "-i", inst, "-o", unwritten, "--budget-u", "1"], EXIT_BUDGET,
+         lambda out: cmd_construct(inst, unwritten, u_budget=1, out=out)),
+    ]
+    for args, code, in_process in cases:
+        r = _hkcert(*args, capture_output=True)
+        out = io.StringIO()
+        assert in_process(out) == code
+        assert (r.returncode, r.stdout, r.stderr) == (code, out.getvalue(), ""), args
+    assert not os.path.exists(unwritten)
+
+
+def test_cli_entry_point_verify_jobs_subprocess(e2_payload, tmp_path):
+    # the pool is joined before the process ends, so the run returns (no
+    # worker holds the pipe open) with what --jobs 1 prints
+    paths = [str(tmp_path / f"c{i}.json") for i in range(3)]
+    cert.write_json(paths[0], e2_payload)
+    cert.write_json(paths[1], _sigma_tampered(e2_payload))
+    cert.write_json(paths[2], e2_payload)
+    one = _hkcert("verify", *paths, capture_output=True, timeout=60)
+    two = _hkcert("verify", "--jobs", "2", *paths, capture_output=True, timeout=60)
+    assert one.returncode == two.returncode == EXIT_FAIL
+    assert two.stdout == one.stdout and two.stderr == one.stderr == ""
+    named = [line.split(": ")[0] for line in one.stdout.splitlines()]
+    assert list(dict.fromkeys(named)) == paths
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("files", [1, 200])
+def test_cli_entry_point_full_stdout_is_reported(e2_payload, tmp_path, files):
+    # stdout on /dev/full ends as when the interpreter's own shutdown flushes
+    # the same amount of text: exit 120 and "Exception ignored ..." on
+    # stderr.  200 files print about 5 KB, which a failed flush drops from
+    # the buffer, so a second flush by the shutdown would report nothing.
+    names = [f"c{i:03d}.json" for i in range(files)]
+    for name in names:
+        cert.write_json(tmp_path / name, e2_payload)
+    size = len(_hkcert("verify", *names, cwd=tmp_path, capture_output=True).stdout)
+    with open("/dev/full", "w") as full:
+        r = _hkcert("verify", *names, cwd=tmp_path, stdout=full, stderr=subprocess.PIPE)
+        ref = subprocess.run(
+            [sys.executable, "-c", f"print('x' * {size - 1})"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_buffered_child_env(),
+        )
+    assert ref.returncode == 120 and ref.stderr.startswith("Exception ignored ")
+    assert (r.returncode, r.stderr) == (ref.returncode, ref.stderr)
+
+
+@pytest.mark.parametrize(
+    "stdout, stderr, code, report",
+    [
+        ("ok", "ok", EXIT_INPUT, ""),
+        ("full", "ok", 120, "OSError: [Errno 28] No space left on device\n"),
+        ("closed", "ok", EXIT_INPUT, ""),
+        ("ok", "full", 120, ""),
+        ("ok", None, EXIT_INPUT, ""),
+        (None, "ok", EXIT_INPUT, ""),
+    ],
+    ids=["ok", "stdout_full", "stdout_closed", "stderr_full", "no_stderr", "no_stdout"],
+)
+def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr, code, report):
+    # run flushes both streams as the interpreter's shutdown would: a missing
+    # or closed stream is skipped, a failed flush makes the status 120, and
+    # a failed stdout flush is reported on stderr
+    from hkcert import cli
+
+    class Ended(Exception):
+        pass
+
+    class Stream(io.StringIO):
+        full = False
+
+        def flush(self):
+            if self.full:
+                raise OSError(28, "No space left on device")
+
+    def stream(kind):
+        if kind is None:
+            return None
+        if kind == "closed":
+            with open(tmp_path / "closed.txt", "w") as closed:
+                return closed
+        s = Stream()
+        s.full = kind == "full"
+        return s
+
+    def _exit(status):
+        ended.append(status)
+        raise Ended
+
+    ended = []
+    streams = {"stdout": stream(stdout), "stderr": stream(stderr)}
+    monkeypatch.setattr(cli.os, "_exit", _exit)
+    for name, value in streams.items():
+        monkeypatch.setattr(sys, name, value)
+    with pytest.raises(Ended):
+        cli.run(["verify", str(tmp_path / "missing.json")])
+    assert ended == [code]
+    if stderr is not None:
+        # the report's first line is the interpreter's, checked against it by
+        # test_cli_entry_point_full_stdout_is_reported
+        reported = streams["stderr"].getvalue()
+        if report:
+            assert reported.startswith("Exception ignored ") and reported.endswith(report)
+        else:
+            assert reported == ""
 
 
 def test_digest_changes_with_content(e2_payload):
