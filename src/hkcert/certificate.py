@@ -23,6 +23,7 @@ from .construction import (
     mukai_data,
     pushed_class,
     rank_factor,
+    rank_factor_min_bits,
     transport_ends,
 )
 from .instance import (
@@ -336,12 +337,12 @@ def verify_payload(payload):
     add("mukai_rank", r_ >= 2)
     den = g * m  # 4gtd^2
     add("mukai_stability", den >= 1 and (H2 // 2 + 1) % den != 0)
-    # r >= 2 gives n! r^n >= 2^(n (bitlen(r) - 1)), so a shorter rk_un fails
-    # unseen and the product is only formed when it is about rk_un's size
+    # an rk_un no longer than the lower bound fails unseen, so the product is
+    # only formed when it is about rk_un's size
     add(
         "rank_factor",
         r_ >= 2
-        and rk_un.bit_length() > inst.n * (r_.bit_length() - 1)
+        and rk_un.bit_length() > rank_factor_min_bits(inst.n, r_)
         and rk_un == rank_factor(inst.n, r_),
     )
 

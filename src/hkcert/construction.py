@@ -160,9 +160,9 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
     """Closed forms for the polarization degree and the isotropic Mukai vector.
 
     H2 = 2g(1 + 4gt^2d^4(n-1) + 16gt^2d^2 e), v0 = (16gt^2d^4, 4td^2, s)
-    with s the second factor of H2.  Records the four predicates the
-    construction relies on; any failure raises, since all are identities
-    whenever g > 1.
+    with s the second factor of H2.  Returns the four predicates the
+    construction relies on as checks; run_pipeline raises on a false one,
+    since all are identities whenever g > 1.
     """
     if min(g, t, d, e) < 1 or n < 2:
         raise ValueError("parameters must be positive with n >= 2")
@@ -180,9 +180,6 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
             f"{stab} does not divide {H2 // 2 + 1}",
         ),
     ]
-    bad = [c for c in checks if not c.ok]
-    if bad:
-        raise ConstructionInvariantViolated(f"mukai check failed: {bad[0].name}")
     return H2, v0, checks
 
 
@@ -208,17 +205,12 @@ def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_eps
     epsilon * (D + 4gtd*B); epsilon = +1 is attempted first.
 
     Returns (source, target, sigma, epsilon, invariants), where invariants is
-    (norm(source), norm(target), div(source), div(target)) as checked here.
+    (norm(source), norm(target), div(source), div(target)) for run_pipeline
+    to record; isometry_between refuses unequal norms or divisibility != 1.
     """
     source, target = transport_ends(inst, D, g, t, H2)
     source_norm, target_norm = norm(source), norm(target)
     source_div, target_div = divisibility(source), divisibility(target)
-    if source_norm != target_norm:
-        raise ConstructionInvariantViolated(
-            f"norm mismatch: source {source_norm} vs target {target_norm}"
-        )
-    if source_div != 1 or target_div != 1:
-        raise ConstructionInvariantViolated("source/target must have divisibility 1")
     eps_order = (1, -1) if force_epsilon is None else (force_epsilon,)
     last = None
     for eps in eps_order:
@@ -263,11 +255,15 @@ def rank_factor(n: int, r: int) -> int:
 RANK_FACTOR_MAX_BITS = 2**20
 
 
+def rank_factor_min_bits(n: int, r: int) -> int:
+    """A strict lower bound on the bit length of n! r^n for n, r >= 1, found
+    without forming it: n! >= (n/e)^n and e < 4."""
+    return n * (n.bit_length() + r.bit_length() - 4)
+
+
 def check_rank_factor_size(n: int, r: int) -> None:
-    """Raise ValueError if n! r^n (n, r >= 1) has more than
-    RANK_FACTOR_MAX_BITS bits, without forming it: n! >= (n/e)^n and e < 4
-    make n (bitlen(n) + bitlen(r) - 4) a lower bound on its bit length."""
-    if n * (n.bit_length() + r.bit_length() - 4) > RANK_FACTOR_MAX_BITS:
+    """Raise ValueError if n! r^n (n, r >= 1) has over RANK_FACTOR_MAX_BITS bits."""
+    if rank_factor_min_bits(n, r) > RANK_FACTOR_MAX_BITS:
         raise ValueError(
             f"rank factor n! r^n would have more than {RANK_FACTOR_MAX_BITS} bits "
             f"(n has {n.bit_length()} bits, r has {r.bit_length()})"
@@ -293,8 +289,6 @@ def run_pipeline(
     )
     source_norm, target_norm, source_div, target_div = invariants
     alpha, verdict = pushforward_brauer(inst, sigma, g, t, epsilon)
-    if not verdict:
-        raise ConstructionInvariantViolated("pushed-forward class differs from [-B/d]")
     d_norm = norm(D)
     checks = [
         CheckResult("divisor_formula", D == A + u * omega),

@@ -21,7 +21,8 @@ class NoIsometryError(ValueError):
 
 
 class ConstructionInvariantViolated(RuntimeError):
-    """An identity the construction guarantees failed to hold.
+    """A check run_pipeline records, an identity the construction guarantees
+    on a valid instance, failed to hold; only run_pipeline raises it.
 
-    Reaching this is a bug signal, never a property of the input.
+    Reaching this is a bug signal, never a property of a validated input.
     """

@@ -148,9 +148,6 @@ class RationalClass(Record):
         num = b * self.numerator - a * other.numerator
         return RationalClass(num, a * b)
 
-    def __neg__(self):
-        return RationalClass(-self.numerator, self.denominator)
-
 
 class Isometry(Record):
     """Integer matrix acting on coordinate columns, preserving the Gram form.

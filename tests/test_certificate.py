@@ -621,7 +621,7 @@ def test_verify_rejects_huge_c0_forgery_fast(e2_payload):
     assert failed["wall_enumeration"] == f"expected {10**12 - 1} tested values of a"
 
 
-@pytest.mark.parametrize("n", ["3000000", str(10**31)])
+@pytest.mark.parametrize("n", [str(10**6), "3000000", str(10**31)])
 def test_verify_rejects_huge_n_forgery_fast(e2_payload, n):
     # n! r^n would take minutes for n = 3 * 10^6 and overflow for 10^31
     bad = _forged(e2_payload, {("instance", "n"): n})
@@ -631,6 +631,13 @@ def test_verify_rejects_huge_n_forgery_fast(e2_payload, n):
     assert "rank_factor" in {c.name for c in checks if not c.ok}
     names = [c.name for c in cert.verify_payload(e2_payload)]
     assert [c.name for c in checks].index("rank_factor") == names.index("rank_factor")
+
+
+def test_verify_rank_factor_one_bit_short_fails(e2_payload):
+    rk_un = int(e2_payload["record"]["rk_un"])
+    bad = _forged(e2_payload, {("record", "rk_un"): str(rk_un >> 1)})
+    failed = {c.name for c in cert.verify_payload(bad) if not c.ok}
+    assert failed == {"rank_factor"}
 
 
 @pytest.mark.parametrize("n", ["3000000", str(10**31)])

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from hkcert import construction
-from hkcert.errors import SearchExhausted
+from hkcert.errors import ConstructionInvariantViolated, NoIsometryError, SearchExhausted
 from hkcert.construction import (
     check_rank_factor_size,
     choose_t,
@@ -16,6 +16,7 @@ from hkcert.construction import (
     mukai_data,
     pushforward_brauer,
     rank_factor,
+    rank_factor_min_bits,
     run_pipeline,
     transport,
 )
@@ -245,6 +246,38 @@ def test_transport_identity_random():
         assert lhs == rhs
 
 
+def test_run_pipeline_b_not_orthogonal_to_pic_is_no_isometry(e2_instance, lam2):
+    # B = e2 + f2 + f1 fails only b_orthogonal_pic; the transport ends then
+    # differ in norm, which isometry_between refuses
+    bad = e2_instance.replace(B=lam2.vector([0, 1, 1, 1] + [0] * 19))
+    with pytest.raises(NoIsometryError, match=r"^norm mismatch: 4620 != 4812$"):
+        run_pipeline(bad)
+
+
+def test_run_pipeline_reports_false_pushforward_as_a_check(e2_instance, monkeypatch):
+    monkeypatch.setattr(construction, "brauer_equal", lambda a, b: False)
+    with pytest.raises(
+        ConstructionInvariantViolated, match=r"^pipeline check failed: brauer_pushforward$"
+    ):
+        run_pipeline(e2_instance)
+
+
+def test_run_pipeline_reports_false_mukai_identity_as_a_check(e2_instance, monkeypatch):
+    exact = construction.mukai_data
+
+    def off_by_one_s(*args):
+        r, m, s, H2 = exact(*args)
+        return r, m, s + 1, H2
+
+    monkeypatch.setattr(construction, "mukai_data", off_by_one_s)
+    _, _, checks = degree_and_mukai(2, 6, 1, 2, 1)
+    assert checks[0].name == "mukai_isotropic" and not checks[0].ok
+    with pytest.raises(
+        ConstructionInvariantViolated, match=r"^pipeline check failed: mukai_isotropic$"
+    ):
+        run_pipeline(e2_instance)
+
+
 def test_pushforward_e2(e2_instance):
     rec = run_pipeline(e2_instance)
     alpha, verdict = pushforward_brauer(e2_instance, rec.sigma, rec.g, rec.t, rec.epsilon)
@@ -350,6 +383,15 @@ def test_rank_factor_size_check_is_a_lower_bound(monkeypatch):
             else:
                 assert bits <= cap + 4 * n
     assert refused
+
+
+def test_rank_factor_min_bits_is_a_strict_lower_bound():
+    # construct's cap and verify's rank_factor pre-check rely on it
+    rng = random.Random(19)
+    rs = [1, 2, 3] + [rng.randint(1, 2**rng.randint(1, 80)) for _ in range(20)]
+    for n in range(1, 301):
+        for r in rs:
+            assert rank_factor_min_bits(n, r) < rank_factor(n, r).bit_length()
 
 
 @pytest.mark.parametrize("k", [200, 600, 1200])
