@@ -17,21 +17,18 @@ from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
 from . import obstruction
-from .construction import (
-    ConstructionRecord,
+from .instance import (
+    CheckResult,
+    HKInstance,
     MukaiVector,
+    b_field_class,
+    brauer_equal,
     mukai_data,
+    pic_coordinates,
     pushed_class,
     rank_factor,
     rank_factor_min_bits,
     transport_ends,
-)
-from .instance import (
-    CheckResult,
-    HKInstance,
-    b_field_class,
-    brauer_equal,
-    pic_coordinates,
     validate_instance,
 )
 from .lattice import (

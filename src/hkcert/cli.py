@@ -11,7 +11,6 @@ import os
 import sys
 
 from . import certificate as cert
-from . import construction
 from .errors import ConstructionInvariantViolated, SearchExhausted
 from .instance import normalize_brauer, random_instance, validate_instance
 
@@ -32,6 +31,9 @@ def _reason(exc):
 
 def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
                   t_budget=10**6, isometry_budget=10000, out=sys.stdout):
+    # imported here, so that a verify process does not load the pipeline
+    from . import construction
+
     budgets = {
         "coeff_bound": coeff_bound,
         "u_budget": u_budget,
@@ -204,13 +206,20 @@ def run(argv=None):
     for stdout in the shutdown's words.  The report cannot be left to the
     shutdown: a failed flush may drop the text it could not write (seen
     with over 4 KiB on CPython 3.11), and a second flush then succeeds.
+    An OSError escaping `main` is a failed write to stdout (every file a
+    command opens handles its own), and ends as a failed stdout flush does.
     """
-    code = main(argv)
+    try:
+        code, unwritten = main(argv), None
+    except OSError as exc:
+        code, unwritten = 120, exc
     for stream in (sys.stdout, sys.stderr):
         if stream is None or stream.closed:
             continue
         try:
             stream.flush()
+            if stream is sys.stdout and unwritten is not None:
+                raise unwritten
         except OSError as exc:
             code = 120
             if stream is sys.stdout:

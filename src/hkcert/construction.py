@@ -10,42 +10,39 @@ first hit in the documented order, so outputs are reproducible.
 
 from __future__ import annotations
 
-from math import factorial, gcd
+import itertools
+from math import gcd
 
-from . import obstruction
-from .errors import ConstructionInvariantViolated, SearchExhausted
+from . import obstruction, snf
+from .errors import ConstructionInvariantViolated, NoIsometryError, SearchExhausted
 from .instance import (
-    BrauerClass,
     CheckResult,
     HKInstance,
+    MukaiVector,
     b_field_class,
     brauer_equal,
+    mukai_data,
+    pushed_class,
+    rank_factor,
+    rank_factor_min_bits,
+    transport_ends,
     w_pairings,
 )
 from .lattice import (
-    DELTA_INDEX,
+    GramLattice,
     Isometry,
     LatticeVector,
-    RationalClass,
     _gram_times,
     divisibility,
     first_orthogonal_tuple,
     form_value,
     gram_of,
     graded_coefficient_tuples,
-    isometry_between,
     linear_combination,
     norm,
     pair,
 )
 from .record import Record
-
-
-class MukaiVector(Record):
-    __slots__ = _fields = ("r", "m", "s", "H2")
-
-    def self_pairing(self) -> int:
-        return self.m * self.m * self.H2 - 2 * self.r * self.s
 
 
 class ConstructionRecord(Record):
@@ -146,16 +143,6 @@ def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) 
     return t
 
 
-def mukai_data(n: int, g: int, t: int, d: int, e: int):
-    """(r, m, s, H2) = (16gt^2d^4, 4td^2, s, 2gs), s = 1 + 4gt^2d^4(n-1) + 16gt^2d^2e.
-
-    Pure arithmetic, total on any integers: the verifier evaluates it on
-    the recorded values as they come.
-    """
-    s = 1 + 4 * g * t * t * d**4 * (n - 1) + 16 * g * t * t * d * d * e
-    return 16 * g * t * t * d**4, 4 * t * d * d, s, 2 * g * s
-
-
 def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
     """Closed forms for the polarization degree and the isotropic Mukai vector.
 
@@ -183,21 +170,272 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
     return H2, v0, checks
 
 
-def canonical_degree_class(L, H2: int) -> LatticeVector:
-    """The fixed primitive representative e1 + (H2/2) f1 of a degree-H2 class."""
-    coords = [0] * L.rank
-    coords[0] = 1
-    coords[1] = H2 // 2
-    return L.vector(coords)
+# ---------------------------------------------------------------------------
+# Eichler transvections
+#
+# t(e, a): x -> x - (a,x) e + (e,x) a - (a,a)/2 (e,x) e, for isotropic e
+# orthogonal to a with (a,a) even, is an isometry of determinant +1 that acts
+# trivially on the discriminant group.  An op is its sparse record
+# (e, a, Ge, Ga, (a,a)/2): each vector as its nonzero (index, value) pairs,
+# Ge and Ga the pairings with the basis.
+
+def _transvect(op, x):
+    """Apply t(e, a) to the coordinate list x, in place; touches only the
+    supports of e, a, Ge and Ga."""
+    e, a, ge, ga, half = op
+    ax = ex = 0
+    for j, p in ga:
+        ax += p * x[j]
+    for j, p in ge:
+        ex += p * x[j]
+    ce = -ax - half * ex
+    if ce:
+        for i, c in e:
+            x[i] += ce * c
+    if ex:
+        for i, c in a:
+            x[i] += ex * c
 
 
-def transport_ends(inst: HKInstance, D, g, t, H2):
-    """(source, target) = (h - 2gtd^2 delta, D + 4gtd B), h the canonical
-    degree-H2 class."""
-    L = inst.lattice
-    d = inst.d
-    source = canonical_degree_class(L, H2) - (2 * g * t * d * d) * L.basis_vector(DELTA_INDEX)
-    return source, D + (4 * g * t * d) * inst.B
+def _inverse(op):
+    # t(e, a)^-1 = t(e, -a)
+    e, a, ge, ga, half = op
+    return e, tuple((i, -c) for i, c in a), ge, tuple((j, -p) for j, p in ga), half
+
+
+def _isometry_of_ops(ops, inverse_ops, L):
+    """The isometry that applies ``ops`` in order, then undoes ``inverse_ops``.
+
+    Only the columns of basis vectors in the supports of some Ge or Ga are
+    replayed: any other basis vector pairs to zero with every e and a, so
+    every op fixes it and its column stays the unit column.
+    """
+    undo = [_inverse(op) for op in reversed(inverse_ops)]
+    moved = {j for _, _, ge, ga, _ in itertools.chain(ops, inverse_ops) for j, _ in ge + ga}
+    cols = []
+    for j in range(L.rank):
+        x = [0] * L.rank
+        x[j] = 1
+        if j in moved:
+            for op in ops:
+                _transvect(op, x)
+            for op in undo:
+                _transvect(op, x)
+        cols.append(x)
+    return Isometry(tuple(zip(*cols)), L)
+
+
+def _hyperbolic_pairs(L: GramLattice):
+    # consecutive basis vectors spanning an orthogonal summand U
+    rows = L.sparse_rows
+    return [
+        (i, i + 1)
+        for i in range(L.rank - 1)
+        if rows[i] == ((i + 1, 1),) and rows[i + 1] == ((i, 1),)
+    ]
+
+
+class _Reduction:
+    """Drives a primitive divisibility-1 vector to e1 + (norm/2) f1.
+
+    Works entirely through Eichler transvections t(e, a) with e one of the
+    four isotropic basis vectors of the first two hyperbolic planes, and a
+    with a few nonzero entries, so each op is built from e's basis index and
+    a's (index, value) pairs.  The recorded op list is replayed (or replayed
+    inverted, a -> -a in reverse order) to build the final isometry.
+    """
+
+    def __init__(self, L, pairs, budget):
+        self.L = L
+        self.budget = budget
+        (self.ie1, self.if1), (self.ie2, self.if2) = pairs[0], pairs[1]
+        self.u_indices = {self.ie1, self.if1, self.ie2, self.if2}
+        self.r_indices = [k for k in range(L.rank) if k not in self.u_indices]
+        self.ops = []
+
+    def _push(self, ie, a, cur):
+        """Record t(e, a) for e the basis vector ie and apply it to cur; a is
+        given as (index, value) pairs in ascending index order, zeros allowed."""
+        a = tuple((i, c) for i, c in a if c)
+        if not a:
+            return cur
+        if len(self.ops) >= self.budget:
+            raise SearchExhausted(
+                f"isometry reduction exceeded the step budget of {self.budget} transvections"
+            )
+        rows = self.L.sparse_rows
+        ga = {}
+        for i, c in a:
+            for j, r in rows[i]:
+                ga[j] = ga.get(j, 0) + c * r
+        op = (
+            ((ie, 1),),
+            a,
+            rows[ie],
+            tuple(sorted((j, p) for j, p in ga.items() if p)),
+            sum(c * ga.get(i, 0) for i, c in a) // 2,
+        )
+        self.ops.append(op)
+        _transvect(op, cur)
+        return cur
+
+    def run(self, v: LatticeVector, half_norm: int):
+        """The op list taking v, of norm 2 * half_norm, to e1 + half_norm f1."""
+        cur = list(v.coords)
+        cur = self._make_p2_one(cur)
+        # kill the part outside the two hyperbolic planes
+        cur = self._push(self.ie2, [(k, -cur[k]) for k in self.r_indices], cur)
+        # kill the first-plane coefficients
+        p1, q1 = self._pairings(cur)[:2]
+        cur = self._push(self.ie2, [(self.ie1, -q1), (self.if1, -p1)], cur)
+        # move e2-plane canonical form into the first plane
+        cur = self._push(self.ie2, [(self.ie1, 1)], cur)
+        cur = self._push(self.if1, [(self.ie2, -half_norm), (self.if2, -1)], cur)
+        expect = [0] * self.L.rank
+        expect[self.ie1] = 1
+        expect[self.if1] = half_norm
+        if cur != expect:
+            raise RuntimeError("reduction did not reach the canonical vector")  # unreachable
+        return self.ops
+
+    def _against(self, idx, cur):
+        return sum(r * cur[j] for j, r in self.L.sparse_rows[idx])
+
+    def _pairings(self, cur):
+        return tuple(self._against(idx, cur) for idx in (self.ie1, self.if1, self.ie2, self.if2))
+
+    # the five planar moves, written as (e, a) pairs; effects on the pairing
+    # tuple (p1, q1, p2, q2) = ((e1,v), (f1,v), (e2,v), (f2,v)) are noted.
+    def _E1(self, k, cur):  # p2 += k*p1 ; q1 -= k*q2
+        return self._push(self.ie1, [(self.if2, k)], cur)
+
+    def _E2(self, k, cur):  # p1 += k*p2 ; q2 -= k*q1
+        return self._push(self.ie2, [(self.if1, k)], cur)
+
+    def _F1(self, k, cur):  # p2 += k*q1 ; p1 -= k*q2
+        return self._push(self.if1, [(self.if2, k)], cur)
+
+    def _G2(self, k, cur):  # q1 += k*p2 ; q2 -= k*p1
+        return self._push(self.ie2, [(self.ie1, k)], cur)
+
+    def _H2(self, k, cur):  # q1 += k*q2 ; p2 -= k*p1
+        return self._push(self.if2, [(self.ie1, k)], cur)
+
+    def _r_pairings(self, cur):
+        return [(idx, self._against(idx, cur)) for idx in self.r_indices]
+
+    def _make_p2_one(self, cur):
+        # Euclidean descent on (e2, v); every pass through the main branch
+        # strictly shrinks |p2|, so this terminates well inside the budget.
+        while True:
+            p1, q1, p2, q2 = self._pairings(cur)
+            if p2 == 1:
+                return cur
+            if p2 == 0:
+                if p1 != 0:
+                    cur = self._E1(1, cur)
+                elif q1 != 0:
+                    cur = self._F1(1, cur)
+                elif q2 != 0:
+                    cur = self._H2(1, cur)
+                else:
+                    # all four plane pairings vanish; divisibility 1 lives in
+                    # the rest of the lattice, so solve (a, v) = -1 there
+                    a = self._solve_r_pairing(cur, -1)
+                    cur = self._push(self.if2, a, cur)
+                continue
+            if p2 == -1:
+                cur = self._G2(q1 - 1, cur)   # q1 -> 1
+                cur = self._F1(2, cur)        # p2 -> 1
+                continue
+            if p1 % p2 != 0:
+                cur = self._E2(-(p1 // p2), cur)
+                p1 = self._pairings(cur)[0]
+                cur = self._E1(self._step_to_residue(p2, p1), cur)
+                continue
+            if q1 % p2 != 0:
+                cur = self._G2(-(q1 // p2), cur)
+                q1 = self._pairings(cur)[1]
+                cur = self._F1(self._step_to_residue(p2, q1), cur)
+                continue
+            if q2 % p2 != 0:
+                # zero out p1 first (exact multiple of p2) so the H2 side
+                # effect p2 -= p1 cannot move p2
+                if p1:
+                    cur = self._E2(-(p1 // p2), cur)
+                cur = self._H2(1, cur)
+                continue
+            bad = next((idx for idx, val in self._r_pairings(cur) if val % p2 != 0), None)
+            if bad is None:
+                raise RuntimeError("pairing gcd exceeded 1 during reduction")  # unreachable
+            cur = self._push(self.ie1, [(bad, 1)], cur)
+            # q1 is now nonzero mod p2; the next pass shrinks |p2|
+
+    @staticmethod
+    def _step_to_residue(value, modulus):
+        # multiplier k with 0 < value + k*modulus <= |modulus|
+        t = value % abs(modulus)
+        if t == 0:
+            t = abs(modulus)
+        return (t - value) // modulus
+
+    def _solve_r_pairing(self, cur, want):
+        pairs = self._r_pairings(cur)
+        vals = [val for _, val in pairs]
+        coeffs = _extended_gcd_combination(vals)
+        g = sum(c * v for c, v in zip(coeffs, vals))
+        if g == 0 or want % g != 0:
+            raise RuntimeError("divisibility-1 precondition violated")  # unreachable
+        scale = want // g
+        return [(idx, c * scale) for (idx, _), c in zip(pairs, coeffs)]
+
+
+def _extended_gcd_combination(vals):
+    # coefficients c with sum(c_i * vals_i) = gcd(vals) >= 0
+    coeffs = [0] * len(vals)
+    g = 0
+    for i, v in enumerate(vals):
+        if v == 0:
+            continue
+        gg, x, y = snf._xgcd(g, v)
+        coeffs = [c * x for c in coeffs]
+        coeffs[i] = y
+        g = gg
+    return coeffs
+
+
+def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 10000) -> Isometry:
+    """A transvection-generated isometry sending v to w, exactly.
+
+    Both vectors must be primitive of divisibility 1 with equal norms, and
+    the lattice must contain two orthogonal hyperbolic planes among its
+    basis blocks.  The output always has determinant +1 and acts trivially
+    on the discriminant group.
+    """
+    if v.lattice != w.lattice:
+        raise ValueError("vectors live in different lattices")
+    L = v.lattice
+    nv, nw = norm(v), norm(w)
+    if nv != nw:
+        raise NoIsometryError(f"norm mismatch: {nv} != {nw}")
+    dv, dw = divisibility(v), divisibility(w)
+    if dv != dw:
+        raise NoIsometryError(f"divisibility mismatch: {dv} != {dw}")
+    if dv != 1:
+        raise NoIsometryError(f"only divisibility 1 is implemented, got {dv}")
+    pairs = _hyperbolic_pairs(L)
+    if len(pairs) < 2:
+        raise ValueError("lattice needs two orthogonal hyperbolic planes among its basis blocks")
+    if any(L.gram[i][i] % 2 for i in range(L.rank)):
+        raise ValueError("lattice must be even")
+    if v == w:
+        return _isometry_of_ops([], (), L)
+    ops_v = _Reduction(L, pairs, step_budget).run(v, nv // 2)
+    ops_w = _Reduction(L, pairs, step_budget).run(w, nv // 2)
+    iso = _isometry_of_ops(ops_v, ops_w, L)
+    if iso.apply(v) != w:
+        raise RuntimeError("constructed isometry failed to map v to w")  # unreachable
+    return iso
 
 
 def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_epsilon=None):
@@ -235,30 +473,9 @@ def pushforward_brauer(inst: HKInstance, sigma: Isometry, g: int, t: int, epsilo
     return alpha, brauer_equal(alpha, b_field_class(inst))
 
 
-def pushed_class(inst: HKInstance, sigma: Isometry, H2: int, den: int, epsilon: int):
-    """The class -sigma(epsilon*h/den - delta/2), h the canonical degree-H2
-    class and den = 4gtd^2 != 0."""
-    L = inst.lattice
-    h = canonical_degree_class(L, H2)
-    num = epsilon * h - (den // 2) * L.basis_vector(DELTA_INDEX)
-    # sigma is unimodular, so reducing num/den before or after applying it agrees
-    return BrauerClass(RationalClass(-sigma.apply(num), den), inst.pic_basis)
-
-
-def rank_factor(n: int, r: int) -> int:
-    """Rank of the induced bundle on the n-point Hilbert scheme product: n! r^n."""
-    return factorial(n) * r**n
-
-
 # construct refuses a rank factor n! r^n of more than this many bits (about
 # 315 000 decimal digits); see the README's CLI section
 RANK_FACTOR_MAX_BITS = 2**20
-
-
-def rank_factor_min_bits(n: int, r: int) -> int:
-    """A strict lower bound on the bit length of n! r^n for n, r >= 1, found
-    without forming it: n! >= (n/e)^n and e < 4."""
-    return n * (n.bit_length() + r.bit_length() - 4)
 
 
 def check_rank_factor_size(n: int, r: int) -> None:

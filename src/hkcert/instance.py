@@ -1,22 +1,26 @@
 """Problem instances: Picard sublattice, wall class, B-field, and the bound C0.
 
 Also houses Brauer-class arithmetic (equality is congruence modulo rational
-Picard classes plus integral classes) and the seeded random instance
-generator used by the property suite and the CLI.
+Picard classes plus integral classes), the closed forms that construct and
+verify both evaluate, and the seeded random instance generator used by the
+property suite and the CLI.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 
 from . import lattice as lat
 from . import snf
 from .errors import SearchExhausted
 from .lattice import (
+    DELTA_INDEX,
     GramLattice,
+    Isometry,
+    LatticeVector,
     RationalClass,
     build_lambda,
     form_value,
@@ -144,6 +148,61 @@ def brauer_equal(a: BrauerClass, b: BrauerClass) -> bool:
     if a.pic_basis != b.pic_basis:
         raise ValueError("classes carry different Picard contexts")
     return in_span_plus_lattice(a.representative - b.representative, a.pic_basis)
+
+
+class MukaiVector(Record):
+    __slots__ = _fields = ("r", "m", "s", "H2")
+
+    def self_pairing(self) -> int:
+        return self.m * self.m * self.H2 - 2 * self.r * self.s
+
+
+def mukai_data(n: int, g: int, t: int, d: int, e: int):
+    """(r, m, s, H2) = (16gt^2d^4, 4td^2, s, 2gs), s = 1 + 4gt^2d^4(n-1) + 16gt^2d^2e.
+
+    Pure arithmetic, total on any integers: the verifier evaluates it on
+    the recorded values as they come.
+    """
+    s = 1 + 4 * g * t * t * d**4 * (n - 1) + 16 * g * t * t * d * d * e
+    return 16 * g * t * t * d**4, 4 * t * d * d, s, 2 * g * s
+
+
+def canonical_degree_class(L, H2: int) -> LatticeVector:
+    """The fixed primitive representative e1 + (H2/2) f1 of a degree-H2 class."""
+    coords = [0] * L.rank
+    coords[0] = 1
+    coords[1] = H2 // 2
+    return L.vector(coords)
+
+
+def transport_ends(inst: HKInstance, D, g, t, H2):
+    """(source, target) = (h - 2gtd^2 delta, D + 4gtd B), h the canonical
+    degree-H2 class."""
+    L = inst.lattice
+    d = inst.d
+    source = canonical_degree_class(L, H2) - (2 * g * t * d * d) * L.basis_vector(DELTA_INDEX)
+    return source, D + (4 * g * t * d) * inst.B
+
+
+def pushed_class(inst: HKInstance, sigma: Isometry, H2: int, den: int, epsilon: int):
+    """The class -sigma(epsilon*h/den - delta/2), h the canonical degree-H2
+    class and den = 4gtd^2 != 0."""
+    L = inst.lattice
+    h = canonical_degree_class(L, H2)
+    num = epsilon * h - (den // 2) * L.basis_vector(DELTA_INDEX)
+    # sigma is unimodular, so reducing num/den before or after applying it agrees
+    return BrauerClass(RationalClass(-sigma.apply(num), den), inst.pic_basis)
+
+
+def rank_factor(n: int, r: int) -> int:
+    """Rank of the induced bundle on the n-point Hilbert scheme product: n! r^n."""
+    return factorial(n) * r**n
+
+
+def rank_factor_min_bits(n: int, r: int) -> int:
+    """A strict lower bound on the bit length of n! r^n for n, r >= 1, found
+    without forming it: n! >= (n/e)^n and e < 4."""
+    return n * (n.bit_length() + r.bit_length() - 4)
 
 
 _NORMALIZE_COEFF_BOUND = 8

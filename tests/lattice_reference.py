@@ -1,5 +1,5 @@
-"""Dense reference versions of code in ``hkcert.lattice`` and
-``hkcert.snf``, kept for the tests only.
+"""Dense reference versions of code in ``hkcert.lattice``,
+``hkcert.construction`` and ``hkcert.snf``, kept for the tests only.
 
 ``eichler_transvection`` builds one transvection as an ``Isometry``.
 ``DenseReduction`` and ``isometry_of_ops_full`` are the reduction and the
@@ -23,15 +23,13 @@ give the same booleans.
 from operator import mul
 
 from hkcert import snf
+from hkcert.construction import _extended_gcd_combination, _inverse, _transvect
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
     Isometry,
     LatticeVector,
-    _extended_gcd_combination,
     _gram_times,
-    _inverse,
     _sparse,
-    _transvect,
     form_value,
     graded_coefficient_tuples,
     norm,

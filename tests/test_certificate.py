@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -900,6 +901,43 @@ def test_cli_entry_point_verify_jobs_subprocess(e2_payload, tmp_path):
     assert list(dict.fromkeys(named)) == paths
 
 
+_MAIN_IN_FRESH_INTERPRETER = """
+import sys
+from hkcert.cli import main
+code = main(sys.argv[1:])
+print(code, "hkcert.construction" in sys.modules)
+"""
+
+
+def _main_in_fresh_interpreter(*args, cwd):
+    """stdout lines of `hkcert.cli.main(args)` in a new interpreter, then its
+    exit code and whether it loaded hkcert.construction."""
+    r = subprocess.run(
+        [sys.executable, "-c", _MAIN_IN_FRESH_INTERPRETER, *args],
+        cwd=cwd, capture_output=True, text=True, env=_buffered_child_env(),
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    return r.stdout.splitlines()
+
+
+def test_cli_verify_does_not_load_the_pipeline(e2_payload, tmp_path):
+    # the verifier is separate from the search: a verify process never
+    # imports (or compiles) the pipeline and its Eichler reduction
+    cert.write_json(tmp_path / "e2.cert.json", e2_payload)
+    out = _main_in_fresh_interpreter("verify", "e2.cert.json", cwd=tmp_path)
+    checks = len(cert.verify_payload(e2_payload))
+    assert out == [f"e2.cert.json: OK ({checks} checks)", "0 False"]
+
+
+def test_cli_construct_loads_the_pipeline_and_reproduces_the_golden_digest(e2_instance, tmp_path):
+    golden = Path(__file__).with_name("golden_digests.json")
+    digest = next(e["digest"] for e in json.loads(golden.read_text()) if e["label"] == "e2")
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    out = _main_in_fresh_interpreter("construct", "-i", "e2.json", "-o", "e2.cert.json", cwd=tmp_path)
+    assert out[0].startswith("e2.cert.json: ") and out[1:] == ["0 True"]
+    assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("files", [1, 200])
 def test_cli_entry_point_full_stdout_is_reported(e2_payload, tmp_path, files):
@@ -919,6 +957,31 @@ def test_cli_entry_point_full_stdout_is_reported(e2_payload, tmp_path, files):
         )
     assert ref.returncode == 120 and ref.stderr.startswith("Exception ignored ")
     assert (r.returncode, r.stderr) == (ref.returncode, ref.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("files, unbuffered", [(1, True), (400, False)], ids=["unbuffered", "400_files"])
+def test_cli_entry_point_stdout_write_failure_is_reported(e2_payload, tmp_path, files, unbuffered):
+    # a print inside main that must write (stdout unbuffered, or a batch past
+    # the 8 KiB buffer) and fails ends as a failed final flush of one
+    # buffered file does: exit 120 and its one report, no traceback
+    names = [f"c{i:03d}.json" for i in range(files)]
+    for name in names:
+        cert.write_json(tmp_path / name, e2_payload)
+    env = _buffered_child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        size = len(_hkcert("verify", *names, cwd=tmp_path, capture_output=True).stdout)
+        assert size > 8192
+    with open("/dev/full", "w") as full:
+        one = _hkcert("verify", names[0], cwd=tmp_path, stdout=full, stderr=subprocess.PIPE)
+        r = subprocess.run(
+            [sys.executable, "-m", "hkcert", "verify", *names],
+            cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert one.returncode == 120 and one.stderr.startswith("Exception ignored ")
+    assert (r.returncode, r.stderr) == (one.returncode, one.stderr)
 
 
 @pytest.mark.parametrize(

@@ -39,16 +39,19 @@ import pytest
 from hkcert import certificate as cert
 from hkcert import snf
 from hkcert.cli import cmd_construct, cmd_random, cmd_verify
-from hkcert.construction import run_pipeline, wall_for_record
+from hkcert.construction import (
+    _hyperbolic_pairs,
+    _isometry_of_ops,
+    _Reduction,
+    run_pipeline,
+    wall_for_record,
+)
 from hkcert.errors import SearchExhausted
 from hkcert.instance import HKInstance, random_instance
 from hkcert.lattice import (
     DELTA_INDEX,
     Isometry,
     _gram_snf,
-    _hyperbolic_pairs,
-    _isometry_of_ops,
-    _Reduction,
     acts_trivially_on_discriminant,
     build_k3_lattice,
     build_lambda,

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hkcert.construction import _Reduction, _hyperbolic_pairs, _isometry_of_ops, isometry_between
 from hkcert.errors import NoIsometryError, SearchExhausted
 from hkcert.lattice import (
     CACHE_SIZE,
@@ -19,17 +20,13 @@ from hkcert.lattice import (
     direct_sum,
     discriminant_group,
     divisibility,
-    _Reduction,
     _gram_snf,
-    _hyperbolic_pairs,
-    _isometry_of_ops,
     _span_snf,
     first_orthogonal_tuple,
     graded_coefficient_tuples,
     hyperbolic_plane,
     in_span_plus_lattice,
     is_primitive,
-    isometry_between,
     line_box_interval,
     norm,
     orthogonal_complement_basis,
