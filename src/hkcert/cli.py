@@ -12,7 +12,7 @@ import sys
 
 from . import certificate as cert
 from .errors import ConstructionInvariantViolated, SearchExhausted
-from .instance import normalize_brauer, random_instance, validate_instance
+from .instance import random_instance, validate_instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +42,7 @@ def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
     }
     try:
         inst = cert.instance_from_payload(cert.read_json(input_path))
-        inst = normalize_brauer(inst)
+        inst = construction.normalize_brauer(inst)
         failures = [c for c in validate_instance(inst) if not c.ok]
         if failures:
             bad = failures[0]

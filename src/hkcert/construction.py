@@ -5,13 +5,16 @@ class omega, the divisor D = A + u*omega with norm 2g beyond the wall
 bound, the twist multiplier t, the polarization degree and isotropic Mukai
 vector, the transport isometry between the canonical degree class and
 D + 4gtd*B, and the pushed-forward B-field class.  Every search takes the
-first hit in the documented order, so outputs are reproducible.
+first hit in the documented order, so outputs are reproducible.  That order,
+the B-field shift and the sampler's helpers live here too: verify runs none.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from . import obstruction, snf
 from .errors import ConstructionInvariantViolated, NoIsometryError, SearchExhausted
@@ -29,15 +32,15 @@ from .instance import (
     w_pairings,
 )
 from .lattice import (
+    DELTA_INDEX,
     GramLattice,
     Isometry,
     LatticeVector,
     _gram_times,
     divisibility,
-    first_orthogonal_tuple,
     form_value,
     gram_of,
-    graded_coefficient_tuples,
+    is_primitive,
     linear_combination,
     norm,
     pair,
@@ -65,6 +68,140 @@ class ConstructionRecord(Record):
         "alpha_x",
         "checks",
     )
+
+
+# ---------------------------------------------------------------------------
+# search-order enumeration
+
+def graded_coefficient_tuples(length, bound):
+    """Yield nonzero coefficient tuples in the documented search order.
+
+    Ascending grade (sum of absolute values), then absolute-value tuples in
+    ascending lexicographic order, then sign patterns over the nonzero
+    entries with + before - (leftmost entry varying slowest).  Every search
+    in this package that takes "the first hit" iterates in this order, which
+    is what makes recorded certificates reproducible bit for bit.
+    ``search_order_key`` sorts any set of such tuples into the same order.
+    """
+    for s in range(1, length * bound + 1):
+        for abs_t in _abs_tuples(length, s, bound):
+            nz = [i for i, c in enumerate(abs_t) if c]
+            for signs in itertools.product((1, -1), repeat=len(nz)):
+                t = list(abs_t)
+                for i, sg in zip(nz, signs):
+                    t[i] *= sg
+                yield tuple(t)
+
+
+def search_order_key(coeffs):
+    """Sort key of the documented search order: grade, absolute-value tuple,
+    then the signs of the nonzero entries with + before -."""
+    return (
+        sum(map(abs, coeffs)),
+        tuple(map(abs, coeffs)),
+        tuple(c < 0 for c in coeffs if c),
+    )
+
+
+def first_orthogonal_tuple(weights, bound, accept):
+    """First tuple of graded_coefficient_tuples(len(weights), bound) with
+    sum c_i w_i = 0 that satisfies ``accept``, or None.  Some weight must be
+    nonzero.
+
+    Only orthogonal tuples are visited.  The coordinate j with the largest
+    |w_j| is solved, and one free coordinate k is stepped: the one with the
+    largest step m = |w_j| / gcd(w_j, w_k).  The other coordinates form a
+    prefix with pairing s, run through the zero prefix and then ascending
+    grade f.  c_j = -(s + x w_k) / w_j is an integer iff gcd(w_j, w_k)
+    divides s and x lies in one residue class mod m, so x steps through that
+    class directly.  This reaches every nonzero orthogonal tuple exactly once
+    (the innermost-interval step of Fincke-Pohst, for one linear equation).
+    The result is the search_order_key minimum of the accepted ones, which is
+    the generator's first hit.  A tuple's grade is at least f + |x|, so the
+    scan stops once f exceeds the grade of the best hit so far, and x stays
+    within that grade less f.
+    """
+    rho = len(weights)
+    j = max(range(rho), key=lambda i: abs(weights[i]))
+    wj = weights[j]
+    if wj == 0:
+        raise ValueError("at least one weight must be nonzero")
+    if rho == 1:
+        return None  # only the zero tuple is orthogonal
+    k = max((i for i in range(rho) if i != j), key=lambda i: abs(wj) // gcd(wj, weights[i]))
+    wk = weights[k]
+    g = gcd(wj, wk)
+    m = abs(wj) // g
+    inverse = pow(wk // g, -1, m)
+    prefix_at = [i for i in range(rho) if i not in (j, k)]
+    prefix_weights = [weights[i] for i in prefix_at]
+    best = None
+    top = rho * bound  # the grade of the best hit so far, once there is one
+    prefixes = itertools.chain([(0,) * (rho - 2)], graded_coefficient_tuples(rho - 2, bound))
+    for prefix in prefixes:
+        f = sum(map(abs, prefix))
+        if f > top:
+            break
+        s = sum(map(mul, prefix, prefix_weights))
+        if s % g:
+            continue
+        coeffs = [0] * rho
+        for i, c in zip(prefix_at, prefix):
+            coeffs[i] = c
+        lim = min(bound, top - f)
+        x0 = -s // g * inverse  # c_j is an integer iff x = x0 (mod m)
+        for x in range(-lim + (x0 + lim) % m, lim + 1, m):
+            cj = -(s + x * wk) // wj
+            grade = f + abs(x) + abs(cj)
+            if abs(cj) > bound or grade > top or grade == 0:
+                continue
+            coeffs[k], coeffs[j] = x, cj
+            cand = tuple(coeffs)
+            key = search_order_key(cand)
+            if (best is None or key < best_key) and accept(cand):
+                best, best_key, top = cand, key, grade
+    return best
+
+
+def line_box_interval(base, step, bound, lo, hi):
+    """(lo', hi'): the integers x in [lo, hi] with |base_i + x step_i| <= bound
+    for every i, an interval since each constraint is one; empty when
+    lo' > hi'."""
+    for b, s in zip(base, step):
+        if s < 0:
+            b, s = -b, -s  # |b + x s| = |-b - x s|
+        if s:
+            lo = max(lo, -((bound + b) // s))
+            hi = min(hi, (bound - b) // s)
+        elif abs(b) > bound:
+            return 1, 0
+    return lo, hi
+
+
+def positive_on_interval(a, b, c, lo, hi):
+    """Whether a x^2 + b x + c > 0 for some integer x with lo <= x <= hi.
+
+    The maximum on the interval is at an end, or, for a < 0, at the vertex
+    -b / 2a; over the integers, at its floor or ceiling.  Exact: only
+    integer arithmetic (the innermost-interval step of Fincke-Pohst).
+    """
+    if lo > hi:
+        return False
+    xs = [lo, hi]
+    if a < 0:
+        v = b // (-2 * a)  # floor of the vertex
+        xs += [x for x in (v, v + 1) if lo < x < hi]
+    return any((a * x + b) * x + c > 0 for x in xs)
+
+
+def _abs_tuples(length, total, bound):
+    if length == 1:
+        if 0 <= total <= bound:
+            yield (total,)
+        return
+    for first in range(0, min(total, bound) + 1):
+        for rest in _abs_tuples(length - 1, total - first, bound):
+            yield (first,) + rest
 
 
 def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
@@ -522,7 +659,7 @@ def run_pipeline(
         CheckResult("transport_div_source", source_div == 1),
         CheckResult("transport_div_target", target_div == 1),
         CheckResult("transport_maps", sigma.apply(source) == epsilon * target),
-        CheckResult("transport_det", sigma.det() == 1),
+        CheckResult("transport_det", sigma.det() == 1 and sigma.orientation() == 1),
         CheckResult("brauer_pushforward", verdict),
     ]
     bad = [c for c in checks if not c.ok]
@@ -552,3 +689,168 @@ def run_pipeline(
 
 def wall_for_record(inst: HKInstance, rec: ConstructionRecord) -> obstruction.WallCertificate:
     return obstruction.wall_certificate(rec.g, rec.C1, inst.C0)
+
+
+# ---------------------------------------------------------------------------
+# B-field shift
+
+def orthogonal_complement_basis(L: GramLattice, vectors):
+    """Canonical basis of {x : (x, v) = 0 for all v}, as HNF rows.
+
+    The pairing rows G v are zero outside the columns T that some v touches,
+    so the complement is the kernel K of their T columns plus the unit
+    vectors of the other coordinates.  No other row touches those unit
+    vectors' pivots, so the unique HNF of the whole is the HNF of K, put
+    back in T, merged with them by pivot column.
+    """
+    rows = [_gram_times(v) for v in vectors]
+    touched = sorted({j for row in rows for j, x in enumerate(row) if x})
+    n = L.rank
+    basis = [(i, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in set(range(n)).difference(touched)]
+    if touched:
+        kernel = snf.kernel_basis(snf.smith_normal_form([[row[j] for j in touched] for row in rows]))
+        for k in snf.hermite_rows(kernel):
+            x = [0] * n
+            for j, c in zip(touched, k):
+                x[j] = c
+            basis.append((touched[next(p for p, c in enumerate(k) if c)], tuple(x)))
+    basis.sort()  # by pivot column, one per row
+    return [LatticeVector(x, L) for _, x in basis]
+
+
+_NORMALIZE_COEFF_BOUND = 8
+_NORMALIZE_CANDIDATES = 200000
+
+
+def normalize_brauer(inst: HKInstance):
+    """Shift B by d * (integral class orthogonal to Pic) until its norm is positive.
+
+    The Brauer class [-B/d] is unchanged.  Identity when the norm is already
+    positive.  Candidates are enumerated in the documented search order over
+    the canonical complement basis with per-coefficient bound
+    _NORMALIZE_COEFF_BOUND, at most _NORMALIZE_CANDIDATES of them.
+
+    Also identity when no shift can be primitive: a common factor of d and
+    every coordinate of B divides every B - d*c.  Validation then names the
+    failing check at once.
+    """
+    if norm(inst.B) > 0 or gcd(inst.d, *inst.B.coords) > 1:
+        return inst
+    comp = orthogonal_complement_basis(inst.lattice, inst.pic_basis)
+    seen = 0
+    for coeffs in graded_coefficient_tuples(len(comp), _NORMALIZE_COEFF_BOUND):
+        seen += 1
+        if seen > _NORMALIZE_CANDIDATES:
+            break
+        cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
+        if norm(cand) > 0 and is_primitive(cand):
+            return inst.replace(B=cand)
+    raise SearchExhausted(
+        f"no orthogonal shift with positive norm within coefficient bound "
+        f"{_NORMALIZE_COEFF_BOUND} ({min(seen, _NORMALIZE_CANDIDATES)} candidates tried)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# seeded generator helpers (instance.random_instance runs them)
+
+_PIC_SUPPORT = (0, 1, 2, 3, DELTA_INDEX)
+
+
+def _try_sample(rng, L, n, pic_rank, C0, d_max):
+    pic = []
+    for _ in range(pic_rank):
+        coords = [0] * L.rank
+        for idx in _PIC_SUPPORT:
+            coords[idx] = rng.randint(-3, 3)
+        pic.append(L.vector(coords))
+    sub_gram = gram_of(pic)
+    if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
+        return None
+    # the Picard matrix's other rows are zero and add no nonzero minor
+    if not _saturated([[p.coords[i] for p in pic] for i in _PIC_SUPPORT], pic_rank):
+        return None
+
+    W = None
+    for _ in range(80):
+        coeffs = [rng.randint(-3, 3) for _ in range(pic_rank)]
+        if not 0 < -form_value(sub_gram, coeffs) < C0:
+            continue
+        cand = linear_combination(L, coeffs, pic)
+        if is_primitive(cand):
+            W = cand
+            break
+    if W is None:
+        return None
+
+    comp = orthogonal_complement_basis(L, pic)
+    B = _sample_b(rng, L, comp)
+    if B is None:
+        return None
+    d = rng.randint(1, d_max)
+    return HKInstance(n=n, pic_basis=tuple(pic), W=W, B=B, d=d, C0=C0)
+
+
+def _sample_b(rng, L, comp):
+    # mix at most three complement vectors; positive norm needs a hyperbolic
+    # contribution, so weight retries generously.  A candidate's norm comes
+    # from the Gram matrix of the complement basis, and only a candidate of
+    # positive norm (so nonzero) is built
+    basis = [c.coords for c in comp]
+    gram = snf.mat_mul(snf.mat_mul(basis, L.gram), snf.transpose(basis))
+    for _ in range(120):
+        k = rng.randint(1, min(3, len(comp)))
+        picks = rng.sample(range(len(comp)), k)
+        coeffs = [rng.randint(-2, 2) for _ in picks]
+        if form_value([[gram[a][b] for b in picks] for a in picks], coeffs) <= 0:
+            continue
+        cand = linear_combination(L, coeffs, [comp[idx] for idx in picks])
+        if is_primitive(cand):
+            return cand
+    return None
+
+
+def _saturated(rows, rank):
+    # the columns of an integer matrix with `rank` columns are independent
+    # and span a saturated sublattice iff the gcd of its rank x rank minors
+    # (the product of its invariant factors) is 1
+    g = 0
+    for minor in combinations(rows, rank):
+        g = gcd(g, snf.det_bareiss(minor))
+        if g == 1:
+            return True
+    return False
+
+
+def _pipeline_feasible(inst):
+    # reject instances the bounded searches could not handle: a small
+    # divisibility-1 class pairing nontrivially with W must exist, and the
+    # orthogonal-to-W sublattice must contain a positive-norm class whose
+    # Picard coefficients stay inside the search bound
+    try:
+        find_A(inst, 3)
+    except SearchExhausted:
+        return False
+    return _kernel_has_bounded_positive(gram_of(inst.pic_basis), w_pairings(inst))
+
+
+def _kernel_has_bounded_positive(sub_gram, weights):
+    # whether a nonzero k in [-12, 12]^K over the kernel basis of the weights
+    # gives Picard coefficients c = sum k_i kern_i, each |c_j| <= 16, of
+    # positive norm.  With all but the last k_i fixed, c = base + x step is
+    # a line, its bounds an interval for x, and its norm a x^2 + b x + c
+    kern = snf.kernel_basis(snf.smith_normal_form([weights]))
+    if not kern:
+        return False
+    cols = list(zip(*kern))
+    step = kern[-1]
+    a = form_value(sub_gram, step)
+    g_step = snf.mat_vec(sub_gram, step)
+    for prefix in product(range(-12, 13), repeat=len(kern) - 1):
+        # map stops at the shorter prefix, so each base_j leaves step out
+        base = [sum(map(mul, col, prefix)) for col in cols]
+        lo, hi = line_box_interval(base, step, 16, -12, 12)
+        b = 2 * sum(map(mul, base, g_step))
+        if positive_on_interval(a, b, form_value(sub_gram, base), lo, hi):
+            return True
+    return False

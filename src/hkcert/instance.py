@@ -3,15 +3,13 @@
 Also houses Brauer-class arithmetic (equality is congruence modulo rational
 Picard classes plus integral classes), the closed forms that construct and
 verify both evaluate, and the seeded random instance generator used by the
-property suite and the CLI.
+property suite and the CLI (its helpers are in ``construction``).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
-from math import factorial, gcd
-from operator import mul
+from math import factorial
 
 from . import lattice as lat
 from . import snf
@@ -23,17 +21,10 @@ from .lattice import (
     LatticeVector,
     RationalClass,
     build_lambda,
-    form_value,
-    gram_of,
-    graded_coefficient_tuples,
     in_span_plus_lattice,
     is_primitive,
-    line_box_interval,
-    linear_combination,
     norm,
-    orthogonal_complement_basis,
     pair,
-    positive_on_interval,
 )
 from .record import Record
 
@@ -205,44 +196,8 @@ def rank_factor_min_bits(n: int, r: int) -> int:
     return n * (n.bit_length() + r.bit_length() - 4)
 
 
-_NORMALIZE_COEFF_BOUND = 8
-_NORMALIZE_CANDIDATES = 200000
-
-
-def normalize_brauer(inst: HKInstance):
-    """Shift B by d * (integral class orthogonal to Pic) until its norm is positive.
-
-    The Brauer class [-B/d] is unchanged.  Identity when the norm is already
-    positive.  Candidates are enumerated in the documented search order over
-    the canonical complement basis with per-coefficient bound
-    _NORMALIZE_COEFF_BOUND, at most _NORMALIZE_CANDIDATES of them.
-
-    Also identity when no shift can be primitive: a common factor of d and
-    every coordinate of B divides every B - d*c.  Validation then names the
-    failing check at once.
-    """
-    if norm(inst.B) > 0 or gcd(inst.d, *inst.B.coords) > 1:
-        return inst
-    comp = orthogonal_complement_basis(inst.lattice, inst.pic_basis)
-    seen = 0
-    for coeffs in graded_coefficient_tuples(len(comp), _NORMALIZE_COEFF_BOUND):
-        seen += 1
-        if seen > _NORMALIZE_CANDIDATES:
-            break
-        cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
-        if norm(cand) > 0 and is_primitive(cand):
-            return inst.replace(B=cand)
-    raise SearchExhausted(
-        f"no orthogonal shift with positive norm within coefficient bound "
-        f"{_NORMALIZE_COEFF_BOUND} ({min(seen, _NORMALIZE_CANDIDATES)} candidates tried)"
-    )
-
-
 # ---------------------------------------------------------------------------
 # seeded generator
-
-_PIC_SUPPORT = (0, 1, 2, 3, lat.DELTA_INDEX)
-
 
 def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HKInstance:
     """Deterministic-in-seed instance sampler.
@@ -253,6 +208,8 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
     norm in (-C0, 0) exists, and a positive-norm primitive B can be drawn
     from the orthogonal complement.
     """
+    from .construction import _pipeline_feasible, _try_sample  # construction imports this module
+
     if not 2 <= n <= 6:
         raise ValueError(f"n must be in [2, 6], got {n}")
     if not 2 <= pic_rank <= 4:
@@ -271,104 +228,3 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
         f"instance generation failed after 400 attempts (seed {seed}, n={n}, "
         f"pic_rank={pic_rank}, C0={C0}, d_max={d_max})"
     )
-
-
-def _try_sample(rng, L, n, pic_rank, C0, d_max):
-    pic = []
-    for _ in range(pic_rank):
-        coords = [0] * L.rank
-        for idx in _PIC_SUPPORT:
-            coords[idx] = rng.randint(-3, 3)
-        pic.append(L.vector(coords))
-    sub_gram = gram_of(pic)
-    if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
-        return None
-    # the Picard matrix's other rows are zero and add no nonzero minor
-    if not _saturated([[p.coords[i] for p in pic] for i in _PIC_SUPPORT], pic_rank):
-        return None
-
-    W = None
-    for _ in range(80):
-        coeffs = [rng.randint(-3, 3) for _ in range(pic_rank)]
-        if not 0 < -form_value(sub_gram, coeffs) < C0:
-            continue
-        cand = linear_combination(L, coeffs, pic)
-        if is_primitive(cand):
-            W = cand
-            break
-    if W is None:
-        return None
-
-    comp = orthogonal_complement_basis(L, pic)
-    B = _sample_b(rng, L, comp)
-    if B is None:
-        return None
-    d = rng.randint(1, d_max)
-    return HKInstance(n=n, pic_basis=tuple(pic), W=W, B=B, d=d, C0=C0)
-
-
-def _sample_b(rng, L, comp):
-    # mix at most three complement vectors; positive norm needs a hyperbolic
-    # contribution, so weight retries generously.  A candidate's norm comes
-    # from the Gram matrix of the complement basis, and only a candidate of
-    # positive norm (so nonzero) is built
-    basis = [c.coords for c in comp]
-    gram = snf.mat_mul(snf.mat_mul(basis, L.gram), snf.transpose(basis))
-    for _ in range(120):
-        k = rng.randint(1, min(3, len(comp)))
-        picks = rng.sample(range(len(comp)), k)
-        coeffs = [rng.randint(-2, 2) for _ in picks]
-        if form_value([[gram[a][b] for b in picks] for a in picks], coeffs) <= 0:
-            continue
-        cand = linear_combination(L, coeffs, [comp[idx] for idx in picks])
-        if is_primitive(cand):
-            return cand
-    return None
-
-
-def _saturated(rows, rank):
-    # the columns of an integer matrix with `rank` columns are independent
-    # and span a saturated sublattice iff the gcd of its rank x rank minors
-    # (the product of its invariant factors) is 1
-    g = 0
-    for minor in combinations(rows, rank):
-        g = gcd(g, snf.det_bareiss(minor))
-        if g == 1:
-            return True
-    return False
-
-
-def _pipeline_feasible(inst):
-    # reject instances the bounded searches could not handle: a small
-    # divisibility-1 class pairing nontrivially with W must exist, and the
-    # orthogonal-to-W sublattice must contain a positive-norm class whose
-    # Picard coefficients stay inside the search bound
-    from .construction import find_A  # construction imports this module
-
-    try:
-        find_A(inst, 3)
-    except SearchExhausted:
-        return False
-    return _kernel_has_bounded_positive(gram_of(inst.pic_basis), w_pairings(inst))
-
-
-def _kernel_has_bounded_positive(sub_gram, weights):
-    # whether a nonzero k in [-12, 12]^K over the kernel basis of the weights
-    # gives Picard coefficients c = sum k_i kern_i, each |c_j| <= 16, of
-    # positive norm.  With all but the last k_i fixed, c = base + x step is
-    # a line, its bounds an interval for x, and its norm a x^2 + b x + c
-    kern = snf.kernel_basis(snf.smith_normal_form([weights]))
-    if not kern:
-        return False
-    cols = list(zip(*kern))
-    step = kern[-1]
-    a = form_value(sub_gram, step)
-    g_step = snf.mat_vec(sub_gram, step)
-    for prefix in product(range(-12, 13), repeat=len(kern) - 1):
-        # map stops at the shorter prefix, so each base_j leaves step out
-        base = [sum(map(mul, col, prefix)) for col in cols]
-        lo, hi = line_box_interval(base, step, 16, -12, 12)
-        b = 2 * sum(map(mul, base, g_step))
-        if positive_on_interval(a, b, form_value(sub_gram, base), lo, hi):
-            return True
-    return False

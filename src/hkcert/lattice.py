@@ -27,7 +27,6 @@ everything is safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -213,6 +212,25 @@ class Isometry(Record):
         """
         s, m = self._moved, self.matrix
         return 1 if snf.det_bareiss([[m[i][j] for j in s] for i in s], 3) == 1 else -1
+
+    def orientation(self) -> int:
+        """+1 if M keeps the orientation of positive 3-planes, else -1.
+
+        For a basis that starts with e1, f1, e2, f2, e3, f3 of U^3 and has
+        signature (3, *), as build_lambda's does, P = <p_i> with p_i = e_i + f_i
+        is positive definite (Gram 2I) and P^perp negative definite.  So the
+        orthogonal projection of M(P) onto P is injective, and the sign of
+        det((M p_i, p_j)) is the orientation character.  On U,
+        (x, e + f) = x_e + x_f, so each entry is a sum of four entries of M.
+        The determinant is expanded by cofactors: Bareiss's exact division
+        costs over twice as much on sigma's thousand-digit entries.
+        """
+        m = self.matrix
+        (a, b, c), (d, e, f), (g, h, k) = [
+            [sum(m[r][s] for r in (2 * q, 2 * q + 1) for s in (2 * p, 2 * p + 1)) for q in range(3)]
+            for p in range(3)
+        ]
+        return 1 if a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -419,161 +437,3 @@ def span_lattice_witness(q: RationalClass, S):
     if sol is None:
         return None
     return L.vector(sol)
-
-
-def orthogonal_complement_basis(L: GramLattice, vectors):
-    """Canonical basis of {x : (x, v) = 0 for all v}, as HNF rows.
-
-    The pairing rows G v are zero outside the columns T that some v touches,
-    so the complement is the kernel K of their T columns plus the unit
-    vectors of the other coordinates.  No other row touches those unit
-    vectors' pivots, so the unique HNF of the whole is the HNF of K, put
-    back in T, merged with them by pivot column.
-    """
-    rows = [_gram_times(v) for v in vectors]
-    touched = sorted({j for row in rows for j, x in enumerate(row) if x})
-    n = L.rank
-    basis = [(i, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in set(range(n)).difference(touched)]
-    if touched:
-        kernel = snf.kernel_basis(snf.smith_normal_form([[row[j] for j in touched] for row in rows]))
-        for k in snf.hermite_rows(kernel):
-            x = [0] * n
-            for j, c in zip(touched, k):
-                x[j] = c
-            basis.append((touched[next(p for p, c in enumerate(k) if c)], tuple(x)))
-    basis.sort()  # by pivot column, one per row
-    return [LatticeVector(x, L) for _, x in basis]
-
-
-# ---------------------------------------------------------------------------
-# search-order enumeration
-
-def graded_coefficient_tuples(length, bound):
-    """Yield nonzero coefficient tuples in the documented search order.
-
-    Ascending grade (sum of absolute values), then absolute-value tuples in
-    ascending lexicographic order, then sign patterns over the nonzero
-    entries with + before - (leftmost entry varying slowest).  Every search
-    in this package that takes "the first hit" iterates in this order, which
-    is what makes recorded certificates reproducible bit for bit.
-    ``search_order_key`` sorts any set of such tuples into the same order.
-    """
-    for s in range(1, length * bound + 1):
-        for abs_t in _abs_tuples(length, s, bound):
-            nz = [i for i, c in enumerate(abs_t) if c]
-            for signs in itertools.product((1, -1), repeat=len(nz)):
-                t = list(abs_t)
-                for i, sg in zip(nz, signs):
-                    t[i] *= sg
-                yield tuple(t)
-
-
-def search_order_key(coeffs):
-    """Sort key of the documented search order: grade, absolute-value tuple,
-    then the signs of the nonzero entries with + before -."""
-    return (
-        sum(map(abs, coeffs)),
-        tuple(map(abs, coeffs)),
-        tuple(c < 0 for c in coeffs if c),
-    )
-
-
-def first_orthogonal_tuple(weights, bound, accept):
-    """First tuple of graded_coefficient_tuples(len(weights), bound) with
-    sum c_i w_i = 0 that satisfies ``accept``, or None.  Some weight must be
-    nonzero.
-
-    Only orthogonal tuples are visited.  The coordinate j with the largest
-    |w_j| is solved, and one free coordinate k is stepped: the one with the
-    largest step m = |w_j| / gcd(w_j, w_k).  The other coordinates form a
-    prefix with pairing s, run through the zero prefix and then ascending
-    grade f.  c_j = -(s + x w_k) / w_j is an integer iff gcd(w_j, w_k)
-    divides s and x lies in one residue class mod m, so x steps through that
-    class directly.  This reaches every nonzero orthogonal tuple exactly once
-    (the innermost-interval step of Fincke-Pohst, for one linear equation).
-    The result is the search_order_key minimum of the accepted ones, which is
-    the generator's first hit.  A tuple's grade is at least f + |x|, so the
-    scan stops once f exceeds the grade of the best hit so far, and x stays
-    within that grade less f.
-    """
-    rho = len(weights)
-    j = max(range(rho), key=lambda i: abs(weights[i]))
-    wj = weights[j]
-    if wj == 0:
-        raise ValueError("at least one weight must be nonzero")
-    if rho == 1:
-        return None  # only the zero tuple is orthogonal
-    k = max((i for i in range(rho) if i != j), key=lambda i: abs(wj) // gcd(wj, weights[i]))
-    wk = weights[k]
-    g = gcd(wj, wk)
-    m = abs(wj) // g
-    inverse = pow(wk // g, -1, m)
-    prefix_at = [i for i in range(rho) if i not in (j, k)]
-    prefix_weights = [weights[i] for i in prefix_at]
-    best = None
-    top = rho * bound  # the grade of the best hit so far, once there is one
-    prefixes = itertools.chain([(0,) * (rho - 2)], graded_coefficient_tuples(rho - 2, bound))
-    for prefix in prefixes:
-        f = sum(map(abs, prefix))
-        if f > top:
-            break
-        s = sum(map(mul, prefix, prefix_weights))
-        if s % g:
-            continue
-        coeffs = [0] * rho
-        for i, c in zip(prefix_at, prefix):
-            coeffs[i] = c
-        lim = min(bound, top - f)
-        x0 = -s // g * inverse  # c_j is an integer iff x = x0 (mod m)
-        for x in range(-lim + (x0 + lim) % m, lim + 1, m):
-            cj = -(s + x * wk) // wj
-            grade = f + abs(x) + abs(cj)
-            if abs(cj) > bound or grade > top or grade == 0:
-                continue
-            coeffs[k], coeffs[j] = x, cj
-            cand = tuple(coeffs)
-            key = search_order_key(cand)
-            if (best is None or key < best_key) and accept(cand):
-                best, best_key, top = cand, key, grade
-    return best
-
-
-def line_box_interval(base, step, bound, lo, hi):
-    """(lo', hi'): the integers x in [lo, hi] with |base_i + x step_i| <= bound
-    for every i, an interval since each constraint is one; empty when
-    lo' > hi'."""
-    for b, s in zip(base, step):
-        if s < 0:
-            b, s = -b, -s  # |b + x s| = |-b - x s|
-        if s:
-            lo = max(lo, -((bound + b) // s))
-            hi = min(hi, (bound - b) // s)
-        elif abs(b) > bound:
-            return 1, 0
-    return lo, hi
-
-
-def positive_on_interval(a, b, c, lo, hi):
-    """Whether a x^2 + b x + c > 0 for some integer x with lo <= x <= hi.
-
-    The maximum on the interval is at an end, or, for a < 0, at the vertex
-    -b / 2a; over the integers, at its floor or ceiling.  Exact: only
-    integer arithmetic (the innermost-interval step of Fincke-Pohst).
-    """
-    if lo > hi:
-        return False
-    xs = [lo, hi]
-    if a < 0:
-        v = b // (-2 * a)  # floor of the vertex
-        xs += [x for x in (v, v + 1) if lo < x < hi]
-    return any((a * x + b) * x + c > 0 for x in xs)
-
-
-def _abs_tuples(length, total, bound):
-    if length == 1:
-        if 0 <= total <= bound:
-            yield (total,)
-        return
-    for first in range(0, min(total, bound) + 1):
-        for rest in _abs_tuples(length - 1, total - first, bound):
-            yield (first,) + rest

@@ -34,19 +34,13 @@ def proportionality_bound(C0: int):
 def wall_certificate(g: int, C1: int, C0: int) -> WallCertificate:
     """Certify that no a with a^2 < C0 makes g divide a*C1.
 
-    Requires g > C0*C1 (the construction never emits anything else); under
-    that bound every remainder is the nonzero value a*C1 itself, so the
-    verdict is provably true whenever the precondition holds.
+    Requires g > C0*C1 (the construction never emits anything else).  Each
+    such a has 1 <= a*C1 <= (C0 - 1)*C1 < g, so the remainder of a*C1 mod g
+    is a*C1 itself, nonzero, and the verdict holds by the precondition alone.
     """
     if g < 1 or C1 < 1 or C0 < 1:
         raise ValueError("g, C1, C0 must be positive")
     if g <= C0 * C1:
         raise ValueError(f"need g > C0*C1, got g={g} <= {C0 * C1}")
-    tested = []
-    verdict = True
-    for a in range(1, max_a(C0) + 1):
-        r = (a * C1) % g
-        tested.append((a, r))
-        if r == 0:
-            verdict = False
-    return WallCertificate(g=g, C1=C1, C0=C0, tested_a=tuple(tested), verdict=verdict)
+    tested = tuple((a, a * C1) for a in range(1, max_a(C0) + 1))
+    return WallCertificate(g=g, C1=C1, C0=C0, tested_a=tested, verdict=True)

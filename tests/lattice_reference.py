@@ -23,7 +23,12 @@ give the same booleans.
 from operator import mul
 
 from hkcert import snf
-from hkcert.construction import _extended_gcd_combination, _inverse, _transvect
+from hkcert.construction import (
+    _extended_gcd_combination,
+    _inverse,
+    _transvect,
+    graded_coefficient_tuples,
+)
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
     Isometry,
@@ -31,7 +36,6 @@ from hkcert.lattice import (
     _gram_times,
     _sparse,
     form_value,
-    graded_coefficient_tuples,
     norm,
     pair,
 )

@@ -1049,3 +1049,164 @@ def test_digest_changes_with_content(e2_payload):
     other["record"]["u"] = str(int(other["record"]["u"]) + 1)
     assert cert.compute_digest(other) != e2_payload["digest"]
     assert cert.compute_digest(e2_payload) == e2_payload["digest"]
+
+
+# --- the verifier stays small and total --------------------------------------
+
+# the most lines the hkcert modules that a verify process loads may sum to:
+# every verify process reads and compiles the whole checker
+VERIFY_LINE_BUDGET = 1810
+
+_VERIFY_LOADS = """
+import sys
+from pathlib import Path
+from hkcert.cli import main
+code = main(sys.argv[1:])
+files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "hkcert"]
+lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in files)
+print(code, "hkcert.construction" in sys.modules, lines)
+"""
+
+
+def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
+    # a certifying algorithm's checker is small and apart from the search:
+    # a fresh verify process compiles no search code
+    cert.write_json(tmp_path / "e2.cert.json", e2_payload)
+    r = subprocess.run(
+        [sys.executable, "-c", _VERIFY_LOADS, "verify", "e2.cert.json"],
+        cwd=tmp_path, capture_output=True, text=True, env=_buffered_child_env(),
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    ok_line, summary = r.stdout.splitlines()
+    assert ok_line == f"e2.cert.json: OK ({len(cert.verify_payload(e2_payload))} checks)"
+    code, loads_construction, lines = summary.split()
+    assert (code, loads_construction) == ("0", "False")
+    assert int(lines) <= VERIFY_LINE_BUDGET
+
+
+def test_annotations_resolve_outside_the_pipeline():
+    # every annotation names something its module can resolve, without
+    # importing hkcert.construction back onto the verifier's path
+    import importlib
+    import inspect
+    import typing
+
+    for name in ("certificate", "cli", "instance", "lattice", "snf", "obstruction", "record", "errors"):
+        module = importlib.import_module(f"hkcert.{name}")
+        for obj in vars(module).values():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) or obj.__module__ != module.__name__:
+                continue
+            typing.get_type_hints(obj)
+            if inspect.isclass(obj):
+                for method in vars(obj).values():
+                    if inspect.isfunction(method):
+                        typing.get_type_hints(method)
+
+
+def _u3_reversed(payload):
+    # sigma followed by -1 on U3 (coordinates 4 and 5): U3 is orthogonal to
+    # the source, h and delta, so this is an isometry of determinant 1, trivial
+    # on the discriminant group, with the same transport; but it reverses the
+    # orientation of positive 3-planes, so it is no parallel-transport operator
+    rows = [
+        [str(-int(x)) if j in (4, 5) else x for j, x in enumerate(row)]
+        for row in payload["record"]["sigma"]
+    ]
+    return _forged(payload, {("record", "sigma"): rows})
+
+
+@pytest.fixture(scope="module")
+def seed7_payload():
+    # the certificate of `hkcert random --n 2 --pic-rank 2 --c0 3 --seed 7`
+    from hkcert.instance import random_instance
+
+    inst = random_instance(2, 2, 3, 3, 7)
+    rec = run_pipeline(inst)
+    budgets = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
+    return cert.certificate_payload(inst, rec, wall_for_record(inst, rec), budgets)
+
+
+@pytest.mark.parametrize("which", ["e2_payload", "seed7_payload"])
+def test_verify_rejects_orientation_reversing_sigma(which, request, tmp_path):
+    payload = request.getfixturevalue(which)
+    bad = _u3_reversed(payload)
+    assert [c.name for c in cert.verify_payload(bad) if not c.ok] == ["sigma_determinant"]
+    sigma = lattice.Isometry(tuple(tuple(map(int, row)) for row in bad["record"]["sigma"]),
+                             lattice.build_lambda(2))
+    assert (sigma.det(), sigma.orientation()) == (1, -1)
+    p = tmp_path / "u3.json"
+    cert.write_json(p, bad)
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_FAIL
+    assert out.getvalue() == f"{p}: FAIL sigma_determinant\n"
+
+
+def _set(path, value):
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return payload
+
+    return mutate
+
+
+# one case per CertificateFormatError the verifier raises, each a mutation of
+# the e2 certificate with its digest recomputed
+_HOSTILE = {
+    "short_vector": (_set(("record", "A"), ["0"] * 22), "A: expected 23 coordinates"),
+    "instance_not_object": (_set(("instance",), []), "instance: expected a JSON object"),
+    "n_below_two": (_set(("instance", "n"), "1"), "instance: n must be >= 2, got 1"),
+    "empty_pic_basis": (_set(("instance", "pic_basis"), []),
+                        "instance: pic_basis must be a nonempty list"),
+    "zero_d": (_set(("instance", "d"), "0"), "instance: d and C0 must be positive"),
+    "not_object": (lambda p: [p], "certificate: expected a JSON object"),
+    "sigma_rows": (lambda p: _set(("record", "sigma"), p["record"]["sigma"][:-1])(p),
+                   "record: sigma must be a rank x rank matrix"),
+    "sigma_row_length": (lambda p: _set(("record", "sigma", 3), p["record"]["sigma"][3][:-1])(p),
+                         "record: sigma row has wrong length"),
+    "alpha_zero_den": (_set(("record", "alpha_x", "den"), "0"), "alpha_x: zero denominator"),
+    "checks_not_list": (_set(("checks",), {}), "certificate: checks must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE))
+def test_cli_verify_hostile_structure_is_one_format_error(e2_payload, tmp_path, case):
+    mutate, reason = _HOSTILE[case]
+    bad = mutate(copy.deepcopy(e2_payload))
+    if isinstance(bad, dict):
+        bad["digest"] = cert.compute_digest(bad)
+    p = tmp_path / f"{case}.json"
+    cert.write_json(p, bad)
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_INPUT
+    assert out.getvalue() == f"{p}: malformed certificate: {reason}\n"
+
+
+def test_transport_retries_with_negative_epsilon(tmp_path):
+    # on this instance the reductions take 6 (source), 12 (target) and 10
+    # (-target) transvections, so the budget picks epsilon
+    from hkcert.errors import SearchExhausted
+    from hkcert.instance import random_instance
+
+    inst = random_instance(2, 2, 4, 3, 1001)
+    assert run_pipeline(inst, isometry_budget=12).epsilon == 1
+    for budget in (11, 10):
+        assert run_pipeline(inst, isometry_budget=budget).epsilon == -1
+    with pytest.raises(SearchExhausted, match="budget of 9 transvections"):
+        run_pipeline(inst, isometry_budget=9)
+
+    inst_path, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(inst))
+    out = io.StringIO()
+    assert cmd_construct(str(inst_path), str(cert_path), isometry_budget=11, out=out) == EXIT_OK
+    assert " epsilon=-1 " in out.getvalue()
+    out = io.StringIO()
+    assert cmd_verify([str(cert_path)], out=out) == EXIT_OK
+    assert out.getvalue().endswith(": OK (53 checks)\n")
+    unwritten = tmp_path / "unwritten.json"
+    out = io.StringIO()
+    assert cmd_construct(str(inst_path), str(unwritten), isometry_budget=9, out=out) == EXIT_BUDGET
+    assert out.getvalue().startswith("error: search exhausted: ")
+    assert not unwritten.exists()

@@ -13,6 +13,7 @@ from hkcert.construction import (
     find_A,
     find_D,
     find_omega,
+    graded_coefficient_tuples,
     mukai_data,
     pushforward_brauer,
     rank_factor,
@@ -29,7 +30,6 @@ from hkcert.instance import (
 from hkcert.lattice import (
     build_lambda,
     divisibility,
-    graded_coefficient_tuples,
     linear_combination,
     norm,
     pair,
@@ -274,6 +274,25 @@ def test_run_pipeline_reports_false_mukai_identity_as_a_check(e2_instance, monke
     assert checks[0].name == "mukai_isotropic" and not checks[0].ok
     with pytest.raises(
         ConstructionInvariantViolated, match=r"^pipeline check failed: mukai_isotropic$"
+    ):
+        run_pipeline(e2_instance)
+
+
+def test_run_pipeline_refuses_orientation_reversing_sigma(e2_instance, monkeypatch):
+    # sigma followed by -1 on U3 still maps the source to the target and has
+    # determinant 1, but it reverses the orientation of positive 3-planes
+    from hkcert.lattice import Isometry
+
+    exact = construction.isometry_between
+
+    def u3_reversed(v, w, step_budget):
+        m = exact(v, w, step_budget=step_budget).matrix
+        flipped = tuple(tuple(-x if j in (4, 5) else x for j, x in enumerate(row)) for row in m)
+        return Isometry(flipped, v.lattice)
+
+    monkeypatch.setattr(construction, "isometry_between", u3_reversed)
+    with pytest.raises(
+        ConstructionInvariantViolated, match=r"^pipeline check failed: transport_det$"
     ):
         run_pipeline(e2_instance)
 

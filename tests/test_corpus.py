@@ -57,6 +57,7 @@ from hkcert.lattice import (
     build_lambda,
     divisibility,
     norm,
+    pair,
 )
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -281,6 +282,36 @@ def test_corpus_sigma_shortcuts_match_definitions():
             assert twisted.det() == snf.det_bareiss(twisted.matrix)
         checked += 1
     assert checked == len(CORPUS) == 67
+
+
+def _orientation_reference(sigma):
+    """The orientation sign read from a second positive 3-plane,
+    Q = <e1+f1, e2+f2, e3+2f3> (Gram diag(2, 2, 4)): the sign of
+    det((sigma q_i, q_j)), each pairing taken with the lattice's form."""
+    L = sigma.lattice
+    zeros = [0] * (L.rank - 6)
+    q = [L.vector([1, 1, 0, 0, 0, 0] + zeros), L.vector([0, 0, 1, 1, 0, 0] + zeros),
+         L.vector([0, 0, 0, 0, 1, 2] + zeros)]
+    d = snf.det_bareiss([[pair(sigma.apply(a), b) for b in q] for a in q])
+    return 1 if d > 0 else -1
+
+
+def test_corpus_orientation_matches_a_second_positive_plane():
+    for entry in CORPUS:
+        sigma = certified(entry)[0].sigma
+        assert sigma.orientation() == _orientation_reference(sigma) == 1
+        # sigma followed by -1 on U3, as in the U3 forgery of a certificate
+        u3 = Isometry(
+            tuple(tuple(-x if j in (4, 5) else x for j, x in enumerate(row)) for row in sigma.matrix),
+            sigma.lattice,
+        )
+        assert (u3.det(), u3.orientation(), _orientation_reference(u3)) == (1, -1, -1)
+        for twisted in (
+            _twisted(sigma, lambda i: -1),
+            _twisted(sigma, lambda i: -1 if i == DELTA_INDEX else 1),
+            _twisted(sigma, lambda i: -1 if i in (0, 1) else 1),
+        ):
+            assert twisted.orientation() == _orientation_reference(twisted)
 
 
 def dense_isometry_reference(matrix, L):

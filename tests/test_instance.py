@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkcert.errors import SearchExhausted
-from hkcert.instance import (
-    BrauerClass,
-    HKInstance,
+from hkcert.construction import (
     _kernel_has_bounded_positive,
     _saturated,
     _try_sample,
+    normalize_brauer,
+)
+from hkcert.instance import (
+    BrauerClass,
+    HKInstance,
     b_field_class,
     brauer_equal,
-    normalize_brauer,
     pic_coordinates,
     random_instance,
     validate_instance,

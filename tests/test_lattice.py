@@ -6,7 +6,18 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hkcert.construction import _Reduction, _hyperbolic_pairs, _isometry_of_ops, isometry_between
+from hkcert.construction import (
+    _Reduction,
+    _hyperbolic_pairs,
+    _isometry_of_ops,
+    first_orthogonal_tuple,
+    graded_coefficient_tuples,
+    isometry_between,
+    line_box_interval,
+    orthogonal_complement_basis,
+    positive_on_interval,
+    search_order_key,
+)
 from hkcert.errors import NoIsometryError, SearchExhausted
 from hkcert.lattice import (
     CACHE_SIZE,
@@ -22,17 +33,11 @@ from hkcert.lattice import (
     divisibility,
     _gram_snf,
     _span_snf,
-    first_orthogonal_tuple,
-    graded_coefficient_tuples,
     hyperbolic_plane,
     in_span_plus_lattice,
     is_primitive,
-    line_box_interval,
     norm,
-    orthogonal_complement_basis,
     pair,
-    positive_on_interval,
-    search_order_key,
     span_lattice_witness,
 )
 from hkcert.snf import det_bareiss, mat_mul
