@@ -226,10 +226,9 @@ class Isometry(Record):
         costs over twice as much on sigma's thousand-digit entries.
         """
         m = self.matrix
-        (a, b, c), (d, e, f), (g, h, k) = [
-            [sum(m[r][s] for r in (2 * q, 2 * q + 1) for s in (2 * p, 2 * p + 1)) for q in range(3)]
-            for p in range(3)
-        ]
+        # rows[q][s] = (M e_s, p_q) for the first six columns s
+        rows = [[x + y for x, y in zip(m[2 * q][:6], m[2 * q + 1][:6])] for q in range(3)]
+        (a, b, c), (d, e, f), (g, h, k) = [[r[2 * p] + r[2 * p + 1] for r in rows] for p in range(3)]
         return 1 if a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) > 0 else -1
 
 
