@@ -38,8 +38,6 @@ from .lattice import (
     LatticeVector,
     _gram_times,
     divisibility,
-    form_value,
-    gram_of,
     is_primitive,
     linear_combination,
     norm,
@@ -204,6 +202,38 @@ def _abs_tuples(length, total, bound):
             yield (first,) + rest
 
 
+def gram_of(vectors):
+    """The Gram matrix ((v_i, v_j)) of a list of vectors: G v_i once per
+    vector, then the upper triangle by dot products, mirrored."""
+    gram = [[0] * len(vectors) for _ in vectors]
+    for i, v in enumerate(vectors):
+        gv = _gram_times(v)
+        for j in range(i, len(vectors)):
+            gram[i][j] = gram[j][i] = sum(map(mul, gv, vectors[j].coords))
+    return gram
+
+
+def form_evaluator(gram):
+    """The function c -> sum_ij c_i c_j gram_ij, the norm of sum_i c_i v_i
+    for a symmetric gram = gram_of(v).  The nonzero upper-triangle terms are
+    read once, the off-diagonal ones doubled, so that a value costs one
+    product per term."""
+    terms = [
+        (i, j, x if i == j else 2 * x)
+        for i, row in enumerate(gram)
+        for j, x in enumerate(row[i:], i)
+        if x
+    ]
+
+    def value(coeffs):
+        total = 0
+        for i, j, x in terms:
+            total += x * coeffs[i] * coeffs[j]
+        return total
+
+    return value
+
+
 def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     """First Picard class (documented order) of divisibility 1 pairing
     nontrivially with W, sign-normalized so the pairing is positive."""
@@ -236,8 +266,8 @@ def find_omega(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
             "W pairs to zero with the whole Picard basis; no coordinate can be "
             f"solved (coefficient bound {coeff_bound})"
         )
-    sub_gram = gram_of(inst.pic_basis)
-    coeffs = first_orthogonal_tuple(weights, coeff_bound, lambda c: form_value(sub_gram, c) > 0)
+    value = form_evaluator(gram_of(inst.pic_basis))
+    coeffs = first_orthogonal_tuple(weights, coeff_bound, lambda c: value(c) > 0)
     if coeffs is None:
         raise SearchExhausted(
             f"no positive-norm class orthogonal to W within coefficient bound {coeff_bound}"
@@ -694,6 +724,43 @@ def wall_for_record(inst: HKInstance, rec: ConstructionRecord) -> obstruction.Wa
 # ---------------------------------------------------------------------------
 # B-field shift
 
+def hermite_rows(rows):
+    """Canonical row Hermite form of the lattice spanned by ``rows``.
+
+    Pivots are positive and leftmost, entries above each pivot are reduced
+    into [0, pivot).  The output is the unique canonical basis, so every
+    caller that enumerates over it is deterministic.
+    """
+    if not rows:
+        return []
+    A = [list(r) for r in rows]
+    n = len(A[0])
+    r = 0
+    for col in range(n):
+        # gcd-sweep the column below r down to a single entry
+        while True:
+            live = [i for i in range(r, len(A)) if A[i][col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda i: abs(A[i][col]))
+            p = live[0]
+            for i in live[1:]:
+                q = A[i][col] // A[p][col]
+                A[i] = [x - q * y for x, y in zip(A[i], A[p])]
+        live = [i for i in range(r, len(A)) if A[i][col] != 0]
+        if not live:
+            continue
+        A[r], A[live[0]] = A[live[0]], A[r]
+        if A[r][col] < 0:
+            A[r] = [-x for x in A[r]]
+        for i in range(r):
+            q = A[i][col] // A[r][col]
+            if q:
+                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
+        r += 1
+    return A[:r]
+
+
 def orthogonal_complement_basis(L: GramLattice, vectors):
     """Canonical basis of {x : (x, v) = 0 for all v}, as HNF rows.
 
@@ -709,7 +776,7 @@ def orthogonal_complement_basis(L: GramLattice, vectors):
     basis = [(i, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in set(range(n)).difference(touched)]
     if touched:
         kernel = snf.kernel_basis(snf.smith_normal_form([[row[j] for j in touched] for row in rows]))
-        for k in snf.hermite_rows(kernel):
+        for k in hermite_rows(kernel):
             x = [0] * n
             for j, c in zip(touched, k):
                 x[j] = c
@@ -757,24 +824,57 @@ def normalize_brauer(inst: HKInstance):
 _PIC_SUPPORT = (0, 1, 2, 3, DELTA_INDEX)
 
 
+def gram_signature(G):
+    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
+
+    Descartes' rule of signs on the characteristic polynomial det(xI - G),
+    computed in integers by Faddeev-LeVerrier: G M_k has trace -k c_(n-k),
+    with M_1 = I and M_(k+1) = G M_k + c_(n-k) I.  A symmetric matrix has
+    only real eigenvalues, so the sign changes of the coefficients count the
+    positive ones exactly, and the trailing zero coefficients the zero ones.
+    """
+    n = len(G)
+    coeffs = [1]  # highest power first
+    GM = [[0] * n for _ in range(n)]  # G M_(k-1), with M_0 = 0
+    for k in range(1, n + 1):
+        for i in range(n):
+            GM[i][i] += coeffs[-1]
+        # GM now holds M_k, a polynomial in G and so symmetric: its rows are
+        # its columns, and each entry of G M_k is one C-level dot product
+        # (the dense small matrices here gain nothing from mat_mul's sparsity)
+        GM = [[sum(map(mul, g, m)) for m in GM] for g in G]
+        coeffs.append(-sum(GM[i][i] for i in range(n)) // k)
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, n - zero - pos, zero
+
+
 def _try_sample(rng, L, n, pic_rank, C0, d_max):
+    randint = rng.randint
     pic = []
     for _ in range(pic_rank):
         coords = [0] * L.rank
         for idx in _PIC_SUPPORT:
-            coords[idx] = rng.randint(-3, 3)
+            coords[idx] = randint(-3, 3)
         pic.append(L.vector(coords))
     sub_gram = gram_of(pic)
-    if snf.gram_signature(sub_gram) != (1, pic_rank - 1, 0):
+    if gram_signature(sub_gram) != (1, pic_rank - 1, 0):
         return None
     # the Picard matrix's other rows are zero and add no nonzero minor
     if not _saturated([[p.coords[i] for p in pic] for i in _PIC_SUPPORT], pic_rank):
         return None
 
+    # the Picard form is read once for up to 80 draws of W
+    w_norm = form_evaluator(sub_gram)
+    draws = range(pic_rank)
     W = None
     for _ in range(80):
-        coeffs = [rng.randint(-3, 3) for _ in range(pic_rank)]
-        if not 0 < -form_value(sub_gram, coeffs) < C0:
+        coeffs = [randint(-3, 3) for _ in draws]
+        if not 0 < -w_norm(coeffs) < C0:
             continue
         cand = linear_combination(L, coeffs, pic)
         if is_primitive(cand):
@@ -787,22 +887,41 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     B = _sample_b(rng, L, comp)
     if B is None:
         return None
-    d = rng.randint(1, d_max)
+    d = randint(1, d_max)
     return HKInstance(n=n, pic_basis=tuple(pic), W=W, B=B, d=d, C0=C0)
+
+
+def _complement_gram(L, comp):
+    # the Gram matrix of the complement basis, row by row from G c: for a
+    # unit vector c = e_k that is row k of G, and the entry against a unit
+    # vector e_i is entry i of G c, so only the others (at most three kernel
+    # vectors) need G c formed and dot products
+    coords = [c.coords for c in comp]
+    cols = [(x.index(1) if x.count(0) == len(x) - 1 and 1 in x else None, x) for x in coords]
+    return [
+        [gc[i] if i is not None else sum(map(mul, gc, x)) for i, x in cols]
+        for gc in (L.gram[k] if k is not None else _gram_times(c) for c, (k, _) in zip(comp, cols))
+    ]
 
 
 def _sample_b(rng, L, comp):
     # mix at most three complement vectors; positive norm needs a hyperbolic
-    # contribution, so weight retries generously.  A candidate's norm comes
-    # from the Gram matrix of the complement basis, and only a candidate of
-    # positive norm (so nonzero) is built
-    basis = [c.coords for c in comp]
-    gram = snf.mat_mul(snf.mat_mul(basis, L.gram), snf.transpose(basis))
+    # contribution, so weight retries generously.  A candidate's norm is
+    # summed over its picks off the complement's Gram matrix, and only a
+    # candidate of positive norm (so nonzero) is built
+    gram = _complement_gram(L, comp)
+    randint, sample = rng.randint, rng.sample
+    k_max, positions = min(3, len(comp)), range(len(comp))
     for _ in range(120):
-        k = rng.randint(1, min(3, len(comp)))
-        picks = rng.sample(range(len(comp)), k)
-        coeffs = [rng.randint(-2, 2) for _ in picks]
-        if form_value([[gram[a][b] for b in picks] for a in picks], coeffs) <= 0:
+        k = randint(1, k_max)
+        picks = sample(positions, k)
+        coeffs = [randint(-2, 2) for _ in picks]
+        value = 0
+        for a, ca in zip(picks, coeffs):
+            row = gram[a]
+            for b, cb in zip(picks, coeffs):
+                value += ca * cb * row[b]
+        if value <= 0:
             continue
         cand = linear_combination(L, coeffs, [comp[idx] for idx in picks])
         if is_primitive(cand):
@@ -844,13 +963,14 @@ def _kernel_has_bounded_positive(sub_gram, weights):
         return False
     cols = list(zip(*kern))
     step = kern[-1]
-    a = form_value(sub_gram, step)
+    value = form_evaluator(sub_gram)
+    a = value(step)
     g_step = snf.mat_vec(sub_gram, step)
     for prefix in product(range(-12, 13), repeat=len(kern) - 1):
         # map stops at the shorter prefix, so each base_j leaves step out
         base = [sum(map(mul, col, prefix)) for col in cols]
         lo, hi = line_box_interval(base, step, 16, -12, 12)
         b = 2 * sum(map(mul, base, g_step))
-        if positive_on_interval(a, b, form_value(sub_gram, base), lo, hi):
+        if positive_on_interval(a, b, value(base), lo, hi):
             return True
     return False

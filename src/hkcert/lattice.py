@@ -315,16 +315,6 @@ def norm(v: LatticeVector) -> int:
     return pair(v, v)
 
 
-def gram_of(vectors):
-    """The Gram matrix ((v_i, v_j)) of a list of vectors."""
-    return [[pair(a, b) for b in vectors] for a in vectors]
-
-
-def form_value(gram, coeffs) -> int:
-    """sum_ij c_i c_j gram_ij: the norm of sum_i c_i v_i, given gram_of(v)."""
-    return sum(ci * sum(map(mul, row, coeffs)) for ci, row in zip(coeffs, gram) if ci)
-
-
 def linear_combination(L: GramLattice, coeffs, vectors) -> LatticeVector:
     """sum_i c_i v_i in L (the zero vector when every c_i is 0)."""
     out = [0] * L.rank

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith and Hermite forms, kernels, solvers.
+"""Exact integer matrix routines: Smith forms, kernels, solvers, determinants.
 
 Matrices are lists (or tuples) of rows of Python ints.  Everything here is
 arbitrary precision; no entry is ever coerced to a fixed-width type.
@@ -254,69 +254,3 @@ def left_kernel_basis(snf_data):
     """Basis of {y in Z^m : y A = 0}; the rows of U past the rank."""
     U, D, V = snf_data
     return [list(row) for row in U[_rank(D):]]
-
-
-def hermite_rows(rows):
-    """Canonical row Hermite form of the lattice spanned by ``rows``.
-
-    Pivots are positive and leftmost, entries above each pivot are reduced
-    into [0, pivot).  The output is the unique canonical basis, so every
-    caller that enumerates over it is deterministic.
-    """
-    if not rows:
-        return []
-    A = [list(r) for r in rows]
-    n = len(A[0])
-    r = 0
-    for col in range(n):
-        # gcd-sweep the column below r down to a single entry
-        while True:
-            live = [i for i in range(r, len(A)) if A[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(A[i][col]))
-            p = live[0]
-            for i in live[1:]:
-                q = A[i][col] // A[p][col]
-                A[i] = [x - q * y for x, y in zip(A[i], A[p])]
-        live = [i for i in range(r, len(A)) if A[i][col] != 0]
-        if not live:
-            continue
-        A[r], A[live[0]] = A[live[0]], A[r]
-        if A[r][col] < 0:
-            A[r] = [-x for x in A[r]]
-        for i in range(r):
-            q = A[i][col] // A[r][col]
-            if q:
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return A[:r]
-
-
-def gram_signature(G):
-    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
-
-    Descartes' rule of signs on the characteristic polynomial det(xI - G),
-    computed in integers by Faddeev-LeVerrier: G M_k has trace -k c_(n-k),
-    with M_1 = I and M_(k+1) = G M_k + c_(n-k) I.  A symmetric matrix has
-    only real eigenvalues, so the sign changes of the coefficients count the
-    positive ones exactly, and the trailing zero coefficients the zero ones.
-    """
-    n = len(G)
-    coeffs = [1]  # highest power first
-    GM = [[0] * n for _ in range(n)]  # G M_(k-1), with M_0 = 0
-    for k in range(1, n + 1):
-        for i in range(n):
-            GM[i][i] += coeffs[-1]
-        # GM now holds M_k, a polynomial in G and so symmetric: its rows are
-        # its columns, and each entry of G M_k is one C-level dot product
-        # (the dense small matrices here gain nothing from mat_mul's sparsity)
-        GM = [[sum(map(mul, g, m)) for m in GM] for g in G]
-        coeffs.append(-sum(GM[i][i] for i in range(n)) // k)
-    zero = 0
-    while coeffs[-1] == 0:
-        coeffs.pop()
-        zero += 1
-    signs = [c > 0 for c in coeffs if c]
-    pos = sum(a != b for a, b in zip(signs, signs[1:]))
-    return pos, n - zero - pos, zero

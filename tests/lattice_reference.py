@@ -17,7 +17,9 @@ package's versions must give the same (U, D, V) and the same basis.
 sampler's feasibility scan and saturation pre-check as first written: every
 nonzero kernel coefficient tuple in the documented order, and the Smith form
 of the support matrix.  The package's interval test and minors gcd must
-give the same booleans.
+give the same booleans.  The scan sums each norm with ``dense_form_value``,
+over every Gram entry, so it shares no code with the package's prepared
+``form_evaluator``.
 """
 
 from operator import mul
@@ -28,6 +30,7 @@ from hkcert.construction import (
     _inverse,
     _transvect,
     graded_coefficient_tuples,
+    hermite_rows,
 )
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
@@ -35,7 +38,6 @@ from hkcert.lattice import (
     LatticeVector,
     _gram_times,
     _sparse,
-    form_value,
     norm,
     pair,
 )
@@ -232,7 +234,7 @@ def orthogonal_complement_basis(L, vectors):
         basis = identity_matrix(L.rank)
     else:
         basis = snf.kernel_basis(snf.smith_normal_form(rows))
-    return [L.vector(b) for b in snf.hermite_rows(basis)]
+    return [L.vector(b) for b in hermite_rows(basis)]
 
 
 def smith_normal_form(M):
@@ -314,6 +316,12 @@ def smith_normal_form(M):
     return U, A, V
 
 
+def dense_form_value(gram, coeffs):
+    """sum_ij c_i c_j gram_ij over every entry, zeros included."""
+    n = len(gram)
+    return sum(coeffs[i] * coeffs[j] * gram[i][j] for i in range(n) for j in range(n))
+
+
 def kernel_has_bounded_positive(sub_gram, weights):
     """Whether some nonzero tuple of [-12, 12]^K over the kernel basis of the
     weights gives Picard coefficients, each within 16, of positive norm."""
@@ -323,7 +331,7 @@ def kernel_has_bounded_positive(sub_gram, weights):
     gens = snf.transpose(kern)
     for kcoeffs in graded_coefficient_tuples(len(kern), 12):
         coeffs = [sum(map(mul, row, kcoeffs)) for row in gens]
-        if all(abs(c) <= 16 for c in coeffs) and form_value(sub_gram, coeffs) > 0:
+        if all(abs(c) <= 16 for c in coeffs) and dense_form_value(sub_gram, coeffs) > 0:
             return True
     return False
 

@@ -3,11 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkcert import construction, snf
 from hkcert.errors import SearchExhausted
 from hkcert.construction import (
     _kernel_has_bounded_positive,
     _saturated,
     _try_sample,
+    form_evaluator,
+    gram_of,
     normalize_brauer,
 )
 from hkcert.instance import (
@@ -19,8 +22,9 @@ from hkcert.instance import (
     random_instance,
     validate_instance,
 )
-from hkcert.lattice import RationalClass, norm, pair
-from lattice_reference import kernel_has_bounded_positive, saturated_by_snf
+from hkcert.lattice import RationalClass, build_lambda, norm, pair
+from lattice_reference import dense_form_value, kernel_has_bounded_positive, saturated_by_snf
+from test_sampler_stream import CELLS, MIXED_GRID
 
 
 def failing(inst):
@@ -330,3 +334,91 @@ def test_saturation_minors_gcd_matches_smith_form(case):
     assert got == saturated_by_snf(rows, rho)
     if kind != "random":
         assert got == (kind == "saturated")
+
+
+# --- the sampler's prepared forms --------------------------------------------
+
+_HUGE = 10**30
+
+
+@st.composite
+def _forms(draw):
+    # symmetric matrices of size 1-6 with entries up to 10^30, some of them
+    # zero and some rows zero, and coefficient vectors with zeros
+    size = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-_HUGE, _HUGE))
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            gram[i][j] = gram[j][i] = draw(entry)
+    for i in draw(st.sets(st.integers(0, size - 1), max_size=size)):
+        for j in range(size):
+            gram[i][j] = gram[j][i] = 0
+    coeff = st.one_of(st.just(0), st.integers(-16, 16), st.integers(-_HUGE, _HUGE))
+    coeffs = draw(st.lists(st.lists(coeff, min_size=size, max_size=size), min_size=1, max_size=4))
+    return gram, coeffs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_forms())
+def test_form_evaluator_matches_dense_sum(case):
+    gram, coeffs = case
+    value = form_evaluator(gram)
+    for c in coeffs:
+        assert value(c) == dense_form_value(gram, c)
+
+
+@st.composite
+def _lambda_vectors(draw):
+    # 1-5 vectors of build_lambda(n), sparse or dense, with coordinates up
+    # to 10^30, zero vectors and repeats included
+    L = build_lambda(draw(st.integers(2, 6)))
+    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-_HUGE, _HUGE))
+    vector = st.one_of(
+        st.lists(coord, min_size=L.rank, max_size=L.rank),
+        st.dictionaries(st.integers(0, L.rank - 1), coord, max_size=5).map(
+            lambda d: [d.get(i, 0) for i in range(L.rank)]
+        ),
+    )
+    vectors = [L.vector(x) for x in draw(st.lists(vector, min_size=1, max_size=5))]
+    if len(vectors) > 1 and draw(st.booleans()):
+        vectors.append(vectors[0])
+    return vectors
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_lambda_vectors())
+def test_gram_of_matches_pairings(vectors):
+    assert gram_of(vectors) == [[pair(a, b) for b in vectors] for a in vectors]
+
+
+def _dense_complement_gram(comp):
+    # C G C^T, with C the complement basis as rows
+    basis = [c.coords for c in comp]
+    return snf.mat_mul(snf.mat_mul(basis, comp[0].lattice.gram), snf.transpose(basis))
+
+
+def test_complement_gram_matches_dense_product(lam2, monkeypatch):
+    # vectors with one nonzero entry other than 1 are no unit vectors
+    e = lam2.basis_vector
+    comp = [e(0), 2 * e(1), -e(2), e(3) + e(22), 3 * e(22), e(5), e(4) - 10**30 * e(6)]
+    assert construction._complement_gram(lam2, comp) == _dense_complement_gram(comp)
+
+    # every complement that the sampler reaches on the mixed golden cells
+    seen = []
+    prepared = construction._complement_gram
+
+    def checked(L, comp):
+        gram = prepared(L, comp)
+        assert gram == _dense_complement_gram(comp)
+        seen.append(len(comp))
+        return gram
+
+    monkeypatch.setattr(construction, "_complement_gram", checked)
+    for cell, seed in CELLS[: len(MIXED_GRID)]:
+        try:
+            random_instance(*cell, seed)
+        except SearchExhausted:
+            pass
+    # rho = 2 and 3 on the 23 coordinates of build_lambda(n)
+    assert len(seen) > len(MIXED_GRID) and set(seen) == {20, 21}

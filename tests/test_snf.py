@@ -4,10 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkcert.construction import gram_signature, hermite_rows
 from hkcert.snf import (
     det_bareiss,
-    gram_signature,
-    hermite_rows,
     kernel_basis,
     left_kernel_basis,
     mat_mul,
