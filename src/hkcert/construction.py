@@ -854,6 +854,14 @@ def gram_signature(G):
 
 
 def _try_sample(rng, L, n, pic_rank, C0, d_max):
+    # a returned sample passes each check of validate_instance by a rejection
+    # here or by how it is built, so nothing re-checks it:
+    # - the signature, then _saturated: pic_independent and pic_saturated;
+    # - the W loop: w_norm_bound and w_primitive;
+    # - _sample_b: b_norm_positive and b_primitive;
+    # - W a Picard combination, B from the complement: w_in_pic and b_orthogonal_pic;
+    # - random_instance's ranges and L = build_lambda(n): params_in_range,
+    #   pic_rank, lattice_matches_n and vectors_same_lattice
     randint = rng.randint
     pic = []
     for _ in range(pic_rank):
@@ -888,7 +896,15 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     if B is None:
         return None
     d = randint(1, d_max)
-    return HKInstance(n=n, pic_basis=tuple(pic), W=W, B=B, d=d, C0=C0)
+    inst = HKInstance(n=n, pic_basis=tuple(pic), W=W, B=B, d=d, C0=C0)
+    # construct's bounded searches must handle it: find_A within 3, and the
+    # kernel test, where W = sum c_i p_i pairs with p_j to (sub_gram c)_j
+    try:
+        find_A(inst, 3)
+    except SearchExhausted:
+        return None
+    feasible = _kernel_has_bounded_positive(sub_gram, snf.mat_vec(sub_gram, coeffs))
+    return inst if feasible else None
 
 
 def _complement_gram(L, comp):
@@ -939,18 +955,6 @@ def _saturated(rows, rank):
         if g == 1:
             return True
     return False
-
-
-def _pipeline_feasible(inst):
-    # reject instances the bounded searches could not handle: a small
-    # divisibility-1 class pairing nontrivially with W must exist, and the
-    # orthogonal-to-W sublattice must contain a positive-norm class whose
-    # Picard coefficients stay inside the search bound
-    try:
-        find_A(inst, 3)
-    except SearchExhausted:
-        return False
-    return _kernel_has_bounded_positive(gram_of(inst.pic_basis), w_pairings(inst))
 
 
 def _kernel_has_bounded_positive(sub_gram, weights):

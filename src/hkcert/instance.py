@@ -110,8 +110,7 @@ def validate_instance(inst: HKInstance):
         CheckResult("pic_saturated", saturated, f"invariant factors {diag}")
     )
 
-    in_span = snf.solve_integer(data, list(inst.W.coords)) is not None
-    checks.append(CheckResult("w_in_pic", in_span))
+    checks.append(CheckResult("w_in_pic", pic_coordinates(inst, inst.W) is not None))
     w_prim = is_primitive(inst.W)
     checks.append(CheckResult("w_primitive", w_prim))
     # the MBM bound: W primitive with 0 < -(W, W) < C0
@@ -205,10 +204,12 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
     Picard vectors have entries in [-3, 3] supported on the first two
     hyperbolic planes and delta; rejection runs until the Picard form has
     signature (1, rank-1), the sublattice is saturated, a wall class of
-    norm in (-C0, 0) exists, and a positive-norm primitive B can be drawn
-    from the orthogonal complement.
+    norm in (-C0, 0) exists, a positive-norm primitive B can be drawn
+    from the orthogonal complement, and construct's bounded searches can
+    handle the sample.  ``construction._try_sample`` decides each sample
+    once: its rejections imply every check of ``validate_instance``.
     """
-    from .construction import _pipeline_feasible, _try_sample  # construction imports this module
+    from .construction import _try_sample  # construction imports this module
 
     if not 2 <= n <= 6:
         raise ValueError(f"n must be in [2, 6], got {n}")
@@ -220,9 +221,7 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
     L = build_lambda(n)
     for _ in range(400):
         inst = _try_sample(rng, L, n, pic_rank, C0, d_max)
-        if inst is None or not all(c.ok for c in validate_instance(inst)):
-            continue
-        if _pipeline_feasible(inst):
+        if inst is not None:
             return inst
     raise SearchExhausted(
         f"instance generation failed after 400 attempts (seed {seed}, n={n}, "

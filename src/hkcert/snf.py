@@ -48,10 +48,6 @@ def mat_vec(A, x):
     return [sum(map(mul, row, x)) for row in A]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def det_bareiss(M, p=None):
     """Exact determinant by fraction-free (Bareiss) elimination.
 

@@ -328,7 +328,7 @@ def kernel_has_bounded_positive(sub_gram, weights):
     kern = snf.kernel_basis(snf.smith_normal_form([weights]))
     if not kern:
         return False
-    gens = snf.transpose(kern)
+    gens = [list(col) for col in zip(*kern)]
     for kcoeffs in graded_coefficient_tuples(len(kern), 12):
         coeffs = [sum(map(mul, row, kcoeffs)) for row in gens]
         if all(abs(c) <= 16 for c in coeffs) and dense_form_value(sub_gram, coeffs) > 0:

@@ -16,8 +16,10 @@ from hkcert.construction import (
 from hkcert.instance import (
     BrauerClass,
     HKInstance,
+    MukaiVector,
     b_field_class,
     brauer_equal,
+    mukai_data,
     pic_coordinates,
     random_instance,
     validate_instance,
@@ -395,7 +397,8 @@ def test_gram_of_matches_pairings(vectors):
 def _dense_complement_gram(comp):
     # C G C^T, with C the complement basis as rows
     basis = [c.coords for c in comp]
-    return snf.mat_mul(snf.mat_mul(basis, comp[0].lattice.gram), snf.transpose(basis))
+    columns = [list(col) for col in zip(*basis)]
+    return snf.mat_mul(snf.mat_mul(basis, comp[0].lattice.gram), columns)
 
 
 def test_complement_gram_matches_dense_product(lam2, monkeypatch):
@@ -422,3 +425,21 @@ def test_complement_gram_matches_dense_product(lam2, monkeypatch):
             pass
     # rho = 2 and 3 on the 23 coordinates of build_lambda(n)
     assert len(seen) > len(MIXED_GRID) and set(seen) == {20, 21}
+
+
+def test_mukai_closed_forms_are_polynomial_identities():
+    # the package's own closed forms on symbols hold for every n, g, t, d, e
+    sympy = pytest.importorskip("sympy")
+    n, g, t, d, e = sympy.symbols("n g t d e")
+    r, m, s, H2 = mukai_data(n, g, t, d, e)
+    zero = [
+        MukaiVector(r, m, s, H2).self_pairing(),
+        H2 - 2 * g * s,
+        r - 16 * g * t**2 * d**4,
+        m - 4 * t * d**2,
+        g * m - 4 * g * t * d**2,
+        # the transport ends' norms: h^2 = H2, delta^2 = 2 - 2n and (h, delta) = 0
+        # for the source; D^2 = 2g, B^2 = 2e and (D, B) = 0 for the target
+        (H2 + (2 * g * t * d**2) ** 2 * (2 - 2 * n)) - (2 * g + (4 * g * t * d) ** 2 * 2 * e),
+    ]
+    assert [sympy.expand(x) for x in zero] == [0] * len(zero)

@@ -5,6 +5,8 @@
 sha256 of the instance payload it returns, and the sha256 of every call it
 makes on its ``random.Random`` (method, arguments and result, in order).
 A faster sampler must draw the same stream and return the same instance.
+Each returned instance must also pass every check of ``validate_instance``:
+the sampler decides each sample by its own rejections and does not run it.
 
 The cells are every (n, rho, C0, d_max) of the benchmark's ``mixed`` grid,
 the same grid at rho = 4, and d_max in {10^40, 10^200}.  A cell whose draw
@@ -95,9 +97,14 @@ def draw(cell, seed):
     instance.random = types.SimpleNamespace(Random=make)
     try:
         try:
-            out = _sha(instance_to_payload(instance.random_instance(*cell, seed)))
+            inst = instance.random_instance(*cell, seed)
         except SearchExhausted:
             out = "SearchExhausted"
+        else:
+            # the sampler decides each sample once and does not re-validate
+            # it, so every instance it returns is checked here
+            assert [c.name for c in instance.validate_instance(inst) if not c.ok] == []
+            out = _sha(instance_to_payload(inst))
     finally:
         instance.random = saved
     assert len(rngs) == 1

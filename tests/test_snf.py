@@ -14,7 +14,6 @@ from hkcert.snf import (
     smith_normal_form,
     snf_diagonal,
     solve_integer,
-    transpose,
 )
 from lattice_reference import smith_normal_form as reference_smith_normal_form
 
@@ -266,7 +265,7 @@ def symmetric_matrices(draw):
     for i in range(draw(st.integers(0, n))):
         D[i][i] = rng.choice((-1, 1)) * rng.randint(1, 4)
     P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-    return mat_mul(mat_mul(transpose(P), D), P)
+    return mat_mul(mat_mul([list(col) for col in zip(*P)], D), P)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is test-only")
