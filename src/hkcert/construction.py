@@ -29,7 +29,6 @@ from .instance import (
     rank_factor,
     rank_factor_min_bits,
     transport_ends,
-    w_pairings,
 )
 from .lattice import (
     DELTA_INDEX,
@@ -203,13 +202,16 @@ def _abs_tuples(length, total, bound):
 
 
 def gram_of(vectors):
-    """The Gram matrix ((v_i, v_j)) of a list of vectors: G v_i once per
-    vector, then the upper triangle by dot products, mirrored."""
+    """The Gram matrix ((v_i, v_j)): G v_i once per vector, then the upper
+    triangle, mirrored; against a unit vector e_k the entry is (G v_i)_k."""
+    coords = [v.coords for v in vectors]
+    units = [x.index(1) if x.count(0) == len(x) - 1 and 1 in x else None for x in coords]
     gram = [[0] * len(vectors) for _ in vectors]
     for i, v in enumerate(vectors):
         gv = _gram_times(v)
         for j in range(i, len(vectors)):
-            gram[i][j] = gram[j][i] = sum(map(mul, gv, vectors[j].coords))
+            k = units[j]
+            gram[i][j] = gram[j][i] = gv[k] if k is not None else sum(map(mul, gv, coords[j]))
     return gram
 
 
@@ -234,15 +236,19 @@ def form_evaluator(gram):
     return value
 
 
+def w_pairings(inst: HKInstance):
+    """(p, W) for each Picard basis vector p; SearchExhausted if all are zero,
+    as neither find_A nor find_omega then has a candidate."""
+    weights = [pair(p, inst.W) for p in inst.pic_basis]
+    if not any(weights):
+        raise SearchExhausted("W pairs to zero with the whole Picard basis; no candidate exists")
+    return weights
+
+
 def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     """First Picard class (documented order) of divisibility 1 pairing
     nontrivially with W, sign-normalized so the pairing is positive."""
     weights = w_pairings(inst)
-    if not any(weights):
-        raise SearchExhausted(
-            "W pairs to zero with the whole Picard basis; no candidate exists "
-            f"(coefficient bound {coeff_bound})"
-        )
     for coeffs in graded_coefficient_tuples(len(weights), coeff_bound):
         c1 = sum(c * w for c, w in zip(coeffs, weights))
         if c1:
@@ -261,11 +267,6 @@ def find_omega(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     first_orthogonal_tuple); the hit is the one the full scan finds first.
     """
     weights = w_pairings(inst)
-    if not any(weights):
-        raise SearchExhausted(
-            "W pairs to zero with the whole Picard basis; no coordinate can be "
-            f"solved (coefficient bound {coeff_bound})"
-        )
     value = form_evaluator(gram_of(inst.pic_basis))
     coeffs = first_orthogonal_tuple(weights, coeff_bound, lambda c: value(c) > 0)
     if coeffs is None:
@@ -293,11 +294,15 @@ def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: i
     C1 = pair(A, inst.W)
     a2, aw, w2 = pair(A, A), pair(A, omega), pair(omega, omega)
     bound = 2 * inst.C0 * C1
-    us = (u for u in range(1, u_budget + 1) if a2 + 2 * u * aw + u * u * w2 > bound)
+
+    def norm_at(u):  # (A + u omega)^2
+        return a2 + 2 * u * aw + u * u * w2
+
+    us = (u for u in range(1, u_budget + 1) if norm_at(u) > bound)
     u = _first_unit_divisibility(_gram_times(A), _gram_times(omega), us)
     if u is None:
         raise SearchExhausted(f"no admissible u within budget {u_budget}")
-    return A + u * omega, (a2 + 2 * u * aw + u * u * w2) // 2, C1, u
+    return A + u * omega, norm_at(u) // 2, C1, u
 
 
 def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) -> int:
@@ -737,7 +742,7 @@ def hermite_rows(rows):
     n = len(A[0])
     r = 0
     for col in range(n):
-        # gcd-sweep the column below r down to a single entry
+        # gcd-sweep the column below r until live holds at most one row
         while True:
             live = [i for i in range(r, len(A)) if A[i][col] != 0]
             if len(live) <= 1:
@@ -747,7 +752,6 @@ def hermite_rows(rows):
             for i in live[1:]:
                 q = A[i][col] // A[p][col]
                 A[i] = [x - q * y for x, y in zip(A[i], A[p])]
-        live = [i for i in range(r, len(A)) if A[i][col] != 0]
         if not live:
             continue
         A[r], A[live[0]] = A[live[0]], A[r]
@@ -907,25 +911,12 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     return inst if feasible else None
 
 
-def _complement_gram(L, comp):
-    # the Gram matrix of the complement basis, row by row from G c: for a
-    # unit vector c = e_k that is row k of G, and the entry against a unit
-    # vector e_i is entry i of G c, so only the others (at most three kernel
-    # vectors) need G c formed and dot products
-    coords = [c.coords for c in comp]
-    cols = [(x.index(1) if x.count(0) == len(x) - 1 and 1 in x else None, x) for x in coords]
-    return [
-        [gc[i] if i is not None else sum(map(mul, gc, x)) for i, x in cols]
-        for gc in (L.gram[k] if k is not None else _gram_times(c) for c, (k, _) in zip(comp, cols))
-    ]
-
-
 def _sample_b(rng, L, comp):
     # mix at most three complement vectors; positive norm needs a hyperbolic
     # contribution, so weight retries generously.  A candidate's norm is
     # summed over its picks off the complement's Gram matrix, and only a
     # candidate of positive norm (so nonzero) is built
-    gram = _complement_gram(L, comp)
+    gram = gram_of(comp)
     randint, sample = rng.randint, rng.sample
     k_max, positions = min(3, len(comp)), range(len(comp))
     for _ in range(120):

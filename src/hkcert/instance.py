@@ -78,11 +78,6 @@ def pic_coordinates(inst, v):
     return snf.solve_integer(_pic_snf(inst), list(v.coords))
 
 
-def w_pairings(inst):
-    """(p, W) for each Picard basis vector p."""
-    return [pair(p, inst.W) for p in inst.pic_basis]
-
-
 def validate_instance(inst: HKInstance):
     """Run every instance invariant; failures become report entries, not errors."""
     checks = []

@@ -1055,7 +1055,7 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines the hkcert modules that a verify process loads may sum to:
 # every verify process reads and compiles the whole checker
-VERIFY_LINE_BUDGET = 1718
+VERIFY_LINE_BUDGET = 1713
 
 _VERIFY_LOADS = """
 import sys

@@ -81,6 +81,20 @@ def test_find_omega_exhausted_when_w_orthogonal(e2_instance, lam2):
         find_omega(bad)
 
 
+def test_find_A_and_find_omega_share_the_w_orthogonal_refusal(e2_instance, lam2):
+    # one guard, in w_pairings, refuses a W orthogonal to the Picard basis
+    # for both searches, whatever their coefficient bounds
+    bad = e2_instance.replace(W=lam2.vector([0, 0, 1, -1] + [0] * 19))
+    refusals = []
+    for search, bound in ((find_A, 3), (find_A, 16), (find_omega, 1), (find_omega, 16)):
+        with pytest.raises(SearchExhausted) as exc:
+            search(bad, bound)
+        refusals.append(str(exc.value))
+    with pytest.raises(SearchExhausted) as exc:
+        construction.w_pairings(bad)
+    assert refusals == [str(exc.value)] * 4
+
+
 def _reference_find_omega(inst, coeff_bound=16):
     # the full graded scan that find_omega replaced, kept as its oracle
     w_pairings = [pair(p, inst.W) for p in inst.pic_basis]

@@ -44,13 +44,15 @@ from hkcert.construction import (
     _isometry_of_ops,
     _Reduction,
     run_pipeline,
+    transport,
     wall_for_record,
 )
 from hkcert.errors import SearchExhausted
-from hkcert.instance import HKInstance, random_instance
+from hkcert.instance import HKInstance, canonical_degree_class, pushed_class, random_instance
 from hkcert.lattice import (
     DELTA_INDEX,
     Isometry,
+    RationalClass,
     _gram_snf,
     acts_trivially_on_discriminant,
     build_k3_lattice,
@@ -312,6 +314,28 @@ def test_corpus_orientation_matches_a_second_positive_plane():
             _twisted(sigma, lambda i: -1 if i in (0, 1) else 1),
         ):
             assert twisted.orientation() == _orientation_reference(twisted)
+
+
+def test_corpus_pushed_class_meets_the_brauer_congruence():
+    # the Brauer match as an exact congruence, on each corpus sigma and on
+    # the transport forced to the other epsilon: with den = 4gtd^2, the
+    # numerator num = -sigma(eps h - (den/2) delta) of pushed_class satisfies
+    # num + D = -(den/d) B modulo den Lambda, since sigma(source) = eps target;
+    # D lies in Pic, so [num/den] = [-B/d] modulo Pic (x) Q + Lambda
+    checked = 0
+    for entry in CORPUS:
+        inst, rec = instance_of(entry), certified(entry)[0]
+        L, den = inst.lattice, 4 * rec.g * rec.t * inst.d**2
+        forced = transport(inst, rec.D, rec.g, rec.t, rec.H2, force_epsilon=-rec.epsilon)
+        assert forced[3] == -rec.epsilon
+        h = canonical_degree_class(L, rec.H2)
+        for sigma, eps in ((rec.sigma, rec.epsilon), (forced[2], forced[3])):
+            num = -sigma.apply(eps * h - (den // 2) * L.basis_vector(DELTA_INDEX))
+            pushed = pushed_class(inst, sigma, rec.H2, den, eps).representative
+            assert pushed == RationalClass(num, den)
+            assert all(x % den == 0 for x in (num + rec.D + den // inst.d * inst.B).coords)
+            checked += 1
+    assert checked == 2 * len(CORPUS) == 134
 
 
 def dense_isometry_reference(matrix, L):

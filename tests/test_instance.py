@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hkcert import construction, snf
 from hkcert.errors import SearchExhausted
@@ -373,13 +373,17 @@ def test_form_evaluator_matches_dense_sum(case):
 @st.composite
 def _lambda_vectors(draw):
     # 1-5 vectors of build_lambda(n), sparse or dense, with coordinates up
-    # to 10^30, zero vectors and repeats included
+    # to 10^30, vectors with one nonzero entry of 1, -1 or 2 (gram_of reads
+    # only the first as a unit vector), zero vectors and repeats included
     L = build_lambda(draw(st.integers(2, 6)))
     coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-_HUGE, _HUGE))
     vector = st.one_of(
         st.lists(coord, min_size=L.rank, max_size=L.rank),
         st.dictionaries(st.integers(0, L.rank - 1), coord, max_size=5).map(
             lambda d: [d.get(i, 0) for i in range(L.rank)]
+        ),
+        st.tuples(st.integers(0, L.rank - 1), st.sampled_from((1, -1, 2))).map(
+            lambda kc: [kc[1] if i == kc[0] else 0 for i in range(L.rank)]
         ),
     )
     vectors = [L.vector(x) for x in draw(st.lists(vector, min_size=1, max_size=5))]
@@ -388,43 +392,48 @@ def _lambda_vectors(draw):
     return vectors
 
 
+_E = build_lambda(2).basis_vector
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_lambda_vectors())
+@example([_E(3), -_E(3), 2 * _E(3), _E(22) - 10**30 * _E(0), _E(22), _E(3)])
+@example([_E(0), _E(1), -_E(1), 2 * _E(22), _E(0)])
 def test_gram_of_matches_pairings(vectors):
     assert gram_of(vectors) == [[pair(a, b) for b in vectors] for a in vectors]
 
 
-def _dense_complement_gram(comp):
-    # C G C^T, with C the complement basis as rows
-    basis = [c.coords for c in comp]
+def _dense_gram(vectors):
+    # C G C^T, with C the vectors as rows
+    basis = [v.coords for v in vectors]
     columns = [list(col) for col in zip(*basis)]
-    return snf.mat_mul(snf.mat_mul(basis, comp[0].lattice.gram), columns)
+    return snf.mat_mul(snf.mat_mul(basis, vectors[0].lattice.gram), columns)
 
 
 def test_complement_gram_matches_dense_product(lam2, monkeypatch):
     # vectors with one nonzero entry other than 1 are no unit vectors
     e = lam2.basis_vector
     comp = [e(0), 2 * e(1), -e(2), e(3) + e(22), 3 * e(22), e(5), e(4) - 10**30 * e(6)]
-    assert construction._complement_gram(lam2, comp) == _dense_complement_gram(comp)
+    assert gram_of(comp) == _dense_gram(comp)
 
-    # every complement that the sampler reaches on the mixed golden cells
+    # every Gram matrix that the sampler builds on the mixed golden cells:
+    # the Picard basis's and its orthogonal complement's
     seen = []
-    prepared = construction._complement_gram
 
-    def checked(L, comp):
-        gram = prepared(L, comp)
-        assert gram == _dense_complement_gram(comp)
-        seen.append(len(comp))
+    def checked(vectors):
+        gram = gram_of(vectors)
+        assert gram == _dense_gram(vectors)
+        seen.append(len(vectors))
         return gram
 
-    monkeypatch.setattr(construction, "_complement_gram", checked)
+    monkeypatch.setattr(construction, "gram_of", checked)
     for cell, seed in CELLS[: len(MIXED_GRID)]:
         try:
             random_instance(*cell, seed)
         except SearchExhausted:
             pass
-    # rho = 2 and 3 on the 23 coordinates of build_lambda(n)
-    assert len(seen) > len(MIXED_GRID) and set(seen) == {20, 21}
+    # rho = 2 and 3, and the complements in the 23 coordinates of build_lambda(n)
+    assert sum(k > 3 for k in seen) > len(MIXED_GRID) and set(seen) == {2, 3, 20, 21}
 
 
 def test_mukai_closed_forms_are_polynomial_identities():
