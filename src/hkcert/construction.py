@@ -770,23 +770,24 @@ def orthogonal_complement_basis(L: GramLattice, vectors):
 
     The pairing rows G v are zero outside the columns T that some v touches,
     so the complement is the kernel K of their T columns plus the unit
-    vectors of the other coordinates.  No other row touches those unit
-    vectors' pivots, so the unique HNF of the whole is the HNF of K, put
-    back in T, merged with them by pivot column.
+    vectors of the other coordinates.  For j in T, the rows ((G v)_j for
+    each v, then e_j on T) span the pairs (((x, v) for each v), x); the rows
+    of their HNF whose pairing entries vanish are the HNF of K (Cohen,
+    GTM 138, 2.4.3).  Put back in T, they and the unit vectors have
+    distinct pivots, each its row's first nonzero entry and positive, so
+    descending order is ascending pivot column.
     """
     rows = [_gram_times(v) for v in vectors]
     touched = sorted({j for row in rows for j, x in enumerate(row) if x})
-    n = L.rank
-    basis = [(i, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in set(range(n)).difference(touched)]
-    if touched:
-        kernel = snf.kernel_basis(snf.smith_normal_form([[row[j] for j in touched] for row in rows]))
-        for k in hermite_rows(kernel):
+    n, k = L.rank, len(rows)
+    basis = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in set(range(n)).difference(touched)]
+    for h in hermite_rows([[row[j] for row in rows] + [int(i == j) for i in touched] for j in touched]):
+        if not any(h[:k]):
             x = [0] * n
-            for j, c in zip(touched, k):
+            for j, c in zip(touched, h[k:]):
                 x[j] = c
-            basis.append((touched[next(p for p, c in enumerate(k) if c)], tuple(x)))
-    basis.sort()  # by pivot column, one per row
-    return [LatticeVector(x, L) for _, x in basis]
+            basis.append(tuple(x))
+    return [LatticeVector(x, L) for x in sorted(basis, reverse=True)]
 
 
 _NORMALIZE_COEFF_BOUND = 8
@@ -808,17 +809,15 @@ def normalize_brauer(inst: HKInstance):
     if norm(inst.B) > 0 or gcd(inst.d, *inst.B.coords) > 1:
         return inst
     comp = orthogonal_complement_basis(inst.lattice, inst.pic_basis)
-    seen = 0
-    for coeffs in graded_coefficient_tuples(len(comp), _NORMALIZE_COEFF_BOUND):
-        seen += 1
-        if seen > _NORMALIZE_CANDIDATES:
-            break
+    candidates = graded_coefficient_tuples(len(comp), _NORMALIZE_COEFF_BOUND)
+    tried = 0
+    for tried, coeffs in enumerate(itertools.islice(candidates, _NORMALIZE_CANDIDATES), 1):
         cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
         if norm(cand) > 0 and is_primitive(cand):
             return inst.replace(B=cand)
     raise SearchExhausted(
         f"no orthogonal shift with positive norm within coefficient bound "
-        f"{_NORMALIZE_COEFF_BOUND} ({min(seen, _NORMALIZE_CANDIDATES)} candidates tried)"
+        f"{_NORMALIZE_COEFF_BOUND} ({tried} candidates tried)"
     )
 
 

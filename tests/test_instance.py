@@ -12,6 +12,7 @@ from hkcert.construction import (
     form_evaluator,
     gram_of,
     normalize_brauer,
+    orthogonal_complement_basis,
 )
 from hkcert.instance import (
     BrauerClass,
@@ -24,9 +25,14 @@ from hkcert.instance import (
     random_instance,
     validate_instance,
 )
-from hkcert.lattice import RationalClass, build_lambda, norm, pair
-from lattice_reference import dense_form_value, kernel_has_bounded_positive, saturated_by_snf
-from test_sampler_stream import CELLS, MIXED_GRID
+from hkcert.lattice import DELTA_INDEX, RationalClass, build_lambda, norm, pair
+from lattice_reference import (
+    dense_form_value,
+    kernel_has_bounded_positive,
+    orthogonal_complement_basis as dense_complement_basis,
+    saturated_by_snf,
+)
+from test_sampler_stream import CELLS
 
 
 def failing(inst):
@@ -166,6 +172,20 @@ def test_normalize_preserves_class_d2(e2_instance, lam2):
     assert norm(out.B) > 0
     assert brauer_equal(b_field_class(neg), b_field_class(out))
     assert all(c.ok for c in validate_instance(out))
+
+
+def test_normalize_exhausted_when_the_complement_is_negative(e2_instance, lam2):
+    # Pic = U^3 + E8(-1)^2 leaves the complement <delta>, and each shift
+    # (1 - c) delta of B = delta has norm -2 (1 - c)^2 <= 0, so the scan
+    # tries the 16 nonzero c in [-8, 8] and gives up
+    delta = lam2.basis_vector(DELTA_INDEX)
+    pic = [lam2.basis_vector(i) for i in range(DELTA_INDEX)]
+    assert orthogonal_complement_basis(lam2, pic) == [delta]
+    with pytest.raises(SearchExhausted) as exc:
+        normalize_brauer(e2_instance.replace(pic_basis=pic, B=delta, d=1))
+    assert str(exc.value) == (
+        "no orthogonal shift with positive norm within coefficient bound 8 (16 candidates tried)"
+    )
 
 
 # --- generator ---------------------------------------------------------------
@@ -416,9 +436,10 @@ def test_complement_gram_matches_dense_product(lam2, monkeypatch):
     comp = [e(0), 2 * e(1), -e(2), e(3) + e(22), 3 * e(22), e(5), e(4) - 10**30 * e(6)]
     assert gram_of(comp) == _dense_gram(comp)
 
-    # every Gram matrix that the sampler builds on the mixed golden cells:
-    # the Picard basis's and its orthogonal complement's
-    seen = []
+    # every Gram matrix that the sampler builds on the golden cells, the
+    # Picard basis's and its orthogonal complement's; and every complement,
+    # against the reference's HNF of the kernel over all 23 columns
+    seen, complements = [], []
 
     def checked(vectors):
         gram = gram_of(vectors)
@@ -426,14 +447,22 @@ def test_complement_gram_matches_dense_product(lam2, monkeypatch):
         seen.append(len(vectors))
         return gram
 
+    def complement(L, vectors):
+        basis = orthogonal_complement_basis(L, vectors)
+        assert basis == dense_complement_basis(L, vectors)
+        complements.append(basis)
+        return basis
+
     monkeypatch.setattr(construction, "gram_of", checked)
-    for cell, seed in CELLS[: len(MIXED_GRID)]:
+    monkeypatch.setattr(construction, "orthogonal_complement_basis", complement)
+    for cell, seed in CELLS:
         try:
             random_instance(*cell, seed)
         except SearchExhausted:
             pass
-    # rho = 2 and 3, and the complements in the 23 coordinates of build_lambda(n)
-    assert sum(k > 3 for k in seen) > len(MIXED_GRID) and set(seen) == {2, 3, 20, 21}
+    # rho = 2, 3 and 4, and the complements in the 23 coordinates of build_lambda(n)
+    assert len(complements) == 588
+    assert sum(k > 4 for k in seen) == len(complements) and set(seen) == {2, 3, 4, 19, 20, 21}
 
 
 def test_mukai_closed_forms_are_polynomial_identities():

@@ -171,6 +171,42 @@ def test_hermite_rows_canonical():
     assert hermite_rows([[0, 4, 0], [0, 2, 1]]) == rows
 
 
+@st.composite
+def row_lists(draw):
+    # up to 7 rows of width 1-6 with small entries, often zero; a repeated
+    # or combined row and a zero row make the rank deficient
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return rows
+
+
+def _in_row_span(rows, target):
+    # whether target is an integer combination of rows
+    if not rows:
+        return not any(target)
+    return solve_integer(smith_normal_form([list(col) for col in zip(*rows)]), target) is not None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(row_lists())
+def test_hermite_rows_is_an_hnf_of_the_same_lattice(rows):
+    # the row HNF of a lattice is unique, so these properties pin the output
+    H = hermite_rows(rows)
+    pivots = [next(j for j, x in enumerate(h) if x) for h in H if any(h)]
+    assert len(pivots) == len(H)
+    assert all(h[p] > 0 for h, p in zip(H, pivots))
+    assert pivots == sorted(set(pivots))
+    assert all(0 <= g[p] < h[p] for i, (h, p) in enumerate(zip(H, pivots)) for g in H[:i])
+    assert all(_in_row_span(H, r) for r in rows)
+    assert all(_in_row_span(rows, h) for h in H)
+
+
 # --- products against the naive triple sum ----------------------------------
 
 def naive_mat_mul(A, B):
