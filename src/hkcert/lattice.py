@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import add
 
 from . import snf
 from .record import Record
@@ -65,7 +65,7 @@ class GramLattice(Record):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "sparse_rows", tuple(_sparse(row) for row in g))
+        object.__setattr__(self, "sparse_rows", tuple(snf.sparse(row) for row in g))
         object.__setattr__(self, "_hash", hash(g))
 
     def __eq__(self, other):
@@ -151,19 +151,15 @@ class Isometry(Record):
     """Integer matrix acting on coordinate columns, preserving the Gram form.
 
     Construction checks M^T G M = G exactly.  Since the lattice is
-    nondegenerate, that identity gives det(M)^2 = 1, so every Isometry is
-    unimodular without a separate determinant check.  Let S be the moved
-    columns (M e_j != e_j).  Both sides are symmetric, so it suffices to
-    compare the entries (j, i) with j in S or i in S, and of those with both
-    in S only the upper triangle i >= j; with neither in S they agree, as
-    e_j^T G e_i = G_ji.  For j in S the vector G M e_j is formed once.  At a
-    fixed column i (M e_i = e_i) the entry is its coordinate
-    (M^T G M)_ji = (G M e_j)_i; at a moved i >= j it is the pairing of
-    G M e_j with M e_i.  That is k(k+1)/2 pairings of sigma's (possibly
-    huge) columns for k = |S|, against k^2 for the whole S x S block.
+    nondegenerate, that gives det(M)^2 = 1, so every Isometry is unimodular.
+    The moved columns S (M e_j != e_j) are kept as sparse columns of M - I.
+    Both sides are symmetric and agree off the rows and columns in S, so
+    for j in S, G M e_j is formed once: entry (j, i) is its coordinate i at
+    a fixed i, and at a moved i >= j its pairing with M e_i, summed over
+    the nonzero entries of (M - I) e_i.
     """
 
-    __slots__ = ("matrix", "lattice", "_moved")
+    __slots__ = ("matrix", "lattice", "_moved", "_columns")
     _fields = ("matrix", "lattice")
 
     def __init__(self, matrix, lattice):
@@ -182,12 +178,18 @@ class Isometry(Record):
             raise ValueError("isometry matrix shape does not match lattice rank")
         cols = list(zip(*m))
         s = [j for j, c in enumerate(cols) if c[j] != 1 or c.count(0) != n - 1]
+        shift = [()] * n
+        for j in s:
+            c = list(cols[j])
+            c[j] -= 1
+            shift[j] = snf.sparse(c)
         object.__setattr__(self, "_moved", s)
+        object.__setattr__(self, "_columns", tuple(shift))
         # row j of M_S^T G is (G M e_j)^T, as G is symmetric
         for a, (j, gmj) in enumerate(zip(s, snf.mat_mul([cols[j] for j in s], L.gram))):
             gj = L.gram[j]
             upper = s[a:]
-            pairings = [sum(map(mul, gmj, cols[i])) for i in upper]
+            pairings = [sum([gmj[k] * x for k, x in shift[i]]) + gmj[i] for i in upper]
             # the fixed columns are compared in place; (j, i) for a moved
             # i < j was row i's pairing
             for i in s:
@@ -196,9 +198,11 @@ class Isometry(Record):
                 raise ValueError("matrix does not preserve the Gram form")
 
     def apply(self, v: LatticeVector) -> LatticeVector:
+        # M x = x + the sum of x_j (M - I) e_j over the moved j with x_j != 0
         if v.lattice != self.lattice:
             raise ValueError("vector lives in a different lattice")
-        return LatticeVector(tuple(snf.mat_vec(self.matrix, v.coords)), self.lattice)
+        x = v.coords
+        return LatticeVector(tuple(map(add, x, snf.columns_times(self._columns, x))), self.lattice)
 
     def det(self) -> int:
         """The determinant, +1 or -1.
@@ -294,11 +298,6 @@ DELTA_INDEX = 22
 # ---------------------------------------------------------------------------
 # pairings
 
-def _sparse(coords):
-    # the nonzero entries of a coordinate tuple, as (index, value) pairs
-    return tuple((i, c) for i, c in enumerate(coords) if c)
-
-
 def pair(v: LatticeVector, w: LatticeVector) -> int:
     if v.lattice != w.lattice:
         raise ValueError("vectors live in different lattices")
@@ -320,7 +319,7 @@ def linear_combination(L: GramLattice, coeffs, vectors) -> LatticeVector:
     out = [0] * L.rank
     for c, v in zip(coeffs, vectors):
         if c:
-            for i, x in _sparse(v.coords):
+            for i, x in snf.sparse(v.coords):
                 out[i] += c * x
     return LatticeVector(tuple(out), L)
 
@@ -369,10 +368,9 @@ def acts_trivially_on_discriminant(iso: Isometry) -> bool:
     """
     _, D, V = _gram_snf(iso.lattice)
     for i, d in enumerate(snf.snf_diagonal(D)):
-        if d > 1:
-            v = [row[i] for row in V]
-            if any((mv - x) % d for mv, x in zip(snf.mat_vec(iso.matrix, v), v)):
-                return False
+        # (M - I) v_i, summed over the moved columns
+        if d > 1 and any(x % d for x in snf.columns_times(iso._columns, [row[i] for row in V])):
+            return False
     return True
 
 
@@ -382,47 +380,44 @@ def acts_trivially_on_discriminant(iso: Isometry) -> bool:
 @lru_cache(maxsize=CACHE_SIZE)
 def _span_snf(L: GramLattice, span_coords):
     # Smith form U M V = D of the span matrix M, whose columns are the span
-    # vectors; for a Picard basis, validation, coordinates and brauer_equal share it
-    return snf.smith_normal_form([[c[i] for c in span_coords] for i in range(L.rank)])
-
-
-def _span_relations(L: GramLattice, S):
-    # K: the rows of U at the zero rows of D, which span the relations y M = 0
-    # (an empty span's matrix M has no columns, so U = I and K = I)
-    if any(s.lattice != L for s in S):
-        raise ValueError("span vectors live in a different lattice")
-    return snf.left_kernel_basis(_span_snf(L, tuple(s.coords for s in S)))
+    # vectors, with U and V as sparse columns; for a Picard basis,
+    # validation, coordinates and brauer_equal share it
+    return snf.sparse_smith_form([[c[i] for c in span_coords] for i in range(L.rank)])
 
 
 def in_span_plus_lattice(q: RationalClass, S) -> bool:
     """True iff q is a rational combination of S plus an integral vector.
 
-    With q = num/den and K the relations of the span, x is in the rational
-    span of S iff K x = 0, so an integral mu with q - mu in it solves
-    K mu = (K num)/den.  K is made of rows of the unimodular U, so K mu = y
-    has an integral solution for every integral y (mu = U^-1 z, where z is y
-    at those rows and 0 elsewhere).  Hence the test is K num = 0 (mod den).
+    With q = num/den and K the rows of U at the zero rows of D, which span
+    the relations y M = 0, x is in the rational span of S iff K x = 0, so an
+    integral mu with q - mu in it solves K mu = (K num)/den.  K is made of
+    rows of the unimodular U, so K mu = y has an integral solution for every
+    integral y (mu = U^-1 z, where z is y at those rows and 0 elsewhere).
+    Hence the test is K num = 0 (mod den), read off U num past the rank (an
+    empty span's matrix M has no columns, so U = I and K = I).
     """
-    K = _span_relations(q.numerator.lattice, S)
-    den = q.denominator
-    return not any(x % den for x in snf.mat_vec(K, q.numerator.coords))
+    L, den = q.numerator.lattice, q.denominator
+    if any(s.lattice != L for s in S):
+        raise ValueError("span vectors live in a different lattice")
+    U, D, _ = _span_snf(L, tuple(s.coords for s in S))
+    return not any(x % den for x in snf.columns_times(U, q.numerator.coords)[snf._rank(D):])
 
 
 def span_lattice_witness(q: RationalClass, S):
     """Integral vector mu with q - mu in the rational span of S, or None.
 
     The tests' reference for in_span_plus_lattice: it solves
-    K mu = (K num)/den through the Smith form of K.
+    K mu = (K num)/den through the Smith form of K, written out densely.
     """
     L = q.numerator.lattice
-    K = _span_relations(L, S)
+    U, D, _ = _span_snf(L, tuple(s.coords for s in S))
+    cols = [dict(c) for c in U]
+    K = [[c.get(i, 0) for c in cols] for i in range(snf._rank(D), L.rank)]
     if not K:
         return L.zero()
     den = q.denominator
     c = snf.mat_vec(K, q.numerator.coords)
     if any(x % den for x in c):
         return None
-    sol = snf.solve_integer(snf.smith_normal_form(K), [x // den for x in c])
-    if sol is None:
-        return None
-    return L.vector(sol)
+    sol = snf.solve_integer(snf.sparse_smith_form(K), [x // den for x in c])
+    return None if sol is None else L.vector(sol)

@@ -48,6 +48,22 @@ def mat_vec(A, x):
     return [sum(map(mul, row, x)) for row in A]
 
 
+def sparse(x):
+    """The nonzero entries of x as (index, value) pairs."""
+    return tuple(compress(enumerate(x), x))
+
+
+def columns_times(columns, x):
+    """A x for a square A given by its columns as ``sparse`` pairs: only the
+    nonzero x_j, and the nonzero entries of their columns, are multiplied."""
+    out = [0] * len(columns)
+    for a, col in zip(x, columns):
+        if a:
+            for i, c in col:
+                out[i] += c * a
+    return out
+
+
 def det_bareiss(M, p=None):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
@@ -221,15 +237,18 @@ def _rank(D):
     return sum(1 for d in snf_diagonal(D) if d)
 
 
-def solve_integer(snf_data, b):
-    """Solve A x = b over the integers, given snf_data = smith_normal_form(A).
+def sparse_smith_form(M):
+    """smith_normal_form(M) with U and V as their ``sparse`` columns."""
+    U, D, V = smith_normal_form(M)
+    return tuple(map(sparse, zip(*U))), D, tuple(map(sparse, zip(*V)))
 
-    Returns one solution x (list of ints) or None when no integral solution
-    exists.
-    """
+
+def solve_integer(snf_data, b):
+    """Solve A x = b over the integers, given snf_data = sparse_smith_form(A):
+    one solution x (a list of ints), or None when there is none."""
     U, D, V = snf_data
     r = _rank(D)
-    c = mat_vec(U, b)
+    c = columns_times(U, b)
     if any(c[r:]):
         return None
     y = [0] * len(V)
@@ -237,16 +256,10 @@ def solve_integer(snf_data, b):
         y[i], rem = divmod(c[i], D[i][i])
         if rem:
             return None
-    return mat_vec(V, y)
+    return columns_times(V, y)
 
 
 def kernel_basis(snf_data):
     """Basis of {x in Z^n : A x = 0}; the columns of V past the rank."""
     U, D, V = snf_data
     return [[row[j] for row in V] for j in range(_rank(D), len(V))]
-
-
-def left_kernel_basis(snf_data):
-    """Basis of {y in Z^m : y A = 0}; the rows of U past the rank."""
-    U, D, V = snf_data
-    return [list(row) for row in U[_rank(D):]]

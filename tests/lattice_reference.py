@@ -13,6 +13,12 @@ entry at a time and scanning every entry for the pivot;
 ``orthogonal_complement_basis`` takes the kernel over all coordinates.  The
 package's versions must give the same (U, D, V) and the same basis.
 
+``solve_integer`` and ``in_span_plus_lattice`` are the solver and the span
+test as first written, on the dense (U, D, V) of ``snf.smith_normal_form``:
+every product is a dense ``snf.mat_vec`` over all of U or V.  The package's
+versions sum over the nonzero entries of cached sparse columns and must
+give the same solution and the same boolean.
+
 ``kernel_has_bounded_positive`` and ``saturated_by_snf`` are the seeded
 sampler's feasibility scan and saturation pre-check as first written: every
 nonzero kernel coefficient tuple in the documented order, and the Smith form
@@ -37,11 +43,11 @@ from hkcert.lattice import (
     Isometry,
     LatticeVector,
     _gram_times,
-    _sparse,
     norm,
     pair,
 )
 from hkcert.snf import _xgcd, identity_matrix
+from hkcert.snf import sparse as _sparse
 
 
 def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
@@ -235,6 +241,32 @@ def orthogonal_complement_basis(L, vectors):
     else:
         basis = snf.kernel_basis(snf.smith_normal_form(rows))
     return [L.vector(b) for b in hermite_rows(basis)]
+
+
+def solve_integer(snf_data, b):
+    """Solve A x = b over the integers, given snf_data = smith_normal_form(A)
+    with dense U and V; None when no integral solution exists."""
+    U, D, V = snf_data
+    r = sum(1 for d in snf.snf_diagonal(D) if d)
+    c = snf.mat_vec(U, b)
+    if any(c[r:]):
+        return None
+    y = [0] * len(V)
+    for i in range(r):
+        y[i], rem = divmod(c[i], D[i][i])
+        if rem:
+            return None
+    return snf.mat_vec(V, y)
+
+
+def in_span_plus_lattice(q, S):
+    """q = num/den is in the rational span of S plus the lattice iff K num = 0
+    (mod den), with K the rows of U past the rank in the dense Smith form
+    U M V = D of the span matrix M, whose columns are S."""
+    L = q.numerator.lattice
+    U, D, _ = snf.smith_normal_form([[s.coords[i] for s in S] for i in range(L.rank)])
+    K = U[sum(1 for d in snf.snf_diagonal(D) if d):]
+    return not any(x % q.denominator for x in snf.mat_vec(K, q.numerator.coords))
 
 
 def smith_normal_form(M):

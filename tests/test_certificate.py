@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hkcert import certificate as cert
 from hkcert import lattice, snf
 from hkcert.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, cmd_construct, cmd_random, cmd_verify
 from hkcert.construction import run_pipeline, wall_for_record
+from test_corpus import CORPUS, certified
 
 
 @pytest.fixture(scope="module")
@@ -1210,3 +1212,69 @@ def test_transport_retries_with_negative_epsilon(tmp_path):
     assert cmd_construct(str(inst_path), str(unwritten), isometry_budget=9, out=out) == EXIT_BUDGET
     assert out.getvalue().startswith("error: search exhausted: ")
     assert not unwritten.exists()
+
+
+# --- forgeries that one verdict alone refuses ---------------------------------
+# Each forgery recomputes the digest and pins its exact set of failing checks,
+# so a verifier whose verdict for that check were forced true would fail here.
+
+def _failing(payload):
+    return [c.name for c in cert.verify_payload(payload) if not c.ok]
+
+
+def test_verify_schema_version_forgery_fails_that_check_alone(e2_payload):
+    bad = _set(("schema_version",), "hkcert/2")(copy.deepcopy(e2_payload))
+    bad["digest"] = cert.compute_digest(bad)
+    assert _failing(bad) == ["schema_version"]
+
+
+def test_verify_recorded_check_false_fails_that_check_alone(e2_payload):
+    last = len(e2_payload["checks"]) - 1
+    for k in (0, last):
+        bad = _set(("checks", k, "ok"), False)(copy.deepcopy(e2_payload))
+        bad["digest"] = cert.compute_digest(bad)
+        assert _failing(bad) == ["recorded_checks_true"]
+
+
+def _discriminant_forgeries(payload):
+    # R_delta negates delta and R_r reflects in the root r = a1 of the first
+    # E8(-1) block (x -> x + (x, r) r); each is integral of determinant -1 and
+    # fixes U^3 pointwise, so with sigma both products keep determinant 1 and
+    # the orientation but act as -1 on L*/L = <delta/(2n-2)>, nontrivially
+    # for n >= 3
+    n = int(payload["instance"]["n"])
+    L = lattice.build_lambda(n)
+    r_delta = [[int(i == j) * (-1 if i == lattice.DELTA_INDEX else 1) for j in range(L.rank)]
+               for i in range(L.rank)]
+    r_root = [[int(i == j) + (L.gram[6][j] if i == 6 else 0) for j in range(L.rank)]
+              for i in range(L.rank)]
+    sigma = [list(map(int, row)) for row in payload["record"]["sigma"]]
+    forged = {}
+    for name, m in (
+        ("sigma_R_delta_R_r", snf.mat_mul(snf.mat_mul(sigma, r_delta), r_root)),
+        ("R_delta_R_r_sigma", snf.mat_mul(r_delta, snf.mat_mul(r_root, sigma))),
+    ):
+        iso = lattice.Isometry(tuple(map(tuple, m)), L)
+        assert (iso.det(), iso.orientation(), lattice.acts_trivially_on_discriminant(iso)) == (1, 1, False)
+        bad = _set(("record", "sigma"), [list(map(str, row)) for row in m])(copy.deepcopy(payload))
+        bad["digest"] = cert.compute_digest(bad)
+        forged[name] = tuple(_failing(bad))
+    return forged
+
+
+def test_verify_refuses_sigma_acting_as_minus_one_on_the_discriminant():
+    outcomes = Counter()
+    for entry in CORPUS:
+        payload = certified(entry)[1]
+        if int(payload["instance"]["n"]) >= 3:
+            outcomes.update(_discriminant_forgeries(payload).items())
+    maps = ("sigma_discriminant_trivial", "transport_maps", "alpha_matches_record")
+    # sigma R_delta R_r moves the source before sigma maps it; R_delta R_r
+    # sigma fixes the target on two certificates, and on one of them the
+    # pushed Brauer class too, so only the discriminant check refuses it
+    assert outcomes == {
+        ("sigma_R_delta_R_r", maps): 45,
+        ("R_delta_R_r_sigma", maps + ("alpha_is_b_field",)): 43,
+        ("R_delta_R_r_sigma", maps): 1,
+        ("R_delta_R_r_sigma", ("sigma_discriminant_trivial",)): 1,
+    }

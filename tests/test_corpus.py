@@ -61,6 +61,7 @@ from hkcert.lattice import (
     norm,
     pair,
 )
+import lattice_reference
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 TRANSCRIPT = Path(__file__).resolve().with_name("golden_transcript.json")
@@ -250,12 +251,12 @@ def test_written_files(tmp_path, monkeypatch):
 def acts_trivially_reference(iso):
     """The definition the generator check replaced: M - I maps the dual
     lattice into the lattice iff each row of M - I is an integral
-    combination of Gram rows, solved against the cached Gram SNF."""
+    combination of Gram rows, solved densely against the cached Gram SNF."""
     data = _gram_snf(iso.lattice)
     n = iso.lattice.rank
     m = iso.matrix
     return all(
-        snf.solve_integer(data, [m[i][j] - (i == j) for j in range(n)]) is not None
+        lattice_reference.solve_integer(data, [m[i][j] - (i == j) for j in range(n)]) is not None
         for i in range(n)
     )
 
@@ -469,6 +470,39 @@ def test_isometry_check_matches_dense_reference():
                     bad[i][j] -= delta
                     cases += 1
     assert cases == 2 * 23 * 41
+
+
+def test_isometry_apply_matches_dense_product():
+    # apply sums x_j (sigma - I) e_j over the moved columns j with x_j != 0;
+    # the dense snf.mat_vec over all 23 columns is its reference, on every
+    # corpus sigma (the big-d ones included), their twists, the accepted
+    # moved-set cases and the sigma whose every column moves
+    isometries = []
+    for entry in CORPUS:
+        rec = certified(entry)[0]
+        sigma = rec.sigma
+        isometries += [
+            (sigma, rec.source),
+            (_twisted(sigma, lambda i: -1), rec.source),
+            (_twisted(sigma, lambda i: -1 if i == DELTA_INDEX else 1), rec.source),
+        ]
+    for L in (build_lambda(2), build_lambda(5)):
+        for name, matrix, moved in _moved_set_cases(L):
+            if _isometry_outcome(Isometry, matrix, L)[0] == "accepted":
+                isometries.append((Isometry(matrix, L), L.zero()))
+    dense = _dense_r_sigma()
+    isometries.append((dense, dense.lattice.zero()))
+    rng = random.Random(2828)
+    for iso, source in isometries:
+        L = iso.lattice
+        vectors = [L.basis_vector(i) for i in range(L.rank)] + [source]
+        for bound in (1, 10**30):
+            vectors.append(L.vector([rng.randint(-bound, bound) for _ in range(L.rank)]))
+            vectors.append(L.vector([rng.randint(-bound, bound) * (rng.random() < 0.2)
+                                     for _ in range(L.rank)]))
+        for v in vectors:
+            assert iso.apply(v).coords == tuple(snf.mat_vec(iso.matrix, v.coords))
+    assert len(isometries) == 3 * 67 + 2 * 4 + 1
 
 
 def test_minus_identity_on_discriminant():

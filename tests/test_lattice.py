@@ -40,13 +40,15 @@ from hkcert.lattice import (
     pair,
     span_lattice_witness,
 )
-from hkcert.snf import det_bareiss, mat_mul
+from hkcert.snf import det_bareiss, mat_mul, smith_normal_form, solve_integer
 from lattice_reference import (
     DenseReduction,
     eichler_transvection,
     isometry_of_ops_full,
     orthogonal_complement_basis as dense_complement_basis,
 )
+from lattice_reference import in_span_plus_lattice as dense_in_span_plus_lattice
+from lattice_reference import solve_integer as dense_solve_integer
 from test_corpus import CORPUS, certified
 
 
@@ -649,6 +651,52 @@ def test_in_span_matches_witness_reference(uu, lam2, case):
     q = RationalClass(L.vector(num), den)
     S = tuple(L.vector(s) for s in span)
     assert in_span_plus_lattice(q, S) == (span_lattice_witness(q, S) is not None)
+
+
+@st.composite
+def _dense_span_cases(draw):
+    # spans whose Smith transform U is dense: up to 3 vectors with entries up
+    # to 10^30 on every coordinate but a drawn few, which stay zero in every
+    # vector (zero rows of the span matrix), one of them possibly dependent;
+    # image is an integral combination of the span, and num is image plus
+    # den * mu, or that moved by one in one entry
+    rank = draw(st.sampled_from((4, 23)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zero_rows = set(rng.sample(range(rank), draw(st.integers(0, rank - 1))))
+
+    def vec(bound):
+        return [0 if i in zero_rows else rng.randint(-bound, bound) for i in range(rank)]
+
+    span = [vec(10**30) for _ in range(draw(st.integers(0, 3)))]
+    if span and draw(st.booleans()):
+        span.append([rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(span[0], span[-1])])
+    image = [0] * rank
+    for s in span:
+        c = rng.randint(-(10**30), 10**30)
+        image = [x + c * y for x, y in zip(image, s)]
+    den = draw(st.sampled_from((1, 2, 6, 10**30 + 7)))
+    num = [x + den * m for x, m in zip(image, vec(3))]
+    if draw(st.booleans()):
+        num[rng.randrange(rank)] += 1
+    return rank, span, image, num, den
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_dense_span_cases())
+def test_span_products_on_the_cached_form_match_dense_reference(uu, lam2, case):
+    # in_span_plus_lattice and solve_integer sum over the sparse columns of
+    # the cached Smith form; the dense mat_vec(U, x) on the same span is
+    # their reference
+    rank, span, image, num, den = case
+    L = uu if rank == 4 else lam2
+    q = RationalClass(L.vector(num), den)
+    S = tuple(L.vector(s) for s in span)
+    assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
+    coords = tuple(s.coords for s in S)
+    dense = smith_normal_form([[c[i] for c in coords] for i in range(rank)])
+    for b in (image, num):
+        assert solve_integer(_span_snf(L, coords), b) == dense_solve_integer(dense, b)
+    assert solve_integer(_span_snf(L, coords), image) is not None
 
 
 # --- search order -----------------------------------------------------------

@@ -8,14 +8,15 @@ from hkcert.construction import gram_signature, hermite_rows
 from hkcert.snf import (
     det_bareiss,
     kernel_basis,
-    left_kernel_basis,
     mat_mul,
     mat_vec,
     smith_normal_form,
     snf_diagonal,
     solve_integer,
+    sparse_smith_form,
 )
 from lattice_reference import smith_normal_form as reference_smith_normal_form
+from lattice_reference import solve_integer as dense_solve_integer
 
 
 def check_snf(M):
@@ -125,15 +126,56 @@ def test_snf_matches_reference_on_gram_and_picard_matrices():
 
 def test_solve_integer():
     M = [[2, 0], [0, 3]]
-    data = smith_normal_form(M)
+    data = sparse_smith_form(M)
     assert solve_integer(data, [4, 9]) == [2, 3]
     assert solve_integer(data, [1, 0]) is None
     # inconsistent system
     M = [[1, 1], [1, 1]]
-    data = smith_normal_form(M)
+    data = sparse_smith_form(M)
     assert solve_integer(data, [1, 2]) is None
     x = solve_integer(data, [3, 3])
     assert x is not None and x[0] + x[1] == 3
+
+
+@st.composite
+def integer_systems(draw):
+    # (M, b) with M m x n: dense random entries, up to 10^30, make U of the
+    # Smith form dense (about 80% of its entries nonzero on draws like these,
+    # where the corpus's Picard U is nearly a permutation), and a dependent
+    # row or a zero row makes M rank deficient; b is M x, M x moved by one in
+    # one entry, 0 or random
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10 ** draw(st.sampled_from((1, 30)))
+    M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        M[-1] = [a * x + c * y for x, y in zip(M[0], M[1])]
+    if draw(st.booleans()):
+        M[rng.randrange(m)] = [0] * n
+    kind = draw(st.sampled_from(("image", "moved", "zero", "random")))
+    if kind == "random":
+        return M, [rng.randint(-bound, bound) for _ in range(m)]
+    b = mat_vec(M, [rng.randint(-bound, bound) for _ in range(n)])
+    if kind == "moved":
+        b[rng.randrange(m)] += 1
+    return M, [0] * m if kind == "zero" else b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(integer_systems())
+def test_solve_integer_matches_dense_reference(case):
+    # the sparse solver against the dense mat_vec(U, b), mat_vec(V, y) one on
+    # the same Smith form; the sparse columns hold exactly U's and V's entries
+    M, b = case
+    U, D, V = smith_normal_form(M)
+    cols_u, sparse_d, cols_v = data = sparse_smith_form(M)
+    assert sparse_d == D
+    for dense, cols in ((U, cols_u), (V, cols_v)):
+        assert [[dict(c).get(i, 0) for c in cols] for i in range(len(dense))] == dense
+    x = solve_integer(data, b)
+    assert x == dense_solve_integer((U, D, V), b)
+    assert x is None or mat_vec(M, x) == b
 
 
 def test_kernels():
@@ -142,8 +184,10 @@ def test_kernels():
     for v in kernel_basis(data):
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
     assert len(kernel_basis(data)) == 2
+    # the left kernel: the rows of U past the rank
     Mt = [[1], [2], [3]]
-    rows = left_kernel_basis(smith_normal_form(Mt))
+    U, D, _ = smith_normal_form(Mt)
+    rows = U[len([d for d in snf_diagonal(D) if d]):]
     assert len(rows) == 2
     for y in rows:
         assert y[0] + 2 * y[1] + 3 * y[2] == 0
@@ -190,7 +234,7 @@ def _in_row_span(rows, target):
     # whether target is an integer combination of rows
     if not rows:
         return not any(target)
-    return solve_integer(smith_normal_form([list(col) for col in zip(*rows)]), target) is not None
+    return solve_integer(sparse_smith_form([list(col) for col in zip(*rows)]), target) is not None
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
