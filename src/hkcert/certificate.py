@@ -53,8 +53,13 @@ class CertificateFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # integer <-> decimal string helpers
 
-# _enc_int and _enc_ints are the only places where a recorded integer
-# becomes its decimal string
+# _enc_int(s) and _dec_int(s) are the only int <-> decimal string points.  The
+# list codecs look up -64..64 (94% of the corpus's entries) in tables made
+# once at import; only the exact text str(i) is a decode key, and a list with
+# a miss takes the general path whole.
+_STR_OF = {i: str(i) for i in range(-64, 65)}
+_INT_OF = {s: i for i, s in _STR_OF.items()}
+
 
 def _enc_int(x):
     return str(int(x))
@@ -62,7 +67,10 @@ def _enc_int(x):
 
 def _enc_ints(seq):
     """A tuple of ints as a JSON list of decimal strings; the mirror of _dec_ints."""
-    return list(map(str, seq))
+    try:
+        return list(map(_STR_OF.__getitem__, seq))
+    except KeyError:
+        return list(map(str, seq))
 
 
 def _dec_int(x, what="integer"):
@@ -82,10 +90,14 @@ _INT_TYPES = frozenset((int, str))
 def _dec_ints(seq, what):
     """A JSON list of integers as a tuple of ints, each decoded as by _dec_int.
 
-    One C-level pass when every entry is an int or a str that int() reads;
-    otherwise the entries go through _dec_int one by one, so the first bad
-    one raises the same error it would on its own.
+    One C-level pass when every entry is a table key or else an int or a str
+    that int() reads; otherwise the entries go through _dec_int one by one,
+    so the first bad one raises the same error it would on its own.
     """
+    try:
+        return tuple(map(_INT_OF.__getitem__, seq))
+    except (KeyError, TypeError):  # a miss, or an unhashable entry
+        pass
     if _INT_TYPES.issuperset(map(type, seq)):
         try:
             return tuple(map(int, seq))
@@ -150,9 +162,10 @@ _STR = frozenset((str,))
 def _layout(obj, pad):
     """``json.dumps(obj, indent=1)`` of a value whose container opens at ``pad``.
 
-    Strings go through json's C escaper; a list of strings (a vector, a sigma
-    row) is one join.  Numbers, and types json refuses, go to json.dumps.
-    Unlike json, a dict key must be a str.
+    Strings go through json's C escaper, except a list of strings (a vector,
+    a sigma row) with nothing to escape (printable ASCII, no quote or
+    backslash): it is one join.  Numbers, and types json refuses, go to
+    json.dumps.  Unlike json, a dict key must be a str.
     """
     if isinstance(obj, str):
         return _escape(obj)
@@ -163,20 +176,27 @@ def _layout(obj, pad):
     if obj is None:
         return "null"
     inner = pad + " "
+    quote = ""  # put around each item by the join
     if isinstance(obj, (list, tuple)):
         brackets = "[]"
         if _STR.issuperset(map(type, obj)):
-            items = map(_escape, obj)
+            text = "".join(obj)
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                quote, items = '"', obj
+            else:
+                items = map(_escape, obj)
         else:
             items = [_layout(x, inner) for x in obj]
     elif isinstance(obj, dict):
         brackets = "{}"
-        items = [_escape(k) + ": " + _layout(v, inner) for k, v in obj.items()]
+        items = [_escape(k) + ": " + (_escape(v) if isinstance(v, str) else _layout(v, inner))
+                 for k, v in obj.items()]
     else:
         return json.dumps(obj)
     if not obj:
         return brackets
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+    sep = quote + ",\n" + inner + quote
+    return brackets[0] + "\n" + inner + quote + sep.join(items) + quote + "\n" + pad + brackets[1]
 
 
 def write_json(path, payload):
@@ -202,9 +222,13 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 # certificates
 
+# json.dumps(..., separators=(",", ":"), sort_keys=True), made once; no payload has cycles
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
+
+
 def compute_digest(payload):
     body = {k: v for k, v in payload.items() if k != "digest"}
-    canonical = json.dumps(body, separators=(",", ":"), sort_keys=True)
+    canonical = _CANONICAL.encode(body)
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -17,7 +17,7 @@ from math import gcd
 from operator import mul
 
 from . import obstruction, snf
-from .errors import ConstructionInvariantViolated, NoIsometryError, SearchExhausted
+from .errors import ConstructionInvariantViolated, SearchExhausted
 from .instance import (
     CheckResult,
     HKInstance,
@@ -38,11 +38,16 @@ from .lattice import (
     _gram_times,
     divisibility,
     is_primitive,
-    linear_combination,
     norm,
     pair,
 )
 from .record import Record
+
+
+class NoIsometryError(ValueError):
+    """Isometry construction was not attempted: norm or divisibility mismatch,
+    or a divisibility other than 1 (a zero vector has divisibility 0), which
+    this package does not implement."""
 
 
 class ConstructionRecord(Record):
@@ -199,6 +204,16 @@ def _abs_tuples(length, total, bound):
     for first in range(0, min(total, bound) + 1):
         for rest in _abs_tuples(length - 1, total - first, bound):
             yield (first,) + rest
+
+
+def linear_combination(L: GramLattice, coeffs, vectors) -> LatticeVector:
+    """sum_i c_i v_i in L (the zero vector when every c_i is 0)."""
+    out = [0] * L.rank
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in snf.sparse(v.coords):
+                out[i] += c * x
+    return LatticeVector(tuple(out), L)
 
 
 def gram_of(vectors):
@@ -474,7 +489,9 @@ class _Reduction:
         return sum(r * cur[j] for j, r in self.L.sparse_rows[idx])
 
     def _pairings(self, cur):
-        return tuple(self._against(idx, cur) for idx in (self.ie1, self.if1, self.ie2, self.if2))
+        # the planes are (e, f) with Gram rows ((f, 1),) and ((e, 1),), so
+        # (e, v) is v's f-coordinate and (f, v) its e-coordinate
+        return cur[self.if1], cur[self.ie1], cur[self.if2], cur[self.ie2]
 
     # the five planar moves, written as (e, a) pairs; effects on the pairing
     # tuple (p1, q1, p2, q2) = ((e1,v), (f1,v), (e2,v), (f2,v)) are noted.
@@ -947,12 +964,18 @@ def _saturated(rows, rank):
     return False
 
 
+def kernel_basis(snf_data):
+    """Basis of {x in Z^n : A x = 0}; the columns of V past the rank."""
+    U, D, V = snf_data
+    return [[row[j] for row in V] for j in range(snf._rank(D), len(V))]
+
+
 def _kernel_has_bounded_positive(sub_gram, weights):
     # whether a nonzero k in [-12, 12]^K over the kernel basis of the weights
     # gives Picard coefficients c = sum k_i kern_i, each |c_j| <= 16, of
     # positive norm.  With all but the last k_i fixed, c = base + x step is
     # a line, its bounds an interval for x, and its norm a x^2 + b x + c
-    kern = snf.kernel_basis(snf.smith_normal_form([weights]))
+    kern = kernel_basis(snf.smith_normal_form([weights]))
     if not kern:
         return False
     cols = list(zip(*kern))

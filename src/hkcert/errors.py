@@ -14,12 +14,6 @@ class SearchExhausted(RuntimeError):
     """
 
 
-class NoIsometryError(ValueError):
-    """Isometry construction was not attempted: norm or divisibility mismatch,
-    or a divisibility other than 1 (a zero vector has divisibility 0), which
-    this package does not implement."""
-
-
 class ConstructionInvariantViolated(RuntimeError):
     """A check run_pipeline records, an identity the construction guarantees
     on a valid instance, failed to hold; only run_pipeline raises it.

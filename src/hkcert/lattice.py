@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from operator import add
+from operator import add, sub
 
 from . import snf
 from .record import Record
@@ -105,18 +105,18 @@ class LatticeVector(Record):
 
     def __add__(self, other):
         self._same(other)
-        return LatticeVector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.lattice)
+        return LatticeVector(tuple(map(add, self.coords, other.coords)), self.lattice)
 
     def __sub__(self, other):
         self._same(other)
-        return LatticeVector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.lattice)
+        return LatticeVector(tuple(map(sub, self.coords, other.coords)), self.lattice)
 
     def __neg__(self):
         return LatticeVector(tuple(-a for a in self.coords), self.lattice)
 
     def __rmul__(self, k):
         k = int(k)
-        return LatticeVector(tuple(k * a for a in self.coords), self.lattice)
+        return LatticeVector(tuple([k * a for a in self.coords]), self.lattice)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -312,16 +312,6 @@ def pair(v: LatticeVector, w: LatticeVector) -> int:
 
 def norm(v: LatticeVector) -> int:
     return pair(v, v)
-
-
-def linear_combination(L: GramLattice, coeffs, vectors) -> LatticeVector:
-    """sum_i c_i v_i in L (the zero vector when every c_i is 0)."""
-    out = [0] * L.rank
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for i, x in snf.sparse(v.coords):
-                out[i] += c * x
-    return LatticeVector(tuple(out), L)
 
 
 def _gram_times(v: LatticeVector):

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith forms, kernels, solvers, determinants.
+"""Exact integer matrix routines: Smith forms, solvers, determinants, products.
 
 Matrices are lists (or tuples) of rows of Python ints.  Everything here is
 arbitrary precision; no entry is ever coerced to a fixed-width type.
@@ -257,9 +257,3 @@ def solve_integer(snf_data, b):
         if rem:
             return None
     return columns_times(V, y)
-
-
-def kernel_basis(snf_data):
-    """Basis of {x in Z^n : A x = 0}; the columns of V past the rank."""
-    U, D, V = snf_data
-    return [[row[j] for row in V] for j in range(_rank(D), len(V))]

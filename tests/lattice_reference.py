@@ -37,6 +37,7 @@ from hkcert.construction import (
     _transvect,
     graded_coefficient_tuples,
     hermite_rows,
+    kernel_basis,
 )
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
@@ -239,7 +240,7 @@ def orthogonal_complement_basis(L, vectors):
     if not rows:
         basis = identity_matrix(L.rank)
     else:
-        basis = snf.kernel_basis(snf.smith_normal_form(rows))
+        basis = kernel_basis(snf.smith_normal_form(rows))
     return [L.vector(b) for b in hermite_rows(basis)]
 
 
@@ -357,7 +358,7 @@ def dense_form_value(gram, coeffs):
 def kernel_has_bounded_positive(sub_gram, weights):
     """Whether some nonzero tuple of [-12, 12]^K over the kernel basis of the
     weights gives Picard coefficients, each within 16, of positive norm."""
-    kern = snf.kernel_basis(snf.smith_normal_form([weights]))
+    kern = kernel_basis(snf.smith_normal_form([weights]))
     if not kern:
         return False
     gens = [list(col) for col in zip(*kern)]

@@ -50,7 +50,12 @@ def test_instance_rejects_garbage():
         cert.instance_from_payload({"n": "x", "pic_basis": [], "W": [], "B": [], "d": "1", "C0": "1"})
 
 
+# the largest integer the codec tables hold
+_K = max(cert._STR_OF)
+
 _ODD_ENTRIES = [True, 1.5, None, [], {}, " 7", "1_0", "+3", "0x10", "", "1" * 4301]
+# the tables' edges and near misses: only the exact text str(i) is a key
+_ODD_ENTRIES += ["-0", "00", "01", str(_K), str(-_K), str(_K + 1), str(-_K - 1), "\u0663", "1 ", str(2**70)]
 
 
 def _per_entry(seq, what):
@@ -71,6 +76,33 @@ def test_dec_ints_matches_per_entry_decoding(odd):
         assert got == _per_entry(seq, "sigma")
 
 
+_EDGES = [0, 1, -1, _K, -_K, _K + 1, -_K - 1, 2**70, -(2**70)]
+_CODEC_INTS = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-2 * _K, 2 * _K), st.sampled_from(_EDGES), st.integers()),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_CODEC_INTS, st.data())
+def test_int_codecs_match_str_and_int(seq, data):
+    # the tables give exactly what str() and the per-entry decoding give,
+    # on lists all inside them, with an entry outside, and with an entry
+    # (an int, a bool or a near miss) that must miss the decode table
+    text = cert._enc_ints(seq)
+    assert text == list(map(str, seq))
+    assert cert._enc_ints(tuple(seq)) == text
+    assert cert._dec_ints(text, "v") == tuple(seq)
+    odd = data.draw(st.sampled_from(_ODD_ENTRIES + [7, -_K, True, False]))
+    at = data.draw(st.integers(0, len(text)))
+    mixed = text[:at] + [odd] + text[at:]
+    try:
+        got = cert._dec_ints(mixed, "v")
+    except cert.CertificateFormatError as exc:
+        got = "error", str(exc)
+    assert got == _per_entry(mixed, "v")
+
+
 # text with what json escapes: quotes, backslashes, control characters,
 # non-ASCII, astral characters and lone surrogates
 _TEXT = st.text(
@@ -80,8 +112,22 @@ _TEXT = st.text(
     ),
     max_size=8,
 )
+# what the writer lays out in one join: printable ASCII without a quote or
+# a backslash, decimal strings among it
+_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=6)
+_PLAIN_LISTS = st.lists(_PLAIN | st.integers().map(str), max_size=6)
+# a list that would be plain but for one entry that holds one character json
+# escapes (or is empty)
+_ONE_ESCAPE_LISTS = st.builds(
+    lambda head, pre, ch, post, tail: head + [pre + ch + post] + tail,
+    _PLAIN_LISTS,
+    _PLAIN,
+    st.sampled_from(['"', "\\", "\x7f", "\x00", "\x1f", "\n", "\xe9", "\u2028", "\ud800", "\U0001f600", ""]),
+    _PLAIN,
+    _PLAIN_LISTS,
+)
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT | _PLAIN_LISTS | _ONE_ESCAPE_LISTS,
     lambda inner: st.lists(inner, max_size=5)
     | st.tuples(inner, inner)
     | st.dictionaries(_TEXT, inner, max_size=5),
@@ -97,6 +143,7 @@ _JSON_VALUES = st.recursive(
 @example(True)
 @example("")
 @example({"checks": [], "wall": {}, "v": ["1", "-2"], "ok": [True, False, None, 1.5, [[1]], ""]})
+@example([["1", "-2"], ["1", '"'], ["\\"], ["\x7f", "0"], ["", ""], [""], ("a", "\ud800")])
 def test_write_json_matches_json_dumps(obj):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")

@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 
 from hkcert import construction
-from hkcert.errors import ConstructionInvariantViolated, NoIsometryError, SearchExhausted
+from hkcert.errors import ConstructionInvariantViolated, SearchExhausted
 from hkcert.construction import (
+    NoIsometryError,
     check_rank_factor_size,
     choose_t,
     degree_and_mukai,
@@ -14,6 +15,7 @@ from hkcert.construction import (
     find_D,
     find_omega,
     graded_coefficient_tuples,
+    linear_combination,
     mukai_data,
     pushforward_brauer,
     rank_factor,
@@ -30,7 +32,6 @@ from hkcert.instance import (
 from hkcert.lattice import (
     build_lambda,
     divisibility,
-    linear_combination,
     norm,
     pair,
 )

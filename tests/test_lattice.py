@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hkcert.construction import (
+    NoIsometryError,
     _Reduction,
     _hyperbolic_pairs,
     _isometry_of_ops,
@@ -18,7 +19,7 @@ from hkcert.construction import (
     positive_on_interval,
     search_order_key,
 )
-from hkcert.errors import NoIsometryError, SearchExhausted
+from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
     CACHE_SIZE,
     DELTA_INDEX,

@@ -4,10 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkcert.construction import gram_signature, hermite_rows
+from hkcert.construction import gram_signature, hermite_rows, kernel_basis
 from hkcert.snf import (
     det_bareiss,
-    kernel_basis,
     mat_mul,
     mat_vec,
     smith_normal_form,
