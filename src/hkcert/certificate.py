@@ -267,12 +267,7 @@ def certificate_payload(inst: HKInstance, rec, wall, budgets):
             "verdict": bool(wall.verdict),
         },
         "checks": checks,
-        "budgets": {
-            "coeff_bound": _enc_int(budgets["coeff_bound"]),
-            "u_budget": _enc_int(budgets["u_budget"]),
-            "t_budget": _enc_int(budgets["t_budget"]),
-            "isometry_budget": _enc_int(budgets["isometry_budget"]),
-        },
+        "budgets": {k: _enc_int(budgets[k]) for k in ("coeff_bound", "u_budget", "t_budget", "isometry_budget")},
     }
     payload["digest"] = compute_digest(payload)
     return payload
@@ -307,21 +302,11 @@ def verify_payload(payload):
         add("instance_" + c.name, c.ok, c.details)
 
     rec = _require(payload, "record", "certificate")
-    A = _dec_vec(L, _require(rec, "A", "record"), "A")
-    omega = _dec_vec(L, _require(rec, "omega", "record"), "omega")
-    D = _dec_vec(L, _require(rec, "D", "record"), "D")
-    u = _dec_int(_require(rec, "u", "record"), "u")
-    C1 = _dec_int(_require(rec, "C1", "record"), "C1")
-    g = _dec_int(_require(rec, "g", "record"), "g")
-    t = _dec_int(_require(rec, "t", "record"), "t")
-    e = _dec_int(_require(rec, "e", "record"), "e")
-    H2 = _dec_int(_require(rec, "H2", "record"), "H2")
+    A, omega, D = (_dec_vec(L, _require(rec, k, "record"), k) for k in ("A", "omega", "D"))
+    u, C1, g, t, e, H2 = (_dec_int(_require(rec, k, "record"), k) for k in ("u", "C1", "g", "t", "e", "H2"))
     v0f = _require(rec, "v0", "record")
-    r_ = _dec_int(_require(v0f, "r", "v0"), "r")
-    m_ = _dec_int(_require(v0f, "m", "v0"), "m")
-    s_ = _dec_int(_require(v0f, "s", "v0"), "s")
-    epsilon = _dec_int(_require(rec, "epsilon", "record"), "epsilon")
-    rk_un = _dec_int(_require(rec, "rk_un", "record"), "rk_un")
+    r_, m_, s_ = (_dec_int(_require(v0f, k, "v0"), k) for k in ("r", "m", "s"))
+    epsilon, rk_un = (_dec_int(_require(rec, k, "record"), k) for k in ("epsilon", "rk_un"))
 
     add("class_a_in_pic", pic_coordinates(inst, A) is not None)
     add("class_a_divisibility", divisibility(A) == 1)
@@ -367,8 +352,7 @@ def verify_payload(payload):
         and rk_un == rank_factor(inst.n, r_),
     )
 
-    source = _dec_vec(L, _require(rec, "source", "record"), "source")
-    target = _dec_vec(L, _require(rec, "target", "record"), "target")
+    source, target = (_dec_vec(L, _require(rec, k, "record"), k) for k in ("source", "target"))
     add("source_formula", source == expected_source)
     add("target_formula", target == twist)
     source_norm, target_norm = norm(source), norm(target)
@@ -418,11 +402,10 @@ def verify_payload(payload):
             add("alpha_is_b_field", brauer_equal(recomputed, b_field_class(inst)))
 
     wall = _require(payload, "wall", "certificate")
-    wg = _dec_int(_require(wall, "g", "wall"), "wall.g")
-    wc1 = _dec_int(_require(wall, "C1", "wall"), "wall.C1")
-    wc0 = _dec_int(_require(wall, "C0", "wall"), "wall.C0")
+    wg, wc1, wc0 = (_dec_int(_require(wall, k, "wall"), "wall." + k) for k in ("g", "C1", "C0"))
     add("wall_parameters", wg == g and wc1 == C1 and wc0 == inst.C0)
     recorded_tested = _require(wall, "tested_a", "wall")
+    verdict = _require(wall, "verdict", "wall")
     # compare the length first: re-enumerating max_a(C0) values for a
     # forged huge C0 would take time unbounded by the size of the file
     expected = obstruction.max_a(wc0)
@@ -433,7 +416,7 @@ def verify_payload(payload):
             recomputed_wall = obstruction.wall_certificate(wg, wc1, wc0)
             tested = list(map(_enc_ints, recomputed_wall.tested_a))
             add("wall_enumeration", tested == recorded_tested)
-            add("wall_verdict", _require(wall, "verdict", "wall") is True)
+            add("wall_verdict", verdict is True)
         except ValueError as exc:
             add("wall_enumeration", False, str(exc))
 

@@ -317,12 +317,7 @@ def norm(v: LatticeVector) -> int:
 def _gram_times(v: LatticeVector):
     # pairings of v with every basis vector: G v, summed over the support of
     # v (G is symmetric, so sparse row i is also column i)
-    out = [0] * v.lattice.rank
-    for a, row in zip(v.coords, v.lattice.sparse_rows):
-        if a:
-            for j, r in row:
-                out[j] += a * r
-    return out
+    return snf.columns_times(v.lattice.sparse_rows, v.coords)
 
 
 def divisibility(v: LatticeVector) -> int:
@@ -338,12 +333,14 @@ def is_primitive(v: LatticeVector) -> bool:
 
 def discriminant_group(L: GramLattice):
     """Invariant factors of the quotient (dual lattice)/(lattice)."""
-    return tuple(d for d in snf.snf_diagonal(_gram_snf(L)[1]) if d != 1)
+    return tuple(d for d, _ in _discriminant_generators(L))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _gram_snf(L: GramLattice):
-    return snf.smith_normal_form([list(r) for r in L.gram])
+def _discriminant_generators(L: GramLattice):
+    # (d_i, column i of V) for each d_i > 1, with U G V = D the Gram matrix's Smith form
+    _, D, V = snf.smith_normal_form([list(r) for r in L.gram])
+    return tuple((d, tuple(row[i] for row in V)) for i, d in enumerate(snf.snf_diagonal(D)) if d > 1)
 
 
 def acts_trivially_on_discriminant(iso: Isometry) -> bool:
@@ -356,10 +353,9 @@ def acts_trivially_on_discriminant(iso: Isometry) -> bool:
     (M - I) v_i = 0 mod d_i for those columns only; on build_lambda(n) that
     is a single column, with d = 2n - 2.
     """
-    _, D, V = _gram_snf(iso.lattice)
-    for i, d in enumerate(snf.snf_diagonal(D)):
-        # (M - I) v_i, summed over the moved columns
-        if d > 1 and any(x % d for x in snf.columns_times(iso._columns, [row[i] for row in V])):
+    for d, v in _discriminant_generators(iso.lattice):
+        # (M - I) v, summed over the moved columns
+        if any(x % d for x in snf.columns_times(iso._columns, v)):
             return False
     return True
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hkcert import certificate as cert
-from hkcert import cli
+from hkcert import cli, lattice, snf
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -58,14 +58,19 @@ def test_bench_sites_resolve_to_one_object(name):
     assert all(obj is found[0] for obj in found), GROUPS[name]
 
 
-def test_every_span_fires_on_one_construct_and_verify(e2_instance, tmp_path):
-    # as in a fresh process: every lru_cache of the package emptied, so the
-    # cached Smith forms are built (and spanned) again
+def _clear_package_caches():
+    # as in a fresh process: every lru_cache of the package emptied
     for name, module in list(sys.modules.items()):
         if name == "hkcert" or name.startswith("hkcert."):
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def test_every_span_fires_on_one_construct_and_verify(e2_instance, tmp_path):
+    # from emptied caches, so the cached Smith forms are built (and spanned)
+    # again
+    _clear_package_caches()
     inst_path, cert_path = tmp_path / "e2.json", tmp_path / "e2.cert.json"
     cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
     tracer = spans.Tracer()
@@ -77,3 +82,24 @@ def test_every_span_fires_on_one_construct_and_verify(e2_instance, tmp_path):
         tracer.uninstall()
     calls = tracer.span_totals(1)[1]
     assert [name for name in spans.SPANS if calls[name] == 0] == []
+
+
+def test_discriminant_warm_up_fills_the_cache_verify_reads(monkeypatch):
+    # bench/run.py warms each build_lambda(n) through discriminant_group; the
+    # verifier's acts_trivially_on_discriminant must then build no Smith form
+    _clear_package_caches()
+    lattices = [lattice.build_lambda(n) for n in range(2, 7)]
+    for L in lattices:
+        lattice.discriminant_group(L)
+    built = []
+    real = snf.smith_normal_form
+
+    def counting(M):
+        built.append(len(M))
+        return real(M)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting)
+    # -I is trivial on L*/L = Z/(2n - 2) only for n = 2
+    minus = [lattice.Isometry(tuple(tuple(-(i == j) for j in range(23)) for i in range(23)), L) for L in lattices]
+    assert [lattice.acts_trivially_on_discriminant(iso) for iso in minus] == [True, False, False, False, False]
+    assert built == []

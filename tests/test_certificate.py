@@ -719,7 +719,7 @@ def test_verify_builds_picard_smith_form_once(e2_payload, monkeypatch):
     # the only Smith form built: by verify alone, and by construct then verify
     inst = cert.instance_from_payload(e2_payload["instance"])
     pic = [[p.coords[i] for p in inst.pic_basis] for i in range(inst.lattice.rank)]
-    lattice._gram_snf(inst.lattice)
+    lattice._discriminant_generators(inst.lattice)
     caches = [f for f in vars(lattice).values() if hasattr(f, "cache_clear")]
     calls = []
     real = snf.smith_normal_form
@@ -731,7 +731,7 @@ def test_verify_builds_picard_smith_form_once(e2_payload, monkeypatch):
     monkeypatch.setattr(snf, "smith_normal_form", counting)
     for run_construct in (False, True):
         for cache in caches:
-            if cache is not lattice._gram_snf:
+            if cache is not lattice._discriminant_generators:
                 cache.cache_clear()
         calls.clear()
         if run_construct:
@@ -1104,7 +1104,7 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines the hkcert modules that a verify process loads may sum to:
 # every verify process reads and compiles the whole checker
-VERIFY_LINE_BUDGET = 1713
+VERIFY_LINE_BUDGET = 1692
 
 _VERIFY_LOADS = """
 import sys
@@ -1201,8 +1201,21 @@ def _set(path, value):
     return mutate
 
 
+def _drop(path):
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return payload
+
+    return mutate
+
+
 # one case per CertificateFormatError the verifier raises, each a mutation of
-# the e2 certificate with its digest recomputed
+# the e2 certificate with its digest recomputed; below it, one missing and one
+# bad value for every field of the record and the wall, which pins the label
+# each decode reports
 _HOSTILE = {
     "short_vector": (_set(("record", "A"), ["0"] * 22), "A: expected 23 coordinates"),
     "instance_not_object": (_set(("instance",), []), "instance: expected a JSON object"),
@@ -1217,7 +1230,22 @@ _HOSTILE = {
                          "record: sigma row has wrong length"),
     "alpha_zero_den": (_set(("record", "alpha_x", "den"), "0"), "alpha_x: zero denominator"),
     "checks_not_list": (_set(("checks",), {}), "certificate: checks must be a list"),
+    "A_bad_integer": (_set(("record", "A"), ["x"] + ["0"] * 22), "A: bad integer 'x'"),
+    "wall_no_verdict": (_drop(("wall", "verdict")), "wall: missing field 'verdict'"),
 }
+for _key in ("A", "omega", "D", "source", "target"):
+    _HOSTILE[f"{_key}_missing"] = (_drop(("record", _key)), f"record: missing field {_key!r}")
+    if _key != "A":
+        _HOSTILE[f"{_key}_short"] = (_set(("record", _key), ["0"] * 24), f"{_key}: expected 23 coordinates")
+for _key in ("u", "C1", "g", "t", "e", "H2", "epsilon", "rk_un"):
+    _HOSTILE[f"{_key}_missing"] = (_drop(("record", _key)), f"record: missing field {_key!r}")
+    _HOSTILE[f"{_key}_bad"] = (_set(("record", _key), "x"), f"{_key}: bad integer 'x'")
+for _key in ("r", "m", "s"):
+    _HOSTILE[f"v0_{_key}_missing"] = (_drop(("record", "v0", _key)), f"v0: missing field {_key!r}")
+    _HOSTILE[f"v0_{_key}_bad"] = (_set(("record", "v0", _key), "x"), f"{_key}: bad integer 'x'")
+for _key in ("g", "C1", "C0"):
+    _HOSTILE[f"wall_{_key}_missing"] = (_drop(("wall", _key)), f"wall: missing field {_key!r}")
+    _HOSTILE[f"wall_{_key}_bad"] = (_set(("wall", _key), "x"), f"wall.{_key}: bad integer 'x'")
 
 
 @pytest.mark.parametrize("case", sorted(_HOSTILE))

@@ -32,7 +32,8 @@ from hkcert.lattice import (
     direct_sum,
     discriminant_group,
     divisibility,
-    _gram_snf,
+    _discriminant_generators,
+    _gram_times,
     _span_snf,
     hyperbolic_plane,
     in_span_plus_lattice,
@@ -41,7 +42,7 @@ from hkcert.lattice import (
     pair,
     span_lattice_witness,
 )
-from hkcert.snf import det_bareiss, mat_mul, smith_normal_form, solve_integer
+from hkcert.snf import det_bareiss, mat_mul, mat_vec, smith_normal_form, solve_integer
 from lattice_reference import (
     DenseReduction,
     eichler_transvection,
@@ -115,6 +116,37 @@ def test_pair_examples(lam2):
 def test_pair_lattice_mismatch(lam2, uu):
     with pytest.raises(ValueError):
         pair(lam2.basis_vector(0), uu.basis_vector(0))
+
+
+# every build_lambda(n) of the corpus, and a lattice with off-diagonal Gram
+# entries outside the hyperbolic planes
+_PAIRING_LATTICES = [build_lambda(n) for n in range(2, 7)] + [
+    direct_sum(hyperbolic_plane(), GramLattice(2, ((-2, 1), (1, -2))), label="U+A2(-1)")
+]
+
+
+@st.composite
+def _pairing_cases(draw):
+    # two vectors with entries up to 10^30, each of full support or on at
+    # most 4 drawn coordinates
+    L = draw(st.sampled_from(_PAIRING_LATTICES))
+
+    def vec():
+        full = draw(st.booleans())
+        support = range(L.rank) if full else draw(st.sets(st.integers(0, L.rank - 1), max_size=4))
+        return L.vector([draw(st.integers(-(10**30), 10**30)) if i in support else 0 for i in range(L.rank)])
+
+    return L, vec(), vec()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_pairing_cases())
+def test_sparse_pairings_match_dense_products(case):
+    # _gram_times and pair sum over the sparse Gram rows; the dense G v and
+    # v . G w are their reference
+    L, v, w = case
+    assert _gram_times(v) == mat_vec(L.gram, v.coords)
+    assert pair(v, w) == sum(x * y for x, y in zip(v.coords, mat_vec(L.gram, w.coords)))
 
 
 def test_divisibility_examples(lam2):
@@ -839,12 +871,12 @@ def test_first_orthogonal_tuple_visits_each_orthogonal_tuple_once(weights):
 # --- caches -----------------------------------------------------------------
 
 def test_caches_stay_within_their_bound(uu):
-    caches = (_span_snf, _gram_snf, build_lambda)
+    caches = (_span_snf, _discriminant_generators, build_lambda)
     assert all(c.cache_info().maxsize == CACHE_SIZE for c in caches)
     q = RationalClass(uu.vector([1, 0, 0, 0]), 2)
     for k in range(CACHE_SIZE + 20):
         # a distinct Picard basis each time
         in_span_plus_lattice(q, (uu.vector([1, k, 0, 0]),))
-        _gram_snf(GramLattice(1, ((k + 1,),)))
+        _discriminant_generators(GramLattice(1, ((k + 1,),)))
         build_lambda(k + 2)
     assert all(c.cache_info().currsize <= CACHE_SIZE for c in caches)

@@ -13,7 +13,7 @@ from hkcert.lattice import (
     Isometry,
     LatticeVector,
     RationalClass,
-    _gram_snf,
+    _discriminant_generators,
     build_lambda,
     hyperbolic_plane,
 )
@@ -70,10 +70,10 @@ def test_record_defaults():
 def test_gram_lattice_label_ignored():
     a, b = GramLattice(1, ((-94,),), "a"), GramLattice(1, ((-94,),), "b")
     assert a == b and hash(a) == hash(b) and a.label != b.label
-    before = _gram_snf.cache_info()
-    _gram_snf(a)
-    _gram_snf(b)
-    after = _gram_snf.cache_info()
+    before = _discriminant_generators.cache_info()
+    _discriminant_generators(a)
+    _discriminant_generators(b)
+    after = _discriminant_generators.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
