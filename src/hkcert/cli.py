@@ -12,7 +12,7 @@ import sys
 
 from . import certificate as cert
 from .errors import ConstructionInvariantViolated, SearchExhausted
-from .instance import random_instance, validate_instance
+from .instance import validate_instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -112,6 +112,10 @@ def cmd_verify(paths, jobs=1, out=sys.stdout):
 
 
 def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
+    from . import sampler  # here, not at start-up: construct and verify run none of it
+    if count < 0:
+        print(f"error: count must be >= 0, got {count}", file=out)
+        return EXIT_INPUT
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -121,7 +125,7 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
     for i in range(count):
         sub_seed = seed + i
         try:
-            inst = random_instance(n, pic_rank, c0, d_max, sub_seed)
+            inst = sampler.random_instance(n, pic_rank, c0, d_max, sub_seed)
         except ValueError as exc:
             print(f"error: {exc}", file=out)
             return EXIT_INPUT

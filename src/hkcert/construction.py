@@ -5,14 +5,13 @@ class omega, the divisor D = A + u*omega with norm 2g beyond the wall
 bound, the twist multiplier t, the polarization degree and isotropic Mukai
 vector, the transport isometry between the canonical degree class and
 D + 4gtd*B, and the pushed-forward B-field class.  Every search takes the
-first hit in the documented order, so outputs are reproducible.  That order,
-the B-field shift and the sampler's helpers live here too: verify runs none.
+first hit in the documented order, so outputs are reproducible.  That order
+and the B-field shift live here too: verify runs neither.
 """
 
 from __future__ import annotations
 
 import itertools
-from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -31,7 +30,6 @@ from .instance import (
     transport_ends,
 )
 from .lattice import (
-    DELTA_INDEX,
     GramLattice,
     Isometry,
     LatticeVector,
@@ -163,37 +161,6 @@ def first_orthogonal_tuple(weights, bound, accept):
             if (best is None or key < best_key) and accept(cand):
                 best, best_key, top = cand, key, grade
     return best
-
-
-def line_box_interval(base, step, bound, lo, hi):
-    """(lo', hi'): the integers x in [lo, hi] with |base_i + x step_i| <= bound
-    for every i, an interval since each constraint is one; empty when
-    lo' > hi'."""
-    for b, s in zip(base, step):
-        if s < 0:
-            b, s = -b, -s  # |b + x s| = |-b - x s|
-        if s:
-            lo = max(lo, -((bound + b) // s))
-            hi = min(hi, (bound - b) // s)
-        elif abs(b) > bound:
-            return 1, 0
-    return lo, hi
-
-
-def positive_on_interval(a, b, c, lo, hi):
-    """Whether a x^2 + b x + c > 0 for some integer x with lo <= x <= hi.
-
-    The maximum on the interval is at an end, or, for a < 0, at the vertex
-    -b / 2a; over the integers, at its floor or ceiling.  Exact: only
-    integer arithmetic (the innermost-interval step of Fincke-Pohst).
-    """
-    if lo > hi:
-        return False
-    xs = [lo, hi]
-    if a < 0:
-        v = b // (-2 * a)  # floor of the vertex
-        xs += [x for x in (v, v + 1) if lo < x < hi]
-    return any((a * x + b) * x + c > 0 for x in xs)
 
 
 def _abs_tuples(length, total, bound):
@@ -836,158 +803,3 @@ def normalize_brauer(inst: HKInstance):
         f"no orthogonal shift with positive norm within coefficient bound "
         f"{_NORMALIZE_COEFF_BOUND} ({tried} candidates tried)"
     )
-
-
-# ---------------------------------------------------------------------------
-# seeded generator helpers (instance.random_instance runs them)
-
-_PIC_SUPPORT = (0, 1, 2, 3, DELTA_INDEX)
-
-
-def gram_signature(G):
-    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
-
-    Descartes' rule of signs on the characteristic polynomial det(xI - G),
-    computed in integers by Faddeev-LeVerrier: G M_k has trace -k c_(n-k),
-    with M_1 = I and M_(k+1) = G M_k + c_(n-k) I.  A symmetric matrix has
-    only real eigenvalues, so the sign changes of the coefficients count the
-    positive ones exactly, and the trailing zero coefficients the zero ones.
-    """
-    n = len(G)
-    coeffs = [1]  # highest power first
-    GM = [[0] * n for _ in range(n)]  # G M_(k-1), with M_0 = 0
-    for k in range(1, n + 1):
-        for i in range(n):
-            GM[i][i] += coeffs[-1]
-        # GM now holds M_k, a polynomial in G and so symmetric: its rows are
-        # its columns, and each entry of G M_k is one C-level dot product
-        # (the dense small matrices here gain nothing from mat_mul's sparsity)
-        GM = [[sum(map(mul, g, m)) for m in GM] for g in G]
-        coeffs.append(-sum(GM[i][i] for i in range(n)) // k)
-    zero = 0
-    while coeffs[-1] == 0:
-        coeffs.pop()
-        zero += 1
-    signs = [c > 0 for c in coeffs if c]
-    pos = sum(a != b for a, b in zip(signs, signs[1:]))
-    return pos, n - zero - pos, zero
-
-
-def _try_sample(rng, L, n, pic_rank, C0, d_max):
-    # a returned sample passes each check of validate_instance by a rejection
-    # here or by how it is built, so nothing re-checks it:
-    # - the signature, then _saturated: pic_independent and pic_saturated;
-    # - the W loop: w_norm_bound and w_primitive;
-    # - _sample_b: b_norm_positive and b_primitive;
-    # - W a Picard combination, B from the complement: w_in_pic and b_orthogonal_pic;
-    # - random_instance's ranges and L = build_lambda(n): params_in_range,
-    #   pic_rank, lattice_matches_n and vectors_same_lattice
-    randint = rng.randint
-    pic = []
-    for _ in range(pic_rank):
-        coords = [0] * L.rank
-        for idx in _PIC_SUPPORT:
-            coords[idx] = randint(-3, 3)
-        pic.append(L.vector(coords))
-    sub_gram = gram_of(pic)
-    if gram_signature(sub_gram) != (1, pic_rank - 1, 0):
-        return None
-    # the Picard matrix's other rows are zero and add no nonzero minor
-    if not _saturated([[p.coords[i] for p in pic] for i in _PIC_SUPPORT], pic_rank):
-        return None
-
-    # the Picard form is read once for up to 80 draws of W
-    w_norm = form_evaluator(sub_gram)
-    draws = range(pic_rank)
-    W = None
-    for _ in range(80):
-        coeffs = [randint(-3, 3) for _ in draws]
-        if not 0 < -w_norm(coeffs) < C0:
-            continue
-        cand = linear_combination(L, coeffs, pic)
-        if is_primitive(cand):
-            W = cand
-            break
-    if W is None:
-        return None
-
-    comp = orthogonal_complement_basis(L, pic)
-    B = _sample_b(rng, L, comp)
-    if B is None:
-        return None
-    d = randint(1, d_max)
-    inst = HKInstance(n=n, pic_basis=tuple(pic), W=W, B=B, d=d, C0=C0)
-    # construct's bounded searches must handle it: find_A within 3, and the
-    # kernel test, where W = sum c_i p_i pairs with p_j to (sub_gram c)_j
-    try:
-        find_A(inst, 3)
-    except SearchExhausted:
-        return None
-    feasible = _kernel_has_bounded_positive(sub_gram, snf.mat_vec(sub_gram, coeffs))
-    return inst if feasible else None
-
-
-def _sample_b(rng, L, comp):
-    # mix at most three complement vectors; positive norm needs a hyperbolic
-    # contribution, so weight retries generously.  A candidate's norm is
-    # summed over its picks off the complement's Gram matrix, and only a
-    # candidate of positive norm (so nonzero) is built
-    gram = gram_of(comp)
-    randint, sample = rng.randint, rng.sample
-    k_max, positions = min(3, len(comp)), range(len(comp))
-    for _ in range(120):
-        k = randint(1, k_max)
-        picks = sample(positions, k)
-        coeffs = [randint(-2, 2) for _ in picks]
-        value = 0
-        for a, ca in zip(picks, coeffs):
-            row = gram[a]
-            for b, cb in zip(picks, coeffs):
-                value += ca * cb * row[b]
-        if value <= 0:
-            continue
-        cand = linear_combination(L, coeffs, [comp[idx] for idx in picks])
-        if is_primitive(cand):
-            return cand
-    return None
-
-
-def _saturated(rows, rank):
-    # the columns of an integer matrix with `rank` columns are independent
-    # and span a saturated sublattice iff the gcd of its rank x rank minors
-    # (the product of its invariant factors) is 1
-    g = 0
-    for minor in combinations(rows, rank):
-        g = gcd(g, snf.det_bareiss(minor))
-        if g == 1:
-            return True
-    return False
-
-
-def kernel_basis(snf_data):
-    """Basis of {x in Z^n : A x = 0}; the columns of V past the rank."""
-    U, D, V = snf_data
-    return [[row[j] for row in V] for j in range(snf._rank(D), len(V))]
-
-
-def _kernel_has_bounded_positive(sub_gram, weights):
-    # whether a nonzero k in [-12, 12]^K over the kernel basis of the weights
-    # gives Picard coefficients c = sum k_i kern_i, each |c_j| <= 16, of
-    # positive norm.  With all but the last k_i fixed, c = base + x step is
-    # a line, its bounds an interval for x, and its norm a x^2 + b x + c
-    kern = kernel_basis(snf.smith_normal_form([weights]))
-    if not kern:
-        return False
-    cols = list(zip(*kern))
-    step = kern[-1]
-    value = form_evaluator(sub_gram)
-    a = value(step)
-    g_step = snf.mat_vec(sub_gram, step)
-    for prefix in product(range(-12, 13), repeat=len(kern) - 1):
-        # map stops at the shorter prefix, so each base_j leaves step out
-        base = [sum(map(mul, col, prefix)) for col in cols]
-        lo, hi = line_box_interval(base, step, 16, -12, 12)
-        b = 2 * sum(map(mul, base, g_step))
-        if positive_on_interval(a, b, value(base), lo, hi):
-            return True
-    return False

@@ -1,19 +1,15 @@
 """Problem instances: Picard sublattice, wall class, B-field, and the bound C0.
 
-Also houses Brauer-class arithmetic (equality is congruence modulo rational
-Picard classes plus integral classes), the closed forms that construct and
-verify both evaluate, and the seeded random instance generator used by the
-property suite and the CLI (its helpers are in ``construction``).
+Also houses Brauer-class arithmetic (equality modulo rational Picard classes
+plus integral classes) and the closed forms that construct and verify share.
 """
 
 from __future__ import annotations
 
-import random
 from math import factorial
 
 from . import lattice as lat
 from . import snf
-from .errors import SearchExhausted
 from .lattice import (
     DELTA_INDEX,
     GramLattice,
@@ -190,35 +186,8 @@ def rank_factor_min_bits(n: int, r: int) -> int:
     return n * (n.bit_length() + r.bit_length() - 4)
 
 
-# ---------------------------------------------------------------------------
-# seeded generator
-
-def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HKInstance:
-    """Deterministic-in-seed instance sampler.
-
-    Picard vectors have entries in [-3, 3] supported on the first two
-    hyperbolic planes and delta; rejection runs until the Picard form has
-    signature (1, rank-1), the sublattice is saturated, a wall class of
-    norm in (-C0, 0) exists, a positive-norm primitive B can be drawn
-    from the orthogonal complement, and construct's bounded searches can
-    handle the sample.  ``construction._try_sample`` decides each sample
-    once: its rejections imply every check of ``validate_instance``.
-    """
-    from .construction import _try_sample  # construction imports this module
-
-    if not 2 <= n <= 6:
-        raise ValueError(f"n must be in [2, 6], got {n}")
-    if not 2 <= pic_rank <= 4:
-        raise ValueError(f"pic_rank must be in [2, 4], got {pic_rank}")
-    if C0 < 1 or d_max < 1:
-        raise ValueError("C0 and d_max must be positive")
-    rng = random.Random(seed)
-    L = build_lambda(n)
-    for _ in range(400):
-        inst = _try_sample(rng, L, n, pic_rank, C0, d_max)
-        if inst is not None:
-            return inst
-    raise SearchExhausted(
-        f"instance generation failed after 400 attempts (seed {seed}, n={n}, "
-        f"pic_rank={pic_rank}, C0={C0}, d_max={d_max})"
-    )
+def __getattr__(name):  # random_instance, from hkcert.sampler on first use
+    if name != "random_instance":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .sampler import random_instance
+    return random_instance

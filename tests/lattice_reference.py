@@ -37,7 +37,6 @@ from hkcert.construction import (
     _transvect,
     graded_coefficient_tuples,
     hermite_rows,
-    kernel_basis,
 )
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
@@ -47,6 +46,7 @@ from hkcert.lattice import (
     norm,
     pair,
 )
+from hkcert.sampler import kernel_basis
 from hkcert.snf import _xgcd, identity_matrix
 from hkcert.snf import sparse as _sparse
 

@@ -885,6 +885,15 @@ def test_cli_random_count_zero(tmp_path):
     assert list(d.iterdir()) == []
 
 
+def test_cli_random_negative_count_is_input_error(tmp_path):
+    # refused before anything is drawn, written or made
+    d = tmp_path / "neg"
+    out = io.StringIO()
+    assert cmd_random(2, 2, 3, 3, seed=7, count=-3, out_dir=str(d), out=out) == EXIT_INPUT
+    assert out.getvalue() == "error: count must be >= 0, got -3\n"
+    assert not d.exists()
+
+
 def test_cli_random_unwritable_file_is_one_line(tmp_path):
     # a directory where the instance file should go
     d = tmp_path / "rnd"
@@ -1104,33 +1113,53 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines the hkcert modules that a verify process loads may sum to:
 # every verify process reads and compiles the whole checker
-VERIFY_LINE_BUDGET = 1692
+VERIFY_LINE_BUDGET = 1665
 
-_VERIFY_LOADS = """
+_CLI_LOADS = """
 import sys
 from pathlib import Path
 from hkcert.cli import main
 code = main(sys.argv[1:])
 files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "hkcert"]
 lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in files)
-print(code, "hkcert.construction" in sys.modules, lines)
+print(code, "hkcert.construction" in sys.modules, "hkcert.sampler" in sys.modules, lines)
 """
+
+
+def _cli_loads(args, cwd):
+    """Run `hkcert ARGS` through main in a fresh process: its output lines,
+    then its exit code, whether it loaded hkcert.construction and
+    hkcert.sampler, and the lines of the hkcert modules it loaded."""
+    r = subprocess.run(
+        [sys.executable, "-c", _CLI_LOADS, *args],
+        cwd=cwd, capture_output=True, text=True, env=_buffered_child_env(),
+    )
+    assert (r.returncode, r.stderr) == (0, "")
+    *output, summary = r.stdout.splitlines()
+    return output, summary.split()
 
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
-    # a fresh verify process compiles no search code
+    # a fresh verify process compiles no search code and no sampler
     cert.write_json(tmp_path / "e2.cert.json", e2_payload)
-    r = subprocess.run(
-        [sys.executable, "-c", _VERIFY_LOADS, "verify", "e2.cert.json"],
-        cwd=tmp_path, capture_output=True, text=True, env=_buffered_child_env(),
+    output, (code, loads_construction, loads_sampler, lines) = _cli_loads(
+        ["verify", "e2.cert.json"], tmp_path
     )
-    assert (r.returncode, r.stderr) == (0, "")
-    ok_line, summary = r.stdout.splitlines()
-    assert ok_line == f"e2.cert.json: OK ({len(cert.verify_payload(e2_payload))} checks)"
-    code, loads_construction, lines = summary.split()
-    assert (code, loads_construction) == ("0", "False")
+    assert output == [f"e2.cert.json: OK ({len(cert.verify_payload(e2_payload))} checks)"]
+    assert (code, loads_construction, loads_sampler) == ("0", "False", "False")
     assert int(lines) <= VERIFY_LINE_BUDGET
+
+
+def test_cli_construct_loads_the_pipeline_but_not_the_sampler(e2_instance, tmp_path):
+    # the seeded sampler is test and benchmark tooling: construct runs none
+    # of it, so a fresh construct process does not compile it
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    output, (code, loads_construction, loads_sampler, _) = _cli_loads(
+        ["construct", "-i", "e2.json", "-o", "e2.cert.json"], tmp_path
+    )
+    assert len(output) == 1 and output[0].startswith("e2.cert.json: C1=")
+    assert (code, loads_construction, loads_sampler) == ("0", "True", "False")
 
 
 def test_annotations_resolve_outside_the_pipeline():

@@ -1,14 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hkcert import construction, snf
+from hkcert import sampler, snf
 from hkcert.errors import SearchExhausted
 from hkcert.construction import (
-    _kernel_has_bounded_positive,
-    _saturated,
-    _try_sample,
     form_evaluator,
     gram_of,
     normalize_brauer,
@@ -22,10 +22,10 @@ from hkcert.instance import (
     brauer_equal,
     mukai_data,
     pic_coordinates,
-    random_instance,
     validate_instance,
 )
 from hkcert.lattice import DELTA_INDEX, RationalClass, build_lambda, norm, pair
+from hkcert.sampler import _kernel_has_bounded_positive, _saturated, _try_sample, random_instance
 from lattice_reference import (
     dense_form_value,
     kernel_has_bounded_positive,
@@ -203,6 +203,26 @@ def test_random_instance_rejects_rank_one():
         random_instance(2, 1, 3, 3, seed=1)
     with pytest.raises(ValueError):
         random_instance(7, 2, 3, 3, seed=1)
+
+
+def test_random_instance_is_forwarded_from_the_sampler():
+    import hkcert.instance
+
+    assert hkcert.instance.random_instance is sampler.random_instance
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        hkcert.instance.no_such_name
+
+
+def test_instance_import_loads_neither_sampler_nor_construction():
+    # the forwarder imports hkcert.sampler on first use only
+    src = os.path.dirname(os.path.dirname(snf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hkcert.instance; print(' '.join(sys.modules))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "hkcert.instance" in loaded
+    assert loaded & {"hkcert.sampler", "hkcert.construction"} == set()
 
 
 def test_random_instances_valid_200_seeds():
@@ -453,8 +473,8 @@ def test_complement_gram_matches_dense_product(lam2, monkeypatch):
         complements.append(basis)
         return basis
 
-    monkeypatch.setattr(construction, "gram_of", checked)
-    monkeypatch.setattr(construction, "orthogonal_complement_basis", complement)
+    monkeypatch.setattr(sampler, "gram_of", checked)
+    monkeypatch.setattr(sampler, "orthogonal_complement_basis", complement)
     for cell, seed in CELLS:
         try:
             random_instance(*cell, seed)

@@ -14,9 +14,7 @@ from hkcert.construction import (
     first_orthogonal_tuple,
     graded_coefficient_tuples,
     isometry_between,
-    line_box_interval,
     orthogonal_complement_basis,
-    positive_on_interval,
     search_order_key,
 )
 from hkcert.errors import SearchExhausted
@@ -42,6 +40,7 @@ from hkcert.lattice import (
     pair,
     span_lattice_witness,
 )
+from hkcert.sampler import line_box_interval, positive_on_interval
 from hkcert.snf import det_bareiss, mat_mul, mat_vec, smith_normal_form, solve_integer
 from lattice_reference import (
     DenseReduction,

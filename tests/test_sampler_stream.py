@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from hkcert import instance
+from hkcert import instance, sampler
 from hkcert.certificate import instance_to_payload
 from hkcert.errors import SearchExhausted
 
@@ -93,8 +93,8 @@ def draw(cell, seed):
         rngs.append(LoggingRandom(seed))
         return rngs[-1]
 
-    saved = instance.random
-    instance.random = types.SimpleNamespace(Random=make)
+    saved = sampler.random
+    sampler.random = types.SimpleNamespace(Random=make)
     try:
         try:
             inst = instance.random_instance(*cell, seed)
@@ -106,7 +106,7 @@ def draw(cell, seed):
             assert [c.name for c in instance.validate_instance(inst) if not c.ok] == []
             out = _sha(instance_to_payload(inst))
     finally:
-        instance.random = saved
+        sampler.random = saved
     assert len(rngs) == 1
     return out, _sha(rngs[0].log)
 

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkcert.construction import gram_signature, hermite_rows, kernel_basis
+from hkcert.construction import hermite_rows
+from hkcert.sampler import gram_signature, kernel_basis
 from hkcert.snf import (
     det_bareiss,
     mat_mul,
