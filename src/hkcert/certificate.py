@@ -18,6 +18,7 @@ from math import gcd
 
 from . import obstruction
 from .instance import (
+    BUDGETS,
     CheckResult,
     HKInstance,
     MukaiVector,
@@ -267,7 +268,7 @@ def certificate_payload(inst: HKInstance, rec, wall, budgets):
             "verdict": bool(wall.verdict),
         },
         "checks": checks,
-        "budgets": {k: _enc_int(budgets[k]) for k in ("coeff_bound", "u_budget", "t_budget", "isometry_budget")},
+        "budgets": {k: _enc_int(budgets[k]) for k in BUDGETS},
     }
     payload["digest"] = compute_digest(payload)
     return payload

@@ -12,7 +12,7 @@ import sys
 
 from . import certificate as cert
 from .errors import ConstructionInvariantViolated, SearchExhausted
-from .instance import validate_instance
+from .instance import BUDGETS, validate_instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -29,17 +29,12 @@ def _reason(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def cmd_construct(input_path, output_path, coeff_bound=16, u_budget=10**6,
-                  t_budget=10**6, isometry_budget=10000, out=sys.stdout):
+def cmd_construct(input_path, output_path, out=sys.stdout, **budgets):
+    """Construct under instance.BUDGETS, overridden by each budget named as a keyword."""
     # imported here, so that a verify process does not load the pipeline
     from . import construction
 
-    budgets = {
-        "coeff_bound": coeff_bound,
-        "u_budget": u_budget,
-        "t_budget": t_budget,
-        "isometry_budget": isometry_budget,
-    }
+    budgets = {**BUDGETS, **budgets}
     try:
         inst = cert.instance_from_payload(cert.read_json(input_path))
         inst = construction.normalize_brauer(inst)
@@ -117,7 +112,11 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
         print(f"error: count must be >= 0, got {count}", file=out)
         return EXIT_INPUT
     try:
+        sampler.check_parameters(n, pic_rank, c0, d_max)
         os.makedirs(out_dir, exist_ok=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return EXIT_INPUT
     except OSError as exc:
         print(f"error: {out_dir}: {exc}", file=out)
         return EXIT_INPUT
@@ -126,9 +125,6 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
         sub_seed = seed + i
         try:
             inst = sampler.random_instance(n, pic_rank, c0, d_max, sub_seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return EXIT_INPUT
         except SearchExhausted:
             failed.append(sub_seed)
             continue
@@ -146,6 +142,7 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
 
 
 def build_parser():
+    """Each flag's dest is its command function's parameter: main passes them by name."""
     parser = argparse.ArgumentParser(
         prog="hkcert",
         description="Construct and verify exact lattice certificates for the "
@@ -154,20 +151,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="run the pipeline on an instance file")
-    c.add_argument("-i", "--input", required=True, help="instance JSON")
-    c.add_argument("-o", "--output", required=True, help="certificate JSON to write")
-    c.add_argument("--budget-u", type=int, default=10**6, help="max step multiplier u")
-    c.add_argument("--budget-t", type=int, default=10**6, help="max twist multiplier t")
-    c.add_argument("--budget-isometry", type=int, default=10000,
-                   help="max transvections per reduction")
-    c.add_argument("--bound-coeff", type=int, default=16,
-                   help="coefficient bound for the A/omega searches")
+    c.set_defaults(run=cmd_construct, **BUDGETS)
+    c.add_argument("-i", "--input", dest="input_path", metavar="INPUT", required=True, help="instance JSON")
+    c.add_argument("-o", "--output", dest="output_path", metavar="OUTPUT", required=True,
+                   help="certificate JSON to write")
+    for flag, dest, text in (
+        ("--budget-u", "u_budget", "max step multiplier u"),
+        ("--budget-t", "t_budget", "max twist multiplier t"),
+        ("--budget-isometry", "isometry_budget", "max transvections per reduction"),
+        ("--bound-coeff", "coeff_bound", "coefficient bound for the A/omega searches"),
+    ):
+        c.add_argument(flag, dest=dest, metavar=flag[2:].replace("-", "_").upper(), type=int, help=text)
 
     v = sub.add_parser("verify", help="recheck certificates from their recorded data")
-    v.add_argument("certs", nargs="+", help="certificate JSON files")
+    v.set_defaults(run=cmd_verify)
+    v.add_argument("paths", metavar="certs", nargs="+", help="certificate JSON files")
     v.add_argument("--jobs", type=int, default=1, help="verify files in parallel")
 
     r = sub.add_parser("random", help="write seeded random instance files")
+    r.set_defaults(run=cmd_random)
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--pic-rank", type=int, required=True)
     r.add_argument("--c0", type=int, required=True)
@@ -179,21 +181,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command == "construct":
-        return cmd_construct(
-            args.input,
-            args.output,
-            coeff_bound=args.bound_coeff,
-            u_budget=args.budget_u,
-            t_budget=args.budget_t,
-            isometry_budget=args.budget_isometry,
-        )
-    if args.command == "verify":
-        return cmd_verify(args.certs, jobs=args.jobs)
-    return cmd_random(
-        args.n, args.pic_rank, args.c0, args.d_max, args.seed, args.count, args.out_dir
-    )
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]  # the subcommand's name; "run" is its function
+    return args.pop("run")(**args)
 
 
 def run(argv=None):

@@ -18,6 +18,7 @@ from operator import mul
 from . import obstruction, snf
 from .errors import ConstructionInvariantViolated, SearchExhausted
 from .instance import (
+    BUDGETS,
     CheckResult,
     HKInstance,
     MukaiVector,
@@ -227,7 +228,7 @@ def w_pairings(inst: HKInstance):
     return weights
 
 
-def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
+def find_A(inst: HKInstance, coeff_bound: int = BUDGETS["coeff_bound"]) -> LatticeVector:
     """First Picard class (documented order) of divisibility 1 pairing
     nontrivially with W, sign-normalized so the pairing is positive."""
     weights = w_pairings(inst)
@@ -242,7 +243,7 @@ def find_A(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
     )
 
 
-def find_omega(inst: HKInstance, coeff_bound: int = 16) -> LatticeVector:
+def find_omega(inst: HKInstance, coeff_bound: int = BUDGETS["coeff_bound"]) -> LatticeVector:
     """First Picard class (documented order) orthogonal to W with positive norm.
 
     Only the W-orthogonal coefficient tuples are visited (see
@@ -267,7 +268,7 @@ def _first_unit_divisibility(gx, gy, ks):
     return None
 
 
-def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: int = 10**6):
+def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: int = BUDGETS["u_budget"]):
     """Smallest u >= 1 with div(A + u*omega) = 1 and (A + u*omega)^2 > 2*C0*C1.
 
     Returns (D, g, C1, u).  Termination is guaranteed in theory; the budget
@@ -287,7 +288,7 @@ def find_D(inst: HKInstance, A: LatticeVector, omega: LatticeVector, u_budget: i
     return A + u * omega, norm_at(u) // 2, C1, u
 
 
-def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = 10**6) -> int:
+def choose_t(inst: HKInstance, D: LatticeVector, g: int, t_budget: int = BUDGETS["t_budget"]) -> int:
     """Smallest t >= 1 with div(D + 4*g*t*d*B) = 1."""
     step = 4 * g * inst.d
     gb = [step * p for p in _gram_times(inst.B)]
@@ -560,7 +561,7 @@ def _extended_gcd_combination(vals):
     return coeffs
 
 
-def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 10000) -> Isometry:
+def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDGETS["isometry_budget"]) -> Isometry:
     """A transvection-generated isometry sending v to w, exactly.
 
     Both vectors must be primitive of divisibility 1 with equal norms, and
@@ -594,7 +595,7 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = 1000
     return iso
 
 
-def transport(inst: HKInstance, D, g, t, H2, step_budget: int = 10000, force_epsilon=None):
+def transport(inst: HKInstance, D, g, t, H2, step_budget: int = BUDGETS["isometry_budget"], force_epsilon=None):
     """Isometry carrying the canonical degree class minus 2gtd^2*delta onto
     epsilon * (D + 4gtd*B); epsilon = +1 is attempted first.
 
@@ -645,10 +646,10 @@ def check_rank_factor_size(n: int, r: int) -> None:
 
 def run_pipeline(
     inst: HKInstance,
-    coeff_bound: int = 16,
-    u_budget: int = 10**6,
-    t_budget: int = 10**6,
-    isometry_budget: int = 10000,
+    coeff_bound: int = BUDGETS["coeff_bound"],
+    u_budget: int = BUDGETS["u_budget"],
+    t_budget: int = BUDGETS["t_budget"],
+    isometry_budget: int = BUDGETS["isometry_budget"],
 ) -> ConstructionRecord:
     """Full construction on a valid instance, with every predicate recorded."""
     A = find_A(inst, coeff_bound)

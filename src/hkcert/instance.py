@@ -24,6 +24,9 @@ from .lattice import (
 )
 from .record import Record
 
+# construct's search budgets, in the order a certificate records them
+BUDGETS = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
+
 
 class HKInstance(Record):
     __slots__ = _fields = ("n", "pic_basis", "W", "B", "d", "C0")

@@ -20,7 +20,7 @@ from .construction import (
     orthogonal_complement_basis,
 )
 from .errors import SearchExhausted
-from .instance import HKInstance
+from .instance import BUDGETS, HKInstance
 from .lattice import DELTA_INDEX, build_lambda, is_primitive
 
 
@@ -38,12 +38,7 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
     handle the sample.  ``_try_sample`` decides each sample once: its
     rejections imply every check of ``validate_instance``.
     """
-    if not 2 <= n <= 6:
-        raise ValueError(f"n must be in [2, 6], got {n}")
-    if not 2 <= pic_rank <= 4:
-        raise ValueError(f"pic_rank must be in [2, 4], got {pic_rank}")
-    if C0 < 1 or d_max < 1:
-        raise ValueError("C0 and d_max must be positive")
+    check_parameters(n, pic_rank, C0, d_max)
     rng = random.Random(seed)
     L = build_lambda(n)
     for _ in range(400):
@@ -54,6 +49,16 @@ def random_instance(n: int, pic_rank: int, C0: int, d_max: int, seed: int) -> HK
         f"instance generation failed after 400 attempts (seed {seed}, n={n}, "
         f"pic_rank={pic_rank}, C0={C0}, d_max={d_max})"
     )
+
+
+def check_parameters(n: int, pic_rank: int, C0: int, d_max: int) -> None:
+    """Raise ValueError unless random_instance can sample with these parameters."""
+    if not 2 <= n <= 6:
+        raise ValueError(f"n must be in [2, 6], got {n}")
+    if not 2 <= pic_rank <= 4:
+        raise ValueError(f"pic_rank must be in [2, 4], got {pic_rank}")
+    if C0 < 1 or d_max < 1:
+        raise ValueError("C0 and d_max must be positive")
 
 
 def gram_signature(G):
@@ -184,9 +189,10 @@ def kernel_basis(snf_data):
 
 def _kernel_has_bounded_positive(sub_gram, weights):
     # whether a nonzero k in [-12, 12]^K over the kernel basis of the weights
-    # gives Picard coefficients c = sum k_i kern_i, each |c_j| <= 16, of
-    # positive norm.  With all but the last k_i fixed, c = base + x step is
-    # a line, its bounds an interval for x, and its norm a x^2 + b x + c
+    # gives Picard coefficients c = sum k_i kern_i of positive norm, each |c_j|
+    # within construct's coeff_bound.  With all but the last k_i fixed, the
+    # line c = base + x step meets the bounds in an interval of x, and its
+    # norm is a x^2 + b x + c
     kern = kernel_basis(snf.smith_normal_form([weights]))
     if not kern:
         return False
@@ -198,7 +204,7 @@ def _kernel_has_bounded_positive(sub_gram, weights):
     for prefix in product(range(-12, 13), repeat=len(kern) - 1):
         # map stops at the shorter prefix, so each base_j leaves step out
         base = [sum(map(mul, col, prefix)) for col in cols]
-        lo, hi = line_box_interval(base, step, 16, -12, 12)
+        lo, hi = line_box_interval(base, step, BUDGETS["coeff_bound"], -12, 12)
         b = 2 * sum(map(mul, base, g_step))
         if positive_on_interval(a, b, value(base), lo, hi):
             return True

@@ -214,12 +214,10 @@ def smith_normal_form(M):
                 row_combine(i, i + 1, 1, 1, 0, 1)      # A[i][i+1] = b
                 g, x, y = _xgcd(a, b)
                 col_combine(i, i + 1, x, y, -(b // g), a // g)
-                # fill-in at A[i+1][i] and possibly A[i][i+1]; re-clear the block
+                # A[i][i+1] = -(b/g) a + (a/g) b = 0; clear the fill-in at A[i+1][i]
                 p = A[i][i]
                 if A[i + 1][i]:
                     row_combine(i, i + 1, 1, 0, -(A[i + 1][i] // p), 1)
-                if A[i][i + 1]:
-                    col_combine(i, i + 1, 1, 0, -(A[i][i + 1] // p), 1)
                 changed = True
     for i in range(rank):
         if A[i][i] < 0:

@@ -894,6 +894,25 @@ def test_cli_random_negative_count_is_input_error(tmp_path):
     assert not d.exists()
 
 
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize(
+    "n, pic_rank, c0, d_max, line",
+    [
+        (9, 2, 3, 3, "error: n must be in [2, 6], got 9"),
+        (2, 5, 3, 3, "error: pic_rank must be in [2, 4], got 5"),
+        (2, 2, 0, 3, "error: C0 and d_max must be positive"),
+        (2, 2, 3, 0, "error: C0 and d_max must be positive"),
+    ],
+)
+def test_cli_random_out_of_range_leaves_no_directory(tmp_path, n, pic_rank, c0, d_max, line, count):
+    # the sampler's ranges are checked before the output directory is made
+    d = tmp_path / "out"
+    out = io.StringIO()
+    assert cmd_random(n, pic_rank, c0, d_max, seed=7, count=count, out_dir=str(d), out=out) == EXIT_INPUT
+    assert out.getvalue() == line + "\n"
+    assert not d.exists()
+
+
 def test_cli_random_unwritable_file_is_one_line(tmp_path):
     # a directory where the instance file should go
     d = tmp_path / "rnd"
@@ -994,6 +1013,39 @@ def test_cli_construct_loads_the_pipeline_and_reproduces_the_golden_digest(e2_in
     out = _main_in_fresh_interpreter("construct", "-i", "e2.json", "-o", "e2.cert.json", cwd=tmp_path)
     assert out[0].startswith("e2.cert.json: ") and out[1:] == ["0 True"]
     assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
+
+
+def test_cli_main_passes_each_construct_flag_to_its_budget(e2_instance, tmp_path):
+    # four distinct values, none a default: a flag bound to another budget
+    # records a value under the wrong name, or exhausts a search
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    out = _main_in_fresh_interpreter(
+        "construct", "-i", "e2.json", "-o", "e2.cert.json", "--bound-coeff", "15",
+        "--budget-u", "999999", "--budget-t", "999998", "--budget-isometry", "9999", cwd=tmp_path,
+    )
+    assert out[0].startswith("e2.cert.json: ") and out[1:] == ["0 True"]
+    assert cert.read_json(tmp_path / "e2.cert.json")["budgets"] == {
+        "coeff_bound": "15", "u_budget": "999999", "t_budget": "999998", "isometry_budget": "9999"
+    }
+
+
+def test_cli_default_budgets_are_the_table_on_every_path(e2_instance, tmp_path):
+    # main with no budget flag, cmd_construct with no budget keyword, and
+    # run_pipeline's defaults with the table given to certificate_payload
+    # make one certificate, whose budgets block is the table in its order
+    from hkcert.construction import normalize_brauer
+    from hkcert.instance import BUDGETS
+
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    out = _main_in_fresh_interpreter("construct", "-i", "e2.json", "-o", "main.json", cwd=tmp_path)
+    assert out[1:] == ["0 True"]
+    assert cmd_construct(str(tmp_path / "e2.json"), str(tmp_path / "cmd.json"), out=io.StringIO()) == EXIT_OK
+    inst = normalize_brauer(e2_instance)
+    rec = run_pipeline(inst)
+    payload = cert.certificate_payload(inst, rec, wall_for_record(inst, rec), BUDGETS)
+    files = [cert.read_json(tmp_path / name) for name in ("main.json", "cmd.json")]
+    assert [p["digest"] for p in files] == [payload["digest"]] * 2
+    assert list(payload["budgets"].items()) == [(k, str(v)) for k, v in BUDGETS.items()]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -1113,7 +1165,7 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines the hkcert modules that a verify process loads may sum to:
 # every verify process reads and compiles the whole checker
-VERIFY_LINE_BUDGET = 1665
+VERIFY_LINE_BUDGET = 1657
 
 _CLI_LOADS = """
 import sys

@@ -246,13 +246,18 @@ def test_random_instances_valid_200_seeds():
 
 
 class _ScriptedRng:
-    """A stand-in for random.Random whose randint returns scripted values."""
+    """A stand-in for random.Random whose randint and sample return scripted
+    values."""
 
     def __init__(self, values):
         self.values = iter(values)
         self.calls = 0
 
     def randint(self, a, b):
+        self.calls += 1
+        return next(self.values)
+
+    def sample(self, population, k):
         self.calls += 1
         return next(self.values)
 
@@ -267,6 +272,23 @@ def test_try_sample_rejects_zero_picard_vector(lam2, rho, zero_at):
     rng = _ScriptedRng(draws)
     assert _try_sample(rng, lam2, 2, rho, 3, 3) is None
     assert rng.calls == 5 * rho
+
+
+def test_try_sample_rejects_a_sample_that_find_a_cannot_handle(lam2, e2_instance, monkeypatch):
+    # draws that build the worked instance: Picard vectors e1 + delta and f1,
+    # W = 1 * p1 + 0 * p2, B = e2 + f2 (two complement vectors at
+    # coefficient 1) and d = 2.  A stand-in find_A refuses it: no seeded
+    # sample has been seen to fail find_A within 3
+    asked = []
+
+    def find_A(inst, coeff_bound):
+        asked.append((inst, coeff_bound))
+        raise SearchExhausted("refused")
+
+    monkeypatch.setattr(sampler, "find_A", find_A)
+    rng = _ScriptedRng([1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 2, [1, 2], 1, 1, 2])
+    assert _try_sample(rng, lam2, 2, 2, 3, 3) is None
+    assert asked == [(e2_instance, 3)] and rng.calls == 17
 
 
 # --- the sampler's feasibility and saturation tests ------------------------
