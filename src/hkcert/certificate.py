@@ -74,7 +74,7 @@ def _enc_ints(seq):
         return list(map(str, seq))
 
 
-def _dec_int(x, what="integer"):
+def _dec_int(x, what):
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise CertificateFormatError(f"{what}: expected an integer or decimal string")
     try:
@@ -111,7 +111,7 @@ def _enc_vec(v):
     return _enc_ints(v.coords)
 
 
-def _dec_vec(L, data, what="vector"):
+def _dec_vec(L, data, what):
     if not isinstance(data, list) or len(data) != L.rank:
         raise CertificateFormatError(f"{what}: expected {L.rank} coordinates")
     return LatticeVector(_dec_ints(data, what), L)

@@ -1,6 +1,5 @@
 import pytest
 
-from hkcert.instance import HKInstance
 from hkcert.lattice import build_lambda, direct_sum, hyperbolic_plane
 
 
@@ -15,10 +14,7 @@ def uu():
 
 
 @pytest.fixture(scope="session")
-def e2_instance(lam2):
-    """The worked instance: n=2, Pic = {e1+delta, f1}, W = e1+delta,
-    B = e2+f2, d = 2, C0 = 3."""
-    p1 = lam2.vector([1] + [0] * 21 + [1])
-    p2 = lam2.basis_vector(1)
-    b = lam2.vector([0, 0, 1, 1] + [0] * 19)
-    return HKInstance(n=2, pic_basis=(p1, p2), W=p1, B=b, d=2, C0=3)
+def e2_instance():
+    from test_corpus import e2_instance
+
+    return e2_instance()

@@ -13,11 +13,15 @@ entry at a time and scanning every entry for the pivot;
 ``orthogonal_complement_basis`` takes the kernel over all coordinates.  The
 package's versions must give the same (U, D, V) and the same basis.
 
-``solve_integer`` and ``in_span_plus_lattice`` are the solver and the span
-test as first written, on the dense (U, D, V) of ``snf.smith_normal_form``:
-every product is a dense ``snf.mat_vec`` over all of U or V.  The package's
-versions sum over the nonzero entries of cached sparse columns and must
-give the same solution and the same boolean.
+``solve_integer`` (from ``verifier_reference``) and ``in_span_plus_lattice``
+are the solver and the span test as first written, on the dense (U, D, V) of
+``snf.smith_normal_form``: every product is a dense ``snf.mat_vec`` over all
+of U or V.  The package's versions sum over the nonzero entries of cached
+sparse columns and must give the same solution and the same boolean.
+
+``first_hit_reference`` is the full graded scan in documented order, the
+definition of the first hit that ``first_orthogonal_tuple`` and
+``find_omega`` must return.
 
 ``kernel_has_bounded_positive`` and ``saturated_by_snf`` are the seeded
 sampler's feasibility scan and saturation pre-check as first written: every
@@ -53,6 +57,7 @@ from hkcert.lattice import (
 from hkcert.sampler import kernel_basis
 from hkcert.snf import _xgcd, identity_matrix
 from hkcert.snf import sparse as _sparse
+from verifier_reference import solve_integer  # noqa: F401  (re-exported for callers)
 
 
 def eichler_transvection(e: LatticeVector, a: LatticeVector) -> Isometry:
@@ -248,22 +253,6 @@ def orthogonal_complement_basis(L, vectors):
     return [L.vector(b) for b in hermite_rows(basis)]
 
 
-def solve_integer(snf_data, b):
-    """Solve A x = b over the integers, given snf_data = smith_normal_form(A)
-    with dense U and V; None when no integral solution exists."""
-    U, D, V = snf_data
-    r = sum(1 for d in snf.snf_diagonal(D) if d)
-    c = snf.mat_vec(U, b)
-    if any(c[r:]):
-        return None
-    y = [0] * len(V)
-    for i in range(r):
-        y[i], rem = divmod(c[i], D[i][i])
-        if rem:
-            return None
-    return snf.mat_vec(V, y)
-
-
 def in_span_plus_lattice(q, S):
     """q = num/den is in the rational span of S plus the lattice iff K num = 0
     (mod den), with K the rows of U past the rank in the dense Smith form
@@ -351,6 +340,15 @@ def smith_normal_form(M):
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
     return U, A, V
+
+
+def first_hit_reference(weights, bound, accept):
+    """The first tuple in graded order within bound, orthogonal to the
+    weights and accepted, or None: every tuple is scanned."""
+    for coeffs in graded_coefficient_tuples(len(weights), bound):
+        if sum(c * w for c, w in zip(coeffs, weights)) == 0 and accept(coeffs):
+            return coeffs
+    return None
 
 
 def dense_form_value(gram, coeffs):

@@ -8,7 +8,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,15 +16,14 @@ from hkcert import certificate as cert
 from hkcert import lattice, snf
 from hkcert.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, cmd_construct, cmd_random, cmd_verify
 from hkcert.construction import run_pipeline, wall_for_record
-from test_corpus import CORPUS, certified
+from hkcert.instance import BUDGETS
+from test_corpus import CORPUS, _entry_id, _int_paths, _mutate, _parent, certified
+from verifier_reference import u3_reversed
 
 
 @pytest.fixture(scope="module")
-def e2_payload(e2_instance):
-    rec = run_pipeline(e2_instance)
-    wall = wall_for_record(e2_instance, rec)
-    budgets = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
-    return cert.certificate_payload(e2_instance, rec, wall, budgets)
+def e2_payload():
+    return copy.deepcopy(certified({"label": "e2"})[1])
 
 
 def test_instance_round_trip(e2_instance, tmp_path):
@@ -188,8 +186,7 @@ def test_verify_clean_certificate(e2_payload):
 
 
 def test_verify_detects_sigma_corruption(e2_payload):
-    bad = copy.deepcopy(e2_payload)
-    bad["record"]["sigma"][0][0] = str(int(bad["record"]["sigma"][0][0]) + 1)
+    bad = _mutate(e2_payload, ("record", "sigma", 0, 0), 1)
     failed = {c.name for c in cert.verify_payload(bad) if not c.ok}
     assert "sigma_gram_identity" in failed
 
@@ -210,8 +207,7 @@ def test_verify_detects_tamper_in_fixed_sigma_column(e2_payload, lam2):
 
 
 def test_verify_detects_h2_tamper(e2_payload):
-    bad = copy.deepcopy(e2_payload)
-    bad["record"]["H2"] = str(int(bad["record"]["H2"]) - 2)
+    bad = _mutate(e2_payload, ("record", "H2"), -2)
     failed = {c.name for c in cert.verify_payload(bad) if not c.ok}
     assert "mukai_isotropic" in failed
 
@@ -234,38 +230,15 @@ def test_verify_rejects_wrong_valid_isometry(e2_payload, lam2):
     assert "transport_maps" in failed
 
 
-def _iter_int_paths(node, prefix=()):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            yield from _iter_int_paths(v, prefix + (k,))
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            yield from _iter_int_paths(v, prefix + (i,))
-    elif isinstance(node, str):
-        try:
-            int(node)
-        except ValueError:
-            return
-        yield prefix
-
-
-def _mutate(payload, path, delta):
-    node = payload
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = str(int(node[path[-1]]) + delta)
-
-
 def test_tamper_detection_500(e2_payload):
     # flipping any single recorded integer must trip at least one check
     rng = random.Random(20250810)
-    paths = list(_iter_int_paths(e2_payload))
+    paths = list(_int_paths(e2_payload))
     assert len(paths) > 600   # plenty of fields to sample
     for trial in range(500):
         path = rng.choice(paths)
         delta = rng.choice((-3, -2, -1, 1, 2, 3))
-        bad = copy.deepcopy(e2_payload)
-        _mutate(bad, path, delta)
+        bad = _mutate(e2_payload, path, delta)
         try:
             checks = cert.verify_payload(bad)
         except cert.CertificateFormatError:
@@ -277,13 +250,23 @@ def test_tamper_detection_500(e2_payload):
 
 def _buffered_child_env():
     """The environment for a child that imports the same hkcert as this
-    process, installed or not.  Its stdout is block-buffered even where the
-    caller's environment sets PYTHONUNBUFFERED, so what reaches the pipe is
-    what the entry flushed before `os._exit`."""
-    src = os.path.dirname(os.path.dirname(cert.__file__))
+    process, installed or not, and these test modules.  Its stdout is
+    block-buffered even where the caller's environment sets PYTHONUNBUFFERED,
+    so what reaches the pipe is what the entry flushed before `os._exit`."""
+    path = [os.path.dirname(os.path.dirname(cert.__file__)), os.path.dirname(__file__)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])
     return env
+
+
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after it runs code."""
+    r = subprocess.run(
+        [sys.executable, "-c", f"import sys; {code}; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=_buffered_child_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.split())
 
 
 def _hkcert(*args, **kwargs):
@@ -294,9 +277,14 @@ def _hkcert(*args, **kwargs):
 
 
 def _sigma_tampered(payload):
-    bad = copy.deepcopy(payload)
-    bad["record"]["sigma"][2][3] = str(int(bad["record"]["sigma"][2][3]) + 1)
-    return bad
+    return _mutate(payload, ("record", "sigma", 2, 3), 1)
+
+
+def _cli_verify(path, payload):
+    """cmd_verify's exit code and stdout on the payload written to path."""
+    cert.write_json(path, payload)
+    out = io.StringIO()
+    return cmd_verify([str(path)], out=out), out.getvalue()
 
 
 def test_cli_construct_verify_round_trip(e2_instance, tmp_path):
@@ -384,19 +372,27 @@ def test_cli_construct_records_every_budget(e2_instance, tmp_path, monkeypatch):
 
 
 def test_cli_construct_unexpected_error_is_one_line(e2_instance, tmp_path, monkeypatch):
+    # a crash is an input error named with its file; a failed pipeline
+    # self-check is a failure (exit 1) that names the check
     from hkcert import construction
+    from hkcert.errors import ConstructionInvariantViolated
 
-    def run_pipeline(inst, **budgets):
-        raise ZeroDivisionError("boom")
-
-    monkeypatch.setattr(construction, "run_pipeline", run_pipeline)
     inst_path = tmp_path / "e2.json"
     cert_path = tmp_path / "e2.cert.json"
     cert.write_json(inst_path, cert.instance_to_payload(e2_instance))
-    out = io.StringIO()
-    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
-    assert out.getvalue() == f"error: {inst_path}: ZeroDivisionError: boom\n"
-    assert not cert_path.exists()
+    for exc, code, line in (
+        (ZeroDivisionError("boom"), EXIT_INPUT, f"error: {inst_path}: ZeroDivisionError: boom"),
+        (ConstructionInvariantViolated("pipeline check failed: transport_det"), EXIT_FAIL,
+         "error: pipeline check failed: transport_det"),
+    ):
+        def run_pipeline(inst, **budgets):
+            raise exc
+
+        monkeypatch.setattr(construction, "run_pipeline", run_pipeline)
+        out = io.StringIO()
+        assert cmd_construct(str(inst_path), str(cert_path), out=out) == code
+        assert out.getvalue() == line + "\n"
+        assert not cert_path.exists()
 
 
 @pytest.mark.parametrize("k", [200, 1200])
@@ -468,9 +464,7 @@ def test_cli_construct_unnormalizable_b_is_refused_at_once(e2_instance, lam2, tm
 
 
 def test_cli_verify_tampered_exit_code(e2_payload, tmp_path):
-    p = tmp_path / "tampered.json"
-    cert.write_json(p, _sigma_tampered(e2_payload))
-    assert cmd_verify([str(p)]) == EXIT_FAIL
+    assert _cli_verify(tmp_path / "tampered.json", _sigma_tampered(e2_payload))[0] == EXIT_FAIL
 
 
 def test_cli_verify_malformed_exit_code(tmp_path):
@@ -523,11 +517,27 @@ def test_cli_verify_jobs_starts_no_more_workers_than_files(e2_payload, tmp_path,
     assert out.getvalue() == alone.getvalue()
 
 
+def _set(path, value):
+    def mutate(payload):
+        _parent(payload, path)[path[-1]] = value
+        return payload
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(payload):
+        del _parent(payload, path)[path[-1]]
+        return payload
+
+    return mutate
+
+
 def _forged(payload, fields):
-    # set {(section, key): value} fields and recompute the digest to match
+    # set {key path: value} fields and recompute the digest to match
     bad = copy.deepcopy(payload)
-    for (section, key), value in fields.items():
-        bad[section][key] = value
+    for path, value in fields.items():
+        _set(path, value)(bad)
     bad["digest"] = cert.compute_digest(bad)
     return bad
 
@@ -537,11 +547,8 @@ def test_verify_zero_t_or_g_fails_cleanly(e2_payload, tmp_path, field):
     bad = _forged(e2_payload, {("record", field): "0"})
     failed = {c.name: c.details for c in cert.verify_payload(bad) if not c.ok}
     assert failed["alpha_matches_record"] == failed["alpha_is_b_field"] == "4gtd^2 = 0"
-    p = tmp_path / "zero.json"
-    cert.write_json(p, bad)
-    out = io.StringIO()
-    assert cmd_verify([str(p)], out=out) == EXIT_FAIL
-    assert "FAIL alpha_is_b_field 4gtd^2 = 0" in out.getvalue()
+    code, text = _cli_verify(tmp_path / "zero.json", bad)
+    assert code == EXIT_FAIL and "FAIL alpha_is_b_field 4gtd^2 = 0" in text
 
 
 def test_cli_verify_jobs_reports_every_file(e2_payload, tmp_path):
@@ -559,12 +566,7 @@ def test_cli_verify_jobs_reports_every_file(e2_payload, tmp_path):
 def bigd_payload():
     # the corpus entry bigd-41006: d_max = 10^150, sigma entries of over 1600
     # digits on five moved columns
-    from hkcert.instance import random_instance
-
-    inst = random_instance(3, 2, 5, 10**150, 41006)
-    rec = run_pipeline(inst)
-    budgets = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
-    return cert.certificate_payload(inst, rec, wall_for_record(inst, rec), budgets)
+    return copy.deepcopy(certified(next(e for e in CORPUS if _entry_id(e) == "bigd-41006"))[1])
 
 
 def test_verify_detects_tamper_in_big_sigma_block(bigd_payload, tmp_path):
@@ -575,18 +577,12 @@ def test_verify_detects_tamper_in_big_sigma_block(bigd_payload, tmp_path):
     s = lattice.Isometry(tuple(cert._dec_ints(row, "sigma") for row in rows), L)._moved
     assert len(s) == 5 and max(len(x) for row in rows for x in row) > 1600
     p = tmp_path / "bigd.json"
-    cert.write_json(p, bigd_payload)
-    out = io.StringIO()
-    assert cmd_verify([str(p)], out=out) == EXIT_OK
-    assert out.getvalue().startswith(f"{p}: OK")
+    code, text = _cli_verify(p, bigd_payload)
+    assert code == EXIT_OK and text.startswith(f"{p}: OK")
     for i, j in ((s[3], s[1]), (s[2], s[2]), (s[1], s[3])):
-        sigma = copy.deepcopy(rows)
-        sigma[i][j] = str(int(sigma[i][j]) + 1)
-        cert.write_json(p, _forged(bigd_payload, {("record", "sigma"): sigma}))
-        out = io.StringIO()
-        assert cmd_verify([str(p)], out=out) == EXIT_FAIL
-        lines = out.getvalue().splitlines()
-        assert lines == [f"{p}: FAIL sigma_gram_identity matrix does not preserve the Gram form"]
+        bad = _forged(bigd_payload, {("record", "sigma", i, j): str(int(rows[i][j]) + 1)})
+        line = f"{p}: FAIL sigma_gram_identity matrix does not preserve the Gram form\n"
+        assert _cli_verify(p, bad) == (EXIT_FAIL, line)
 
 
 ZERO_VECTOR = ["0"] * 23
@@ -625,9 +621,7 @@ def test_verify_zero_vector_fails_cleanly(e2_payload, tmp_path, case):
     checks = cert.verify_payload(bad)
     assert [c.name for c in checks] == [c.name for c in cert.verify_payload(e2_payload)]
     assert check in {c.name for c in checks if not c.ok}
-    p = tmp_path / "zero.json"
-    cert.write_json(p, bad)
-    assert cmd_verify([str(p)], out=io.StringIO()) == EXIT_FAIL
+    assert _cli_verify(tmp_path / "zero.json", bad)[0] == EXIT_FAIL
 
 
 @pytest.mark.parametrize("case", sorted(ZERO_FORGERIES))
@@ -684,10 +678,7 @@ def test_cli_verify_accepts_plain_json_integers(entry, tmp_path):
     checks = cert.verify_payload(plain)
     assert [(c.name, c.ok) for c in checks] == [(c.name, c.ok) for c in cert.verify_payload(payload)]
     p = tmp_path / "plain.json"
-    cert.write_json(p, plain)
-    out = io.StringIO()
-    assert cmd_verify([str(p)], out=out) == EXIT_OK
-    assert out.getvalue() == f"{p}: OK ({len(checks)} checks)\n"
+    assert _cli_verify(p, plain) == (EXIT_OK, f"{p}: OK ({len(checks)} checks)\n")
 
 
 @pytest.mark.parametrize(
@@ -702,10 +693,7 @@ def test_cli_verify_malformed_tested_a_fails_wall_enumeration(e2_payload, tmp_pa
     bad = _forged(e2_payload, {("wall", "tested_a"): tested_a})
     assert [c.name for c in cert.verify_payload(bad) if not c.ok] == ["wall_enumeration"]
     p = tmp_path / "bad.json"
-    cert.write_json(p, bad)
-    out = io.StringIO()
-    assert cmd_verify([str(p)], out=out) == EXIT_FAIL
-    assert out.getvalue() == f"{p}: FAIL wall_enumeration\n"
+    assert _cli_verify(p, bad) == (EXIT_FAIL, f"{p}: FAIL wall_enumeration\n")
 
 
 def test_verify_rejects_huge_c0_forgery_fast(e2_payload):
@@ -752,10 +740,7 @@ def test_cli_verify_huge_n_forgery_exit_code(e2_payload, tmp_path, n):
 @pytest.mark.parametrize("r", ["1", "0"])
 def test_verify_rank_factor_small_r_with_huge_n_fast(e2_payload, r):
     # r < 2 gives no lower bound on n! r^n, so the check must not compute it
-    bad = copy.deepcopy(e2_payload)
-    bad["instance"]["n"] = "3000000"
-    bad["record"]["v0"]["r"] = r
-    bad["digest"] = cert.compute_digest(bad)
+    bad = _forged(e2_payload, {("instance", "n"): "3000000", ("record", "v0", "r"): r})
     start = time.perf_counter()
     checks = cert.verify_payload(bad)
     assert time.perf_counter() - start < 1.0
@@ -897,23 +882,19 @@ def test_cli_import_leaves_out_unused_modules():
     # decimal (the package uses neither).
     # Compared with a bare interpreter, so a module that a site .pth file
     # loads cannot decide the result.
-    src = os.path.dirname(os.path.dirname(cert.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-    def loaded(code):
-        r = subprocess.run(
-            [sys.executable, "-c", code + "; print(' '.join(sys.modules))"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert r.returncode == 0, r.stderr
-        return set(r.stdout.split())
-
-    added = loaded("import sys, hkcert.cli") - loaded("import sys")
+    added = loaded_modules("import hkcert.cli") - loaded_modules("pass")
     assert "hkcert.cli" in added
     unused = {"concurrent.futures", "dataclasses", "inspect", "fractions", "decimal"}
     assert added & unused == set()
+
+
+def test_verifier_reference_loads_no_pipeline_instance_or_codec():
+    # the dense oracles import snf and lattice only, so they share no code
+    # with construct, the instance checks, the certificate codec or the sampler
+    loaded = loaded_modules("import verifier_reference")
+    assert {"hkcert.snf", "hkcert.lattice"} <= loaded
+    unused = {"hkcert.construction", "hkcert.instance", "hkcert.certificate", "hkcert.sampler"}
+    assert loaded & unused == set()
 
 
 def test_cli_random_deterministic(tmp_path):
@@ -972,6 +953,28 @@ def test_cli_random_unwritable_file_is_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
 
+def test_cli_random_exhausted_generation_is_budget_error(tmp_path):
+    # with C0 = 1 no W norm lies in (-1, 0), so every seed exhausts the
+    # sampler: exit 3, one line naming the seeds, and no instance file
+    d = tmp_path / "none"
+    out = io.StringIO()
+    assert cmd_random(2, 2, 1, 3, seed=5, count=2, out_dir=str(d), out=out) == EXIT_BUDGET
+    assert out.getvalue() == "error: generation exhausted for seeds [5, 6]\n"
+    assert list(d.iterdir()) == []
+
+
+def test_cli_random_uncreatable_directory_is_one_line(tmp_path):
+    # the output directory would lie under a regular file
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    d = plain / "out"
+    out = io.StringIO()
+    assert cmd_random(2, 2, 3, 3, seed=7, count=1, out_dir=str(d), out=out) == EXIT_INPUT
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {d}: [Errno 20] Not a directory: ")
+    assert not d.exists()
+
+
 def test_cli_random_outputs_validate(tmp_path):
     d = tmp_path / "r"
     assert cmd_random(3, 2, 4, 2, seed=901, count=4, out_dir=str(d)) == EXIT_OK
@@ -1026,52 +1029,40 @@ def test_cli_entry_point_verify_jobs_subprocess(e2_payload, tmp_path):
     assert list(dict.fromkeys(named)) == paths
 
 
-_MAIN_IN_FRESH_INTERPRETER = """
+_CLI_LOADS = """
 import sys
+from pathlib import Path
 from hkcert.cli import main
 code = main(sys.argv[1:])
-print(code, "hkcert.construction" in sys.modules)
+files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "hkcert"]
+lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in files)
+print(code, "hkcert.construction" in sys.modules, "hkcert.sampler" in sys.modules, lines)
 """
 
 
-def _main_in_fresh_interpreter(*args, cwd):
-    """stdout lines of `hkcert.cli.main(args)` in a new interpreter, then its
-    exit code and whether it loaded hkcert.construction."""
+def _cli_loads(args, cwd):
+    """Run `hkcert ARGS` through main in a fresh process: its output lines,
+    then its exit code, whether it loaded hkcert.construction and
+    hkcert.sampler, and the lines of the hkcert modules it loaded."""
     r = subprocess.run(
-        [sys.executable, "-c", _MAIN_IN_FRESH_INTERPRETER, *args],
+        [sys.executable, "-c", _CLI_LOADS, *args],
         cwd=cwd, capture_output=True, text=True, env=_buffered_child_env(),
     )
     assert (r.returncode, r.stderr) == (0, "")
-    return r.stdout.splitlines()
-
-
-def test_cli_verify_does_not_load_the_pipeline(e2_payload, tmp_path):
-    # the verifier is separate from the search: a verify process never
-    # imports (or compiles) the pipeline and its Eichler reduction
-    cert.write_json(tmp_path / "e2.cert.json", e2_payload)
-    out = _main_in_fresh_interpreter("verify", "e2.cert.json", cwd=tmp_path)
-    checks = len(cert.verify_payload(e2_payload))
-    assert out == [f"e2.cert.json: OK ({checks} checks)", "0 False"]
-
-
-def test_cli_construct_loads_the_pipeline_and_reproduces_the_golden_digest(e2_instance, tmp_path):
-    golden = Path(__file__).with_name("golden_digests.json")
-    digest = next(e["digest"] for e in json.loads(golden.read_text()) if e["label"] == "e2")
-    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
-    out = _main_in_fresh_interpreter("construct", "-i", "e2.json", "-o", "e2.cert.json", cwd=tmp_path)
-    assert out[0].startswith("e2.cert.json: ") and out[1:] == ["0 True"]
-    assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
+    *output, summary = r.stdout.splitlines()
+    return output, summary.split()
 
 
 def test_cli_main_passes_each_construct_flag_to_its_budget(e2_instance, tmp_path):
     # four distinct values, none a default: a flag bound to another budget
     # records a value under the wrong name, or exhausts a search
     cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
-    out = _main_in_fresh_interpreter(
-        "construct", "-i", "e2.json", "-o", "e2.cert.json", "--bound-coeff", "15",
-        "--budget-u", "999999", "--budget-t", "999998", "--budget-isometry", "9999", cwd=tmp_path,
+    output, (code, loads_construction, _, _) = _cli_loads(
+        ["construct", "-i", "e2.json", "-o", "e2.cert.json", "--bound-coeff", "15",
+         "--budget-u", "999999", "--budget-t", "999998", "--budget-isometry", "9999"], tmp_path,
     )
-    assert out[0].startswith("e2.cert.json: ") and out[1:] == ["0 True"]
+    assert len(output) == 1 and output[0].startswith("e2.cert.json: ")
+    assert (code, loads_construction) == ("0", "True")
     assert cert.read_json(tmp_path / "e2.cert.json")["budgets"] == {
         "coeff_bound": "15", "u_budget": "999999", "t_budget": "999998", "isometry_budget": "9999"
     }
@@ -1082,11 +1073,12 @@ def test_cli_default_budgets_are_the_table_on_every_path(e2_instance, tmp_path):
     # run_pipeline's defaults with the table given to certificate_payload
     # make one certificate, whose budgets block is the table in its order
     from hkcert.construction import normalize_brauer
-    from hkcert.instance import BUDGETS
 
     cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
-    out = _main_in_fresh_interpreter("construct", "-i", "e2.json", "-o", "main.json", cwd=tmp_path)
-    assert out[1:] == ["0 True"]
+    _, (code, loads_construction, _, _) = _cli_loads(
+        ["construct", "-i", "e2.json", "-o", "main.json"], tmp_path
+    )
+    assert (code, loads_construction) == ("0", "True")
     assert cmd_construct(str(tmp_path / "e2.json"), str(tmp_path / "cmd.json"), out=io.StringIO()) == EXIT_OK
     inst = normalize_brauer(e2_instance)
     rec = run_pipeline(inst)
@@ -1203,8 +1195,7 @@ def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr,
 
 
 def test_digest_changes_with_content(e2_payload):
-    other = copy.deepcopy(e2_payload)
-    other["record"]["u"] = str(int(other["record"]["u"]) + 1)
+    other = _mutate(e2_payload, ("record", "u"), 1)
     assert cert.compute_digest(other) != e2_payload["digest"]
     assert cert.compute_digest(e2_payload) == e2_payload["digest"]
 
@@ -1214,30 +1205,6 @@ def test_digest_changes_with_content(e2_payload):
 # the most lines the hkcert modules that a verify process loads may sum to:
 # every verify process reads and compiles the whole checker
 VERIFY_LINE_BUDGET = 1657
-
-_CLI_LOADS = """
-import sys
-from pathlib import Path
-from hkcert.cli import main
-code = main(sys.argv[1:])
-files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "hkcert"]
-lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in files)
-print(code, "hkcert.construction" in sys.modules, "hkcert.sampler" in sys.modules, lines)
-"""
-
-
-def _cli_loads(args, cwd):
-    """Run `hkcert ARGS` through main in a fresh process: its output lines,
-    then its exit code, whether it loaded hkcert.construction and
-    hkcert.sampler, and the lines of the hkcert modules it loaded."""
-    r = subprocess.run(
-        [sys.executable, "-c", _CLI_LOADS, *args],
-        cwd=cwd, capture_output=True, text=True, env=_buffered_child_env(),
-    )
-    assert (r.returncode, r.stderr) == (0, "")
-    *output, summary = r.stdout.splitlines()
-    return output, summary.split()
-
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
@@ -1253,13 +1220,16 @@ def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_
 
 def test_cli_construct_loads_the_pipeline_but_not_the_sampler(e2_instance, tmp_path):
     # the seeded sampler is test and benchmark tooling: construct runs none
-    # of it, so a fresh construct process does not compile it
+    # of it, so a fresh construct process does not compile it; the pipeline
+    # it does load writes the worked instance's golden certificate
     cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
     output, (code, loads_construction, loads_sampler, _) = _cli_loads(
         ["construct", "-i", "e2.json", "-o", "e2.cert.json"], tmp_path
     )
     assert len(output) == 1 and output[0].startswith("e2.cert.json: C1=")
     assert (code, loads_construction, loads_sampler) == ("0", "True", "False")
+    digest = next(e["digest"] for e in CORPUS if e["label"] == "e2")
+    assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
 
 
 def test_annotations_resolve_outside_the_pipeline():
@@ -1282,15 +1252,9 @@ def test_annotations_resolve_outside_the_pipeline():
 
 
 def _u3_reversed(payload):
-    # sigma followed by -1 on U3 (coordinates 4 and 5): U3 is orthogonal to
-    # the source, h and delta, so this is an isometry of determinant 1, trivial
-    # on the discriminant group, with the same transport; but it reverses the
-    # orientation of positive 3-planes, so it is no parallel-transport operator
-    rows = [
-        [str(-int(x)) if j in (4, 5) else x for j, x in enumerate(row)]
-        for row in payload["record"]["sigma"]
-    ]
-    return _forged(payload, {("record", "sigma"): rows})
+    # the U3 forgery: sigma followed by -1 on U3, digest recomputed
+    rows = u3_reversed(map(int, row) for row in payload["record"]["sigma"])
+    return _forged(payload, {("record", "sigma"): [list(map(str, row)) for row in rows]})
 
 
 @pytest.fixture(scope="module")
@@ -1300,8 +1264,7 @@ def seed7_payload():
 
     inst = random_instance(2, 2, 3, 3, 7)
     rec = run_pipeline(inst)
-    budgets = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
-    return cert.certificate_payload(inst, rec, wall_for_record(inst, rec), budgets)
+    return cert.certificate_payload(inst, rec, wall_for_record(inst, rec), BUDGETS)
 
 
 @pytest.mark.parametrize("which", ["e2_payload", "seed7_payload"])
@@ -1313,32 +1276,7 @@ def test_verify_rejects_orientation_reversing_sigma(which, request, tmp_path):
                              lattice.build_lambda(2))
     assert (sigma.det(), sigma.orientation()) == (1, -1)
     p = tmp_path / "u3.json"
-    cert.write_json(p, bad)
-    out = io.StringIO()
-    assert cmd_verify([str(p)], out=out) == EXIT_FAIL
-    assert out.getvalue() == f"{p}: FAIL sigma_determinant\n"
-
-
-def _set(path, value):
-    def mutate(payload):
-        node = payload
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        return payload
-
-    return mutate
-
-
-def _drop(path):
-    def mutate(payload):
-        node = payload
-        for key in path[:-1]:
-            node = node[key]
-        del node[path[-1]]
-        return payload
-
-    return mutate
+    assert _cli_verify(p, bad) == (EXIT_FAIL, f"{p}: FAIL sigma_determinant\n")
 
 
 # one case per CertificateFormatError the verifier raises, each a mutation of
@@ -1384,10 +1322,7 @@ def test_cli_verify_hostile_structure_is_one_format_error(e2_payload, tmp_path, 
     if isinstance(bad, dict):
         bad["digest"] = cert.compute_digest(bad)
     p = tmp_path / f"{case}.json"
-    cert.write_json(p, bad)
-    out = io.StringIO()
-    assert cmd_verify([str(p)], out=out) == EXIT_INPUT
-    assert out.getvalue() == f"{p}: malformed certificate: {reason}\n"
+    assert _cli_verify(p, bad) == (EXIT_INPUT, f"{p}: malformed certificate: {reason}\n")
 
 
 def test_transport_retries_with_negative_epsilon(tmp_path):
@@ -1427,17 +1362,13 @@ def _failing(payload):
 
 
 def test_verify_schema_version_forgery_fails_that_check_alone(e2_payload):
-    bad = _set(("schema_version",), "hkcert/2")(copy.deepcopy(e2_payload))
-    bad["digest"] = cert.compute_digest(bad)
-    assert _failing(bad) == ["schema_version"]
+    assert _failing(_forged(e2_payload, {("schema_version",): "hkcert/2"})) == ["schema_version"]
 
 
 def test_verify_recorded_check_false_fails_that_check_alone(e2_payload):
     last = len(e2_payload["checks"]) - 1
     for k in (0, last):
-        bad = _set(("checks", k, "ok"), False)(copy.deepcopy(e2_payload))
-        bad["digest"] = cert.compute_digest(bad)
-        assert _failing(bad) == ["recorded_checks_true"]
+        assert _failing(_forged(e2_payload, {("checks", k, "ok"): False})) == ["recorded_checks_true"]
 
 
 def _discriminant_forgeries(payload):
@@ -1460,9 +1391,8 @@ def _discriminant_forgeries(payload):
     ):
         iso = lattice.Isometry(tuple(map(tuple, m)), L)
         assert (iso.det(), iso.orientation(), lattice.acts_trivially_on_discriminant(iso)) == (1, 1, False)
-        bad = _set(("record", "sigma"), [list(map(str, row)) for row in m])(copy.deepcopy(payload))
-        bad["digest"] = cert.compute_digest(bad)
-        forged[name] = tuple(_failing(bad))
+        sigma = [list(map(str, row)) for row in m]
+        forged[name] = tuple(_failing(_forged(payload, {("record", "sigma"): sigma})))
     return forged
 
 

@@ -14,7 +14,6 @@ from hkcert.construction import (
     find_A,
     find_D,
     find_omega,
-    graded_coefficient_tuples,
     linear_combination,
     mukai_data,
     pushforward_brauer,
@@ -35,6 +34,8 @@ from hkcert.lattice import (
     norm,
     pair,
 )
+from lattice_reference import dense_form_value, first_hit_reference
+from verifier_reference import u3_reversed
 
 
 def test_find_A_e2(e2_instance, lam2):
@@ -82,22 +83,14 @@ def test_find_A_and_find_omega_share_the_w_orthogonal_refusal(e2_instance, lam2)
     assert refusals == [str(exc.value)] * 4
 
 
-def _reference_find_omega(inst, coeff_bound=16):
+def _reference_find_omega(inst, coeff_bound):
     # the full graded scan that find_omega replaced, kept as its oracle
     w_pairings = [pair(p, inst.W) for p in inst.pic_basis]
     sub_gram = [[pair(a, b) for b in inst.pic_basis] for a in inst.pic_basis]
-    rho = len(inst.pic_basis)
-    for coeffs in graded_coefficient_tuples(rho, coeff_bound):
-        if sum(c * w for c, w in zip(coeffs, w_pairings)) != 0:
-            continue
-        nrm = sum(
-            coeffs[i] * coeffs[j] * sub_gram[i][j]
-            for i in range(rho)
-            for j in range(rho)
-        )
-        if nrm > 0:
-            return linear_combination(inst.lattice, coeffs, inst.pic_basis)
-    raise SearchExhausted(f"no hit within coefficient bound {coeff_bound}")
+    coeffs = first_hit_reference(w_pairings, coeff_bound, lambda c: dense_form_value(sub_gram, c) > 0)
+    if coeffs is None:
+        raise SearchExhausted(f"no hit within coefficient bound {coeff_bound}")
+    return linear_combination(inst.lattice, coeffs, inst.pic_basis)
 
 
 def _omega_or_exhausted(search, inst, coeff_bound):
@@ -286,12 +279,10 @@ def test_run_pipeline_refuses_orientation_reversing_sigma(e2_instance, monkeypat
 
     exact = construction.isometry_between
 
-    def u3_reversed(v, w, step_budget):
-        m = exact(v, w, step_budget=step_budget).matrix
-        flipped = tuple(tuple(-x if j in (4, 5) else x for j, x in enumerate(row)) for row in m)
-        return Isometry(flipped, v.lattice)
+    def flipped(v, w, step_budget):
+        return Isometry(u3_reversed(exact(v, w, step_budget=step_budget).matrix), v.lattice)
 
-    monkeypatch.setattr(construction, "isometry_between", u3_reversed)
+    monkeypatch.setattr(construction, "isometry_between", flipped)
     with pytest.raises(
         ConstructionInvariantViolated, match=r"^pipeline check failed: transport_det$"
     ):

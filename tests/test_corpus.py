@@ -1,5 +1,6 @@
-"""A fixed corpus of certificates: the byte-for-byte gate, plus oracles for
-the structure-aware checks of the lattice core on every corpus sigma.
+"""A fixed corpus of certificates: the byte-for-byte gate, plus the
+structure-aware checks of the lattice core held to the dense oracles of
+``verifier_reference`` on every corpus sigma.
 
 The corpus is the worked E2 instance, the first 60 successful draws of the
 acceptance property suite (``random.Random(881)``, seeds ``30000 + attempts``)
@@ -48,7 +49,7 @@ from hkcert.construction import (
     wall_for_record,
 )
 from hkcert.errors import SearchExhausted
-from hkcert.instance import HKInstance, canonical_degree_class, pushed_class, random_instance
+from hkcert.instance import BUDGETS, HKInstance, canonical_degree_class, pushed_class, random_instance
 from hkcert.lattice import (
     DELTA_INDEX,
     Isometry,
@@ -58,14 +59,17 @@ from hkcert.lattice import (
     build_lambda,
     divisibility,
     norm,
-    pair,
 )
-import lattice_reference
+from verifier_reference import (
+    acts_trivially_reference,
+    dense_isometry_reference,
+    orientation_reference,
+    u3_reversed,
+)
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 TRANSCRIPT = Path(__file__).resolve().with_name("golden_transcript.json")
 FILES = Path(__file__).resolve().with_name("golden_files.json")
-BUDGETS = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_budget": 10000}
 BIG_D = [  # (n, pic_rank, C0, decimal exponent of d_max, seed)
     (2, 2, 3, 50, 41001),
     (3, 3, 4, 70, 41002),
@@ -77,6 +81,8 @@ BIG_D = [  # (n, pic_rank, C0, decimal exponent of d_max, seed)
 
 
 def e2_instance():
+    """The worked instance: n=2, Pic = {e1+delta, f1}, W = e1+delta,
+    B = e2+f2, d = 2, C0 = 3."""
     L = build_lambda(2)
     p1 = L.vector([1] + [0] * 21 + [1])
     b = L.vector([0, 0, 1, 1] + [0] * 19)
@@ -176,6 +182,21 @@ def _int_paths(node, prefix=()):
         yield prefix
 
 
+def _parent(payload, path):
+    # the node that holds the last key of a key path
+    for key in path[:-1]:
+        payload = payload[key]
+    return payload
+
+
+def _mutate(payload, path, delta):
+    # the tamper step: a copy with the decimal string at a key path moved by delta
+    bad = copy.deepcopy(payload)
+    node = _parent(bad, path)
+    node[path[-1]] = str(int(node[path[-1]]) + delta)
+    return bad
+
+
 def tamper_transcript():
     """sha256 of cmd_verify's stdout over criterion 5's 500 mutations of the
     E2 certificate, each written to ``mutated.json`` in the working directory."""
@@ -186,12 +207,7 @@ def tamper_transcript():
     for _ in range(500):
         path = rng.choice(paths)
         delta = rng.choice((-7, -3, -1, 1, 2, 5))
-        bad = copy.deepcopy(payload)
-        node = bad
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = str(int(node[path[-1]]) + delta)
-        cert.write_json("mutated.json", bad)
+        cert.write_json("mutated.json", _mutate(payload, path, delta))
         cmd_verify(["mutated.json"], out=out)
     return _sha(out.getvalue())
 
@@ -247,24 +263,6 @@ def test_written_files(tmp_path, monkeypatch):
 
 # --- oracles for the discriminant and determinant shortcuts -----------------
 
-@lru_cache(maxsize=None)
-def _gram_smith_form(L):
-    return snf.smith_normal_form([list(r) for r in L.gram])
-
-
-def acts_trivially_reference(iso):
-    """The definition the generator check replaced: M - I maps the dual
-    lattice into the lattice iff each row of M - I is an integral
-    combination of Gram rows, solved densely against the Gram matrix's SNF."""
-    data = _gram_smith_form(iso.lattice)
-    n = iso.lattice.rank
-    m = iso.matrix
-    return all(
-        lattice_reference.solve_integer(data, [m[i][j] - (i == j) for j in range(n)]) is not None
-        for i in range(n)
-    )
-
-
 def _twisted(sigma, sign_of_row):
     # sigma followed by the diagonal isometry diag(sign_of_row(i))
     return Isometry(
@@ -291,34 +289,19 @@ def test_corpus_sigma_shortcuts_match_definitions():
     assert checked == len(CORPUS) == 67
 
 
-def _orientation_reference(sigma):
-    """The orientation sign read from a second positive 3-plane,
-    Q = <e1+f1, e2+f2, e3+2f3> (Gram diag(2, 2, 4)): the sign of
-    det((sigma q_i, q_j)), each pairing taken with the lattice's form."""
-    L = sigma.lattice
-    zeros = [0] * (L.rank - 6)
-    q = [L.vector([1, 1, 0, 0, 0, 0] + zeros), L.vector([0, 0, 1, 1, 0, 0] + zeros),
-         L.vector([0, 0, 0, 0, 1, 2] + zeros)]
-    d = snf.det_bareiss([[pair(sigma.apply(a), b) for b in q] for a in q])
-    return 1 if d > 0 else -1
-
-
 def test_corpus_orientation_matches_a_second_positive_plane():
     for entry in CORPUS:
         sigma = certified(entry)[0].sigma
-        assert sigma.orientation() == _orientation_reference(sigma) == 1
+        assert sigma.orientation() == orientation_reference(sigma) == 1
         # sigma followed by -1 on U3, as in the U3 forgery of a certificate
-        u3 = Isometry(
-            tuple(tuple(-x if j in (4, 5) else x for j, x in enumerate(row)) for row in sigma.matrix),
-            sigma.lattice,
-        )
-        assert (u3.det(), u3.orientation(), _orientation_reference(u3)) == (1, -1, -1)
+        u3 = Isometry(u3_reversed(sigma.matrix), sigma.lattice)
+        assert (u3.det(), u3.orientation(), orientation_reference(u3)) == (1, -1, -1)
         for twisted in (
             _twisted(sigma, lambda i: -1),
             _twisted(sigma, lambda i: -1 if i == DELTA_INDEX else 1),
             _twisted(sigma, lambda i: -1 if i in (0, 1) else 1),
         ):
-            assert twisted.orientation() == _orientation_reference(twisted)
+            assert twisted.orientation() == orientation_reference(twisted)
 
 
 def test_corpus_pushed_class_meets_the_brauer_congruence():
@@ -341,36 +324,6 @@ def test_corpus_pushed_class_meets_the_brauer_congruence():
             assert all(x % den == 0 for x in (num + rec.D + den // inst.d * inst.B).coords)
             checked += 1
     assert checked == 2 * len(CORPUS) == 134
-
-
-def dense_isometry_reference(matrix, L):
-    """The Gram-identity check as written before the sparse product: the
-    same shape check, then M^T (G M) = G with each product a dense triple
-    loop that skips only the zero entries of its left factor.  Returns the
-    normalised matrix or raises the same ValueError."""
-
-    def dense_mat_mul(A, B):
-        rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-        out = [[0] * cols for _ in range(rows)]
-        for i in range(rows):
-            ai = A[i]
-            oi = out[i]
-            for k in range(inner):
-                a = ai[k]
-                if a:
-                    bk = B[k]
-                    for j in range(cols):
-                        oi[j] += a * bk[j]
-        return out
-
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
-    n = L.rank
-    if len(m) != n or any(len(row) != n for row in m):
-        raise ValueError("isometry matrix shape does not match lattice rank")
-    product = dense_mat_mul([list(c) for c in zip(*m)], dense_mat_mul(L.gram, m))
-    if product != [list(r) for r in L.gram]:
-        raise ValueError("matrix does not preserve the Gram form")
-    return m
 
 
 def _isometry_outcome(build, matrix, L):

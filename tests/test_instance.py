@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,12 +212,9 @@ def test_random_instance_is_forwarded_from_the_sampler():
 
 def test_instance_import_loads_neither_sampler_nor_construction():
     # the forwarder imports hkcert.sampler on first use only
-    src = os.path.dirname(os.path.dirname(snf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hkcert.instance; print(' '.join(sys.modules))"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    loaded = set(r.stdout.split())
+    from test_certificate import loaded_modules
+
+    loaded = loaded_modules("import hkcert.instance")
     assert "hkcert.instance" in loaded
     assert loaded & {"hkcert.sampler", "hkcert.construction"} == set()
 

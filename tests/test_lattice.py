@@ -44,7 +44,9 @@ from hkcert.sampler import line_box_interval, positive_on_interval
 from hkcert.snf import det_bareiss, mat_mul, mat_vec, smith_normal_form, solve_integer
 from lattice_reference import (
     DenseReduction,
+    dense_form_value,
     eichler_transvection,
+    first_hit_reference,
     isometry_of_ops_full,
     orthogonal_complement_basis as dense_complement_basis,
 )
@@ -758,14 +760,6 @@ def test_search_order_key_sorts_into_generator_order():
             )
 
 
-def _reference_first_hit(weights, bound, accept):
-    # the full scan in documented order, the definition of "first hit"
-    for coeffs in graded_coefficient_tuples(len(weights), bound):
-        if sum(c * w for c, w in zip(coeffs, weights)) == 0 and accept(coeffs):
-            return coeffs
-    return None
-
-
 @st.composite
 def _orthogonal_search_cases(draw):
     length = draw(st.integers(1, 5))
@@ -788,13 +782,8 @@ def _orthogonal_search_cases(draw):
 @given(_orthogonal_search_cases())
 def test_first_orthogonal_tuple_matches_full_scan(case):
     weights, gram, bound = case
-    rho = len(weights)
-
-    def positive(c):
-        return sum(c[i] * c[j] * gram[i][j] for i in range(rho) for j in range(rho)) > 0
-
-    for accept in (positive, lambda c: True, lambda c: c[0] < 0):
-        assert first_orthogonal_tuple(weights, bound, accept) == _reference_first_hit(
+    for accept in (lambda c: dense_form_value(gram, c) > 0, lambda c: True, lambda c: c[0] < 0):
+        assert first_orthogonal_tuple(weights, bound, accept) == first_hit_reference(
             weights, bound, accept
         )
 
