@@ -1218,18 +1218,26 @@ def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_
     assert int(lines) <= VERIFY_LINE_BUDGET
 
 
+def test_cli_construct_loads_the_pipeline_and_reproduces_the_golden_digest(e2_instance, tmp_path):
+    digest = next(e["digest"] for e in CORPUS if e["label"] == "e2")
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    output, (code, loads_construction, _, _) = _cli_loads(
+        ["construct", "-i", "e2.json", "-o", "e2.cert.json"], tmp_path
+    )
+    assert len(output) == 1 and output[0].startswith("e2.cert.json: ")
+    assert (code, loads_construction) == ("0", "True")
+    assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
+
+
 def test_cli_construct_loads_the_pipeline_but_not_the_sampler(e2_instance, tmp_path):
     # the seeded sampler is test and benchmark tooling: construct runs none
-    # of it, so a fresh construct process does not compile it; the pipeline
-    # it does load writes the worked instance's golden certificate
+    # of it, so a fresh construct process does not compile it
     cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
     output, (code, loads_construction, loads_sampler, _) = _cli_loads(
         ["construct", "-i", "e2.json", "-o", "e2.cert.json"], tmp_path
     )
     assert len(output) == 1 and output[0].startswith("e2.cert.json: C1=")
     assert (code, loads_construction, loads_sampler) == ("0", "True", "False")
-    digest = next(e["digest"] for e in CORPUS if e["label"] == "e2")
-    assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
 
 
 def test_annotations_resolve_outside_the_pipeline():
