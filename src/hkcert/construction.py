@@ -390,8 +390,8 @@ def _hyperbolic_pairs(L: GramLattice):
     ]
 
 
-class _Reduction:
-    """Drives a primitive divisibility-1 vector to e1 + (norm/2) f1.
+def _reduction_ops(L, pairs, budget, v: LatticeVector, half_norm: int):
+    """The op list taking v, primitive of divisibility 1 and norm 2 * half_norm, to e1 + half_norm f1.
 
     Works entirely through Eichler transvections t(e, a) with e one of the
     four isotropic basis vectors of the first two hyperbolic planes, and a
@@ -399,26 +399,22 @@ class _Reduction:
     a's (index, value) pairs.  The recorded op list is replayed (or replayed
     inverted, a -> -a in reverse order) to build the final isometry.
     """
+    (ie1, if1), (ie2, if2) = pairs[0], pairs[1]
+    r_indices = [k for k in range(L.rank) if k not in (ie1, if1, ie2, if2)]
+    rows = L.sparse_rows
+    ops = []
+    cur = list(v.coords)
 
-    def __init__(self, L, pairs, budget):
-        self.L = L
-        self.budget = budget
-        (self.ie1, self.if1), (self.ie2, self.if2) = pairs[0], pairs[1]
-        self.u_indices = {self.ie1, self.if1, self.ie2, self.if2}
-        self.r_indices = [k for k in range(L.rank) if k not in self.u_indices]
-        self.ops = []
-
-    def _push(self, ie, a, cur):
+    def push(ie, a):
         """Record t(e, a) for e the basis vector ie and apply it to cur; a is
         given as (index, value) pairs in ascending index order, zeros allowed."""
         a = tuple((i, c) for i, c in a if c)
         if not a:
-            return cur
-        if len(self.ops) >= self.budget:
+            return
+        if len(ops) >= budget:
             raise SearchExhausted(
-                f"isometry reduction exceeded the step budget of {self.budget} transvections"
+                f"isometry reduction exceeded the step budget of {budget} transvections"
             )
-        rows = self.L.sparse_rows
         ga = {}
         for i, c in a:
             for j, r in rows[i]:
@@ -430,121 +426,85 @@ class _Reduction:
             tuple(sorted((j, p) for j, p in ga.items() if p)),
             sum(c * ga.get(i, 0) for i, c in a) // 2,
         )
-        self.ops.append(op)
+        ops.append(op)
         _transvect(op, cur)
-        return cur
 
-    def run(self, v: LatticeVector, half_norm: int):
-        """The op list taking v, of norm 2 * half_norm, to e1 + half_norm f1."""
-        cur = list(v.coords)
-        cur = self._make_p2_one(cur)
-        # kill the part outside the two hyperbolic planes
-        cur = self._push(self.ie2, [(k, -cur[k]) for k in self.r_indices], cur)
-        # kill the first-plane coefficients
-        p1, q1 = self._pairings(cur)[:2]
-        cur = self._push(self.ie2, [(self.ie1, -q1), (self.if1, -p1)], cur)
-        # move e2-plane canonical form into the first plane
-        cur = self._push(self.ie2, [(self.ie1, 1)], cur)
-        cur = self._push(self.if1, [(self.ie2, -half_norm), (self.if2, -1)], cur)
-        expect = [0] * self.L.rank
-        expect[self.ie1] = 1
-        expect[self.if1] = half_norm
-        if cur != expect:
-            raise RuntimeError("reduction did not reach the canonical vector")  # unreachable
-        return self.ops
+    # Euclidean descent on p2 = (e2, v) until p2 = 1.  The planes are (e, f)
+    # with Gram rows ((f, 1),) and ((e, 1),), so (e, v) is v's f-coordinate
+    # and (f, v) its e-coordinate.  The five planar moves, as push(e, a), and
+    # their effects on (p1, q1, p2, q2) = ((e1,v), (f1,v), (e2,v), (f2,v)):
+    #   E1: push(ie1, [(if2, k)])   p2 += k*p1 ; q1 -= k*q2
+    #   E2: push(ie2, [(if1, k)])   p1 += k*p2 ; q2 -= k*q1
+    #   F1: push(if1, [(if2, k)])   p2 += k*q1 ; p1 -= k*q2
+    #   G2: push(ie2, [(ie1, k)])   q1 += k*p2 ; q2 -= k*p1
+    #   H2: push(if2, [(ie1, k)])   q1 += k*q2 ; p2 -= k*p1
+    # Every pass through the main branch strictly shrinks |p2|, so this
+    # terminates well inside the budget.
+    while True:
+        p1, q1, p2, q2 = cur[if1], cur[ie1], cur[if2], cur[ie2]
+        if p2 == 1:
+            break
+        if p2 == 0:
+            if p1 != 0:
+                push(ie1, [(if2, 1)])  # E1
+            elif q1 != 0:
+                push(if1, [(if2, 1)])  # F1
+            elif q2 != 0:
+                push(if2, [(ie1, 1)])  # H2
+            else:
+                # all four plane pairings vanish; divisibility 1 lives in
+                # the rest of the lattice, so solve (a, v) = -1 there
+                vals = [sum(r * cur[j] for j, r in rows[idx]) for idx in r_indices]
+                coeffs = _extended_gcd_combination(vals)
+                if sum(c * val for c, val in zip(coeffs, vals)) != 1:
+                    raise RuntimeError("divisibility-1 precondition violated")  # unreachable
+                push(if2, [(idx, -c) for idx, c in zip(r_indices, coeffs)])
+            continue
+        if p2 == -1:
+            push(ie2, [(ie1, q1 - 1)])  # G2: q1 -> 1
+            push(if1, [(if2, 2)])       # F1: p2 -> 1
+            continue
+        if p1 % p2 != 0:
+            push(ie2, [(if1, -(p1 // p2))])  # E2
+            push(ie1, [(if2, _step_to_residue(p2, cur[if1]))])  # E1
+            continue
+        if q1 % p2 != 0:
+            push(ie2, [(ie1, -(q1 // p2))])  # G2
+            push(if1, [(if2, _step_to_residue(p2, cur[ie1]))])  # F1
+            continue
+        if q2 % p2 != 0:
+            # zero out p1 first (exact multiple of p2) so the H2 side
+            # effect p2 -= p1 cannot move p2
+            push(ie2, [(if1, -(p1 // p2))])  # E2
+            push(if2, [(ie1, 1)])  # H2
+            continue
+        bad = next((idx for idx in r_indices if sum(r * cur[j] for j, r in rows[idx]) % p2), None)
+        if bad is None:
+            raise RuntimeError("pairing gcd exceeded 1 during reduction")  # unreachable
+        push(ie1, [(bad, 1)])
+        # q1 is now nonzero mod p2; the next pass shrinks |p2|
 
-    def _against(self, idx, cur):
-        return sum(r * cur[j] for j, r in self.L.sparse_rows[idx])
+    # kill the part outside the two hyperbolic planes
+    push(ie2, [(k, -cur[k]) for k in r_indices])
+    # kill the first-plane coefficients
+    push(ie2, [(ie1, -cur[ie1]), (if1, -cur[if1])])
+    # move e2-plane canonical form into the first plane
+    push(ie2, [(ie1, 1)])
+    push(if1, [(ie2, -half_norm), (if2, -1)])
+    expect = [0] * L.rank
+    expect[ie1] = 1
+    expect[if1] = half_norm
+    if cur != expect:
+        raise RuntimeError("reduction did not reach the canonical vector")  # unreachable
+    return ops
 
-    def _pairings(self, cur):
-        # the planes are (e, f) with Gram rows ((f, 1),) and ((e, 1),), so
-        # (e, v) is v's f-coordinate and (f, v) its e-coordinate
-        return cur[self.if1], cur[self.ie1], cur[self.if2], cur[self.ie2]
 
-    # the five planar moves, written as (e, a) pairs; effects on the pairing
-    # tuple (p1, q1, p2, q2) = ((e1,v), (f1,v), (e2,v), (f2,v)) are noted.
-    def _E1(self, k, cur):  # p2 += k*p1 ; q1 -= k*q2
-        return self._push(self.ie1, [(self.if2, k)], cur)
-
-    def _E2(self, k, cur):  # p1 += k*p2 ; q2 -= k*q1
-        return self._push(self.ie2, [(self.if1, k)], cur)
-
-    def _F1(self, k, cur):  # p2 += k*q1 ; p1 -= k*q2
-        return self._push(self.if1, [(self.if2, k)], cur)
-
-    def _G2(self, k, cur):  # q1 += k*p2 ; q2 -= k*p1
-        return self._push(self.ie2, [(self.ie1, k)], cur)
-
-    def _H2(self, k, cur):  # q1 += k*q2 ; p2 -= k*p1
-        return self._push(self.if2, [(self.ie1, k)], cur)
-
-    def _r_pairings(self, cur):
-        return [(idx, self._against(idx, cur)) for idx in self.r_indices]
-
-    def _make_p2_one(self, cur):
-        # Euclidean descent on (e2, v); every pass through the main branch
-        # strictly shrinks |p2|, so this terminates well inside the budget.
-        while True:
-            p1, q1, p2, q2 = self._pairings(cur)
-            if p2 == 1:
-                return cur
-            if p2 == 0:
-                if p1 != 0:
-                    cur = self._E1(1, cur)
-                elif q1 != 0:
-                    cur = self._F1(1, cur)
-                elif q2 != 0:
-                    cur = self._H2(1, cur)
-                else:
-                    # all four plane pairings vanish; divisibility 1 lives in
-                    # the rest of the lattice, so solve (a, v) = -1 there
-                    a = self._solve_r_pairing(cur, -1)
-                    cur = self._push(self.if2, a, cur)
-                continue
-            if p2 == -1:
-                cur = self._G2(q1 - 1, cur)   # q1 -> 1
-                cur = self._F1(2, cur)        # p2 -> 1
-                continue
-            if p1 % p2 != 0:
-                cur = self._E2(-(p1 // p2), cur)
-                p1 = self._pairings(cur)[0]
-                cur = self._E1(self._step_to_residue(p2, p1), cur)
-                continue
-            if q1 % p2 != 0:
-                cur = self._G2(-(q1 // p2), cur)
-                q1 = self._pairings(cur)[1]
-                cur = self._F1(self._step_to_residue(p2, q1), cur)
-                continue
-            if q2 % p2 != 0:
-                # zero out p1 first (exact multiple of p2) so the H2 side
-                # effect p2 -= p1 cannot move p2
-                if p1:
-                    cur = self._E2(-(p1 // p2), cur)
-                cur = self._H2(1, cur)
-                continue
-            bad = next((idx for idx, val in self._r_pairings(cur) if val % p2 != 0), None)
-            if bad is None:
-                raise RuntimeError("pairing gcd exceeded 1 during reduction")  # unreachable
-            cur = self._push(self.ie1, [(bad, 1)], cur)
-            # q1 is now nonzero mod p2; the next pass shrinks |p2|
-
-    @staticmethod
-    def _step_to_residue(value, modulus):
-        # multiplier k with 0 < value + k*modulus <= |modulus|
-        t = value % abs(modulus)
-        if t == 0:
-            t = abs(modulus)
-        return (t - value) // modulus
-
-    def _solve_r_pairing(self, cur, want):
-        pairs = self._r_pairings(cur)
-        vals = [val for _, val in pairs]
-        coeffs = _extended_gcd_combination(vals)
-        g = sum(c * v for c, v in zip(coeffs, vals))
-        if g == 0 or want % g != 0:
-            raise RuntimeError("divisibility-1 precondition violated")  # unreachable
-        scale = want // g
-        return [(idx, c * scale) for (idx, _), c in zip(pairs, coeffs)]
+def _step_to_residue(value, modulus):
+    # multiplier k with 0 < value + k*modulus <= |modulus|
+    t = value % abs(modulus)
+    if t == 0:
+        t = abs(modulus)
+    return (t - value) // modulus
 
 
 def _extended_gcd_combination(vals):
@@ -587,8 +547,8 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDG
         raise ValueError("lattice must be even")
     if v == w:
         return _isometry_of_ops([], (), L)
-    ops_v = _Reduction(L, pairs, step_budget).run(v, nv // 2)
-    ops_w = _Reduction(L, pairs, step_budget).run(w, nv // 2)
+    ops_v = _reduction_ops(L, pairs, step_budget, v, nv // 2)
+    ops_w = _reduction_ops(L, pairs, step_budget, w, nv // 2)
     iso = _isometry_of_ops(ops_v, ops_w, L)
     if iso.apply(v) != w:
         raise RuntimeError("constructed isometry failed to map v to w")  # unreachable

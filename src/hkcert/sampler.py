@@ -59,6 +59,9 @@ def check_parameters(n: int, pic_rank: int, C0: int, d_max: int) -> None:
         raise ValueError(f"pic_rank must be in [2, 4], got {pic_rank}")
     if C0 < 1 or d_max < 1:
         raise ValueError("C0 and d_max must be positive")
+    # W lies in an even lattice, so its norm is even and (-C0, 0) must hold -2
+    if C0 < 3:
+        raise ValueError(f"C0 must be at least 3 for an even wall norm to lie in (-C0, 0), got {C0}")
 
 
 def gram_signature(G):

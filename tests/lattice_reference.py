@@ -5,8 +5,8 @@
 ``DenseReduction`` and ``isometry_of_ops_full`` are the reduction and the
 sigma assembly as first written: every op record goes through full
 coordinate vectors, and every one of the rank columns is replayed through
-every op.  The package's sparse ``_Reduction`` and ``_isometry_of_ops`` must
-give the same op lists and the same sigma.
+every op.  The package's sparse ``_reduction_ops`` and ``_isometry_of_ops``
+must give the same op lists and the same sigma.
 
 ``smith_normal_form`` is the Smith form as first written, updating one
 entry at a time and scanning every entry for the pivot;

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hkcert import certificate as cert
-from hkcert import lattice, snf
+from hkcert import lattice, sampler, snf
 from hkcert.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, cmd_construct, cmd_random, cmd_verify
 from hkcert.construction import run_pipeline, wall_for_record
 from hkcert.instance import BUDGETS
@@ -931,6 +931,8 @@ def test_cli_random_negative_count_is_input_error(tmp_path):
         (2, 5, 3, 3, "error: pic_rank must be in [2, 4], got 5"),
         (2, 2, 0, 3, "error: C0 and d_max must be positive"),
         (2, 2, 3, 0, "error: C0 and d_max must be positive"),
+        (2, 2, 1, 3, "error: C0 must be at least 3 for an even wall norm to lie in (-C0, 0), got 1"),
+        (2, 2, 2, 3, "error: C0 must be at least 3 for an even wall norm to lie in (-C0, 0), got 2"),
     ],
 )
 def test_cli_random_out_of_range_leaves_no_directory(tmp_path, n, pic_rank, c0, d_max, line, count):
@@ -953,12 +955,13 @@ def test_cli_random_unwritable_file_is_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
 
-def test_cli_random_exhausted_generation_is_budget_error(tmp_path):
-    # with C0 = 1 no W norm lies in (-1, 0), so every seed exhausts the
-    # sampler: exit 3, one line naming the seeds, and no instance file
+def test_cli_random_exhausted_generation_is_budget_error(tmp_path, monkeypatch):
+    # with every try rejected, every seed exhausts the sampler: exit 3, one
+    # line naming the seeds, and no instance file
+    monkeypatch.setattr(sampler, "_try_sample", lambda *args: None)
     d = tmp_path / "none"
     out = io.StringIO()
-    assert cmd_random(2, 2, 1, 3, seed=5, count=2, out_dir=str(d), out=out) == EXIT_BUDGET
+    assert cmd_random(2, 2, 3, 3, seed=5, count=2, out_dir=str(d), out=out) == EXIT_BUDGET
     assert out.getvalue() == "error: generation exhausted for seeds [5, 6]\n"
     assert list(d.iterdir()) == []
 

@@ -43,7 +43,7 @@ from hkcert.cli import cmd_construct, cmd_random, cmd_verify
 from hkcert.construction import (
     _hyperbolic_pairs,
     _isometry_of_ops,
-    _Reduction,
+    _reduction_ops,
     run_pipeline,
     transport,
     wall_for_record,
@@ -343,7 +343,7 @@ def _dense_r_sigma():
     while len(ops) < 2:
         v = L.vector([rng.choice((-1, 1)) * rng.randint(1, 10**30) for _ in range(L.rank)])
         if divisibility(v) == 1:
-            ops.append(_Reduction(L, _hyperbolic_pairs(L), 10000).run(v, norm(v) // 2))
+            ops.append(_reduction_ops(L, _hyperbolic_pairs(L), 10000, v, norm(v) // 2))
     return _isometry_of_ops(ops[0], ops[1], L)
 
 

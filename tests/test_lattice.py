@@ -4,13 +4,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hkcert.construction import (
     NoIsometryError,
-    _Reduction,
+    _extended_gcd_combination,
     _hyperbolic_pairs,
     _isometry_of_ops,
+    _reduction_ops,
+    _step_to_residue,
     first_orthogonal_tuple,
     graded_coefficient_tuples,
     isometry_between,
@@ -418,7 +420,7 @@ def test_isometry_from_canonical_form(lam2):
 
 def _reduce(v, budget=10000):
     L = v.lattice
-    return _Reduction(L, _hyperbolic_pairs(L), budget).run(v, norm(v) // 2)
+    return _reduction_ops(L, _hyperbolic_pairs(L), budget, v, norm(v) // 2)
 
 
 def _reduce_dense(v, budget=10000):
@@ -493,6 +495,24 @@ def test_reduction_matches_dense_reference_on_big_vectors(vectors):
     assert ops_w == _reduce_dense(w)
     iso = _isometry_of_ops(ops_v, ops_w, v.lattice)
     assert iso.matrix == isometry_of_ops_full(ops_v, ops_w, v.lattice).matrix
+
+
+_SMALL_OR_BIG = st.one_of(st.integers(-3, 3), _BIG)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_SMALL_OR_BIG, _SMALL_OR_BIG.filter(bool), st.lists(_SMALL_OR_BIG, max_size=6))
+@example(0, 1, [])
+@example(-7, -7, [0, 0, 0])
+@example(10**30, -(10**30), [0, -4, 6, 0])
+def test_reduction_helpers(value, modulus, vals):
+    # the reduction's two integer helpers: a step into (0, |modulus|], and a
+    # combination of the entries equal to their gcd, 0 for an all-zero list
+    k = _step_to_residue(value, modulus)
+    assert 0 < value + k * modulus <= abs(modulus)
+    coeffs = _extended_gcd_combination(vals)
+    assert len(coeffs) == len(vals)
+    assert sum(c * v for c, v in zip(coeffs, vals)) == gcd(*vals) >= 0
 
 
 # --- orthogonal complement ----------------------------------------------------

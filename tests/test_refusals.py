@@ -4,6 +4,7 @@ exception, or the value, it must give."""
 
 import pytest
 
+from hkcert import sampler
 from hkcert.construction import NoIsometryError, choose_t, find_A, isometry_between
 from hkcert.errors import SearchExhausted
 from hkcert.instance import BrauerClass, brauer_equal, validate_instance
@@ -27,6 +28,14 @@ UU = direct_sum(hyperbolic_plane(), hyperbolic_plane(), label="U+U")
 ODD = direct_sum(hyperbolic_plane(), hyperbolic_plane(), GramLattice(1, ((1,),)))
 E1 = LAM2.basis_vector(0)
 IDENTITY_UU = Isometry(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), UU)
+
+
+def _sample_with_every_try_rejected(inst):
+    # the sampler gives up after its 400th rejected try
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_try_sample", lambda *args: None)
+        return random_instance(2, 2, 3, 1, 0)
+
 
 REFUSALS = {
     "find_A exhausts its coefficient bound": (
@@ -63,9 +72,15 @@ REFUSALS = {
         lambda inst: random_instance(2, 2, 0, 1, 0), ValueError, "C0 and d_max must be positive"),
     "sampler with d_max = 0": (
         lambda inst: random_instance(2, 2, 3, 0, 0), ValueError, "C0 and d_max must be positive"),
-    # C0 = 1 leaves no wall norm in (-C0, 0): every one of the 400 tries fails
+    # Lambda is even, so C0 = 1 or 2 leaves no wall norm in (-C0, 0)
+    "sampler with C0 = 1": (
+        lambda inst: random_instance(2, 2, 1, 1, 0), ValueError,
+        r"^C0 must be at least 3 for an even wall norm to lie in \(-C0, 0\), got 1$"),
+    "sampler with C0 = 2": (
+        lambda inst: random_instance(2, 2, 2, 1, 0), ValueError,
+        r"^C0 must be at least 3 for an even wall norm to lie in \(-C0, 0\), got 2$"),
     "sampler after 400 failed tries": (
-        lambda inst: random_instance(2, 2, 1, 1, 0), SearchExhausted, "failed after 400 attempts"),
+        _sample_with_every_try_rejected, SearchExhausted, "failed after 400 attempts"),
 }
 
 
