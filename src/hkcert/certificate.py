@@ -1,7 +1,9 @@
-"""Certificates: a full record of one pipeline run, plus the independent verifier.
+"""Certificates: the integer codec, the reader and the independent verifier.
 
 Every integer is serialized as a decimal string so consumers never face
-64-bit overflow; the parser accepts plain JSON integers as well.  The
+64-bit overflow; the parser accepts plain JSON integers as well.  The files
+themselves are written by hkcert.writer, which construct and random load and
+verify does not; its three entry points are forwarded from here.  The
 verifier recomputes each predicate from the instance and the recorded
 parameters alone.  Recorded parameters make verification search-free: the
 verifier evaluates, it never searches.  A content digest over the canonical
@@ -13,12 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
 from . import obstruction
 from .instance import (
-    BUDGETS,
     CheckResult,
     HKInstance,
     MukaiVector,
@@ -107,10 +107,6 @@ def _dec_ints(seq, what):
     return tuple(_dec_int(x, what) for x in seq)
 
 
-def _enc_vec(v):
-    return _enc_ints(v.coords)
-
-
 def _dec_vec(L, data, what):
     if not isinstance(data, list) or len(data) != L.rank:
         raise CertificateFormatError(f"{what}: expected {L.rank} coordinates")
@@ -119,17 +115,6 @@ def _dec_vec(L, data, what):
 
 # ---------------------------------------------------------------------------
 # instance files
-
-def instance_to_payload(inst: HKInstance):
-    return {
-        "n": _enc_int(inst.n),
-        "pic_basis": [_enc_vec(p) for p in inst.pic_basis],
-        "W": _enc_vec(inst.W),
-        "B": _enc_vec(inst.B),
-        "d": _enc_int(inst.d),
-        "C0": _enc_int(inst.C0),
-    }
-
 
 def instance_from_payload(data) -> HKInstance:
     if not isinstance(data, dict):
@@ -157,60 +142,6 @@ def instance_from_payload(data) -> HKInstance:
     return inst
 
 
-_STR = frozenset((str,))
-
-
-def _layout(obj, pad):
-    """``json.dumps(obj, indent=1)`` of a value whose container opens at ``pad``.
-
-    Strings go through json's C escaper, except a list of strings (a vector,
-    a sigma row) with nothing to escape (printable ASCII, no quote or
-    backslash): it is one join.  Numbers, and types json refuses, go to
-    json.dumps.  Unlike json, a dict key must be a str.
-    """
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
-    inner = pad + " "
-    quote = ""  # put around each item by the join
-    if isinstance(obj, (list, tuple)):
-        brackets = "[]"
-        if _STR.issuperset(map(type, obj)):
-            text = "".join(obj)
-            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-                quote, items = '"', obj
-            else:
-                items = map(_escape, obj)
-        else:
-            items = [_layout(x, inner) for x in obj]
-    elif isinstance(obj, dict):
-        brackets = "{}"
-        items = [_escape(k) + ": " + (_escape(v) if isinstance(v, str) else _layout(v, inner))
-                 for k, v in obj.items()]
-    else:
-        return json.dumps(obj)
-    if not obj:
-        return brackets
-    sep = quote + ",\n" + inner + quote
-    return brackets[0] + "\n" + inner + quote + sep.join(items) + quote + "\n" + pad + brackets[1]
-
-
-def write_json(path, payload):
-    """Write ``json.dumps(payload, indent=1)`` and a newline with one write.
-
-    The text is complete before the file is opened, so a payload that cannot
-    be serialised leaves no file.
-    """
-    text = _layout(payload, "")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -231,47 +162,6 @@ def compute_digest(payload):
     body = {k: v for k, v in payload.items() if k != "digest"}
     canonical = _CANONICAL.encode(body)
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def certificate_payload(inst: HKInstance, rec, wall, budgets):
-    checks = [{"name": c.name, "ok": bool(c.ok), "details": c.details} for c in rec.checks]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
-        "instance": instance_to_payload(inst),
-        "record": {
-            "A": _enc_vec(rec.A),
-            "omega": _enc_vec(rec.omega),
-            "u": _enc_int(rec.u),
-            "C1": _enc_int(rec.C1),
-            "g": _enc_int(rec.g),
-            "t": _enc_int(rec.t),
-            "e": _enc_int(rec.e),
-            "H2": _enc_int(rec.H2),
-            "v0": {"r": _enc_int(rec.v0.r), "m": _enc_int(rec.v0.m), "s": _enc_int(rec.v0.s)},
-            "D": _enc_vec(rec.D),
-            "source": _enc_vec(rec.source),
-            "target": _enc_vec(rec.target),
-            "sigma": list(map(_enc_ints, rec.sigma.matrix)),
-            "epsilon": _enc_int(rec.epsilon),
-            "rk_un": _enc_int(rec.rk_un),
-            "alpha_x": {
-                "num": _enc_vec(rec.alpha_x.representative.numerator),
-                "den": _enc_int(rec.alpha_x.representative.denominator),
-            },
-        },
-        "wall": {
-            "g": _enc_int(wall.g),
-            "C1": _enc_int(wall.C1),
-            "C0": _enc_int(wall.C0),
-            "tested_a": list(map(_enc_ints, wall.tested_a)),
-            "verdict": bool(wall.verdict),
-        },
-        "checks": checks,
-        "budgets": {k: _enc_int(budgets[k]) for k in BUDGETS},
-    }
-    payload["digest"] = compute_digest(payload)
-    return payload
 
 
 def _require(data, key, what):
@@ -429,3 +319,11 @@ def verify_payload(payload):
         all(isinstance(c, dict) and c.get("ok") is True for c in recorded_checks),
     )
     return checks
+
+
+def __getattr__(name):  # the file writer, from hkcert.writer on first use
+    if name not in ("instance_to_payload", "write_json", "certificate_payload"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import writer
+    globals()[name] = value = getattr(writer, name)
+    return value

@@ -1036,19 +1036,20 @@ _CLI_LOADS = """
 import sys
 from pathlib import Path
 from hkcert.cli import main
-code = main(sys.argv[1:])
+watched, args = sys.argv[1].split(), sys.argv[2:]
+code = main(args)
 files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "hkcert"]
 lines = sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in files)
-print(code, "hkcert.construction" in sys.modules, "hkcert.sampler" in sys.modules, lines)
+print(code, *(name in sys.modules for name in watched), lines)
 """
 
 
-def _cli_loads(args, cwd):
+def _cli_loads(args, cwd, watched=("hkcert.construction", "hkcert.sampler")):
     """Run `hkcert ARGS` through main in a fresh process: its output lines,
-    then its exit code, whether it loaded hkcert.construction and
-    hkcert.sampler, and the lines of the hkcert modules it loaded."""
+    then its exit code, whether it loaded each watched module, and the lines
+    of the hkcert modules it loaded."""
     r = subprocess.run(
-        [sys.executable, "-c", _CLI_LOADS, *args],
+        [sys.executable, "-c", _CLI_LOADS, " ".join(watched), *args],
         cwd=cwd, capture_output=True, text=True, env=_buffered_child_env(),
     )
     assert (r.returncode, r.stderr) == (0, "")
@@ -1207,17 +1208,17 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines the hkcert modules that a verify process loads may sum to:
 # every verify process reads and compiles the whole checker
-VERIFY_LINE_BUDGET = 1657
+VERIFY_LINE_BUDGET = 1555
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
-    # a fresh verify process compiles no search code and no sampler
+    # a fresh verify process compiles no search code, no sampler and no writer
     cert.write_json(tmp_path / "e2.cert.json", e2_payload)
-    output, (code, loads_construction, loads_sampler, lines) = _cli_loads(
-        ["verify", "e2.cert.json"], tmp_path
+    output, (code, loads_construction, loads_sampler, loads_writer, lines) = _cli_loads(
+        ["verify", "e2.cert.json"], tmp_path, ("hkcert.construction", "hkcert.sampler", "hkcert.writer")
     )
     assert output == [f"e2.cert.json: OK ({len(cert.verify_payload(e2_payload))} checks)"]
-    assert (code, loads_construction, loads_sampler) == ("0", "False", "False")
+    assert (code, loads_construction, loads_sampler, loads_writer) == ("0", "False", "False", "False")
     assert int(lines) <= VERIFY_LINE_BUDGET
 
 
@@ -1250,7 +1251,7 @@ def test_annotations_resolve_outside_the_pipeline():
     import inspect
     import typing
 
-    for name in ("certificate", "cli", "instance", "lattice", "snf", "obstruction", "record", "errors"):
+    for name in ("certificate", "writer", "cli", "instance", "lattice", "snf", "obstruction", "record", "errors"):
         module = importlib.import_module(f"hkcert.{name}")
         for obj in vars(module).values():
             if not (inspect.isfunction(obj) or inspect.isclass(obj)) or obj.__module__ != module.__name__:
@@ -1260,6 +1261,18 @@ def test_annotations_resolve_outside_the_pipeline():
                 for method in vars(obj).values():
                     if inspect.isfunction(method):
                         typing.get_type_hints(method)
+
+
+def test_writer_is_forwarded_from_the_certificate_module():
+    # the three names construct and random call through hkcert.certificate,
+    # and nothing else of the writer's
+    import hkcert.writer
+
+    for name in ("instance_to_payload", "write_json", "certificate_payload"):
+        assert getattr(cert, name) is getattr(hkcert.writer, name)
+    for name in ("_layout", "_enc_vec", "no_such_name"):
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            getattr(cert, name)
 
 
 def _u3_reversed(payload):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -515,3 +516,30 @@ def test_mukai_closed_forms_are_polynomial_identities():
         (H2 + (2 * g * t * d**2) ** 2 * (2 - 2 * n)) - (2 * g + (4 * g * t * d) ** 2 * 2 * e),
     ]
     assert [sympy.expand(x) for x in zero] == [0] * len(zero)
+
+
+def test_mukai_gcd_and_rank_follow_from_the_closed_forms():
+    # the verifier's mukai_gcd_rs and mukai_rank hold on every (g, t, d) >= 1
+    # that the checks before them pass: r divides (4gt^2d^2)^2, so every prime
+    # factor of r divides 4gt^2d^2, which divides s - 1, so none divides s
+    sympy = pytest.importorskip("sympy")
+    n, g, t, d, e = sympy.symbols("n g t d e")
+    r, _, s, _ = mukai_data(n, g, t, d, e)
+    step = 4 * g * t**2 * d**2
+    for quotient in ((s - 1) / step, step**2 / r):
+        assert sympy.cancel(quotient).is_polynomial(n, g, t, d, e)
+    # r >= 16: with g, t, d = 1 + x, 1 + y, 1 + z, r - 16 has no negative
+    # coefficient and no constant term
+    x, y, z = sympy.symbols("x y z")
+    shifted = sympy.Poly(r.subs({g: 1 + x, t: 1 + y, d: 1 + z}) - 16, x, y, z)
+    assert min(shifted.coeffs()) >= 0 and shifted.coeff_monomial(1) == 0
+
+
+def test_mukai_gcd_and_rank_hold_on_a_seeded_grid():
+    # the same two implications on integers, without sympy
+    rng = random.Random(37)
+    for _ in range(2000):
+        g, t, d = (rng.randint(1, 10 ** rng.randint(0, 30)) for _ in range(3))
+        n, e = rng.randint(2, 10**6), rng.randint(-(10**6), 10**6)
+        r, _, s, _ = mukai_data(n, g, t, d, e)
+        assert math.gcd(r, s) == 1 and r >= 16

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,10 +72,10 @@ def test_random_matrices_200():
 # --- Smith form against the entry-by-entry reference ------------------------
 
 @st.composite
-def snf_inputs(draw):
-    # m x n up to 8 x 8, entries up to 10^30 at a drawn density, with zero
-    # rows and columns, repeated rows and entries of absolute value 1 common
-    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+def snf_inputs(draw, size=8):
+    # m x n up to size x size, entries up to 10^30 at a drawn density, with
+    # zero rows and columns, repeated rows and entries of absolute value 1 common
+    m, n = draw(st.integers(1, size)), draw(st.integers(1, size))
     rng = random.Random(draw(st.integers(0, 2**32)))
     bound = 10 ** draw(st.sampled_from((0, 1, 3, 30)))
     density = draw(st.sampled_from((0.15, 0.5, 1.0)))
@@ -98,6 +99,32 @@ def snf_inputs(draw):
 @given(snf_inputs())
 def test_snf_matches_reference(M):
     assert smith_normal_form(M) == reference_smith_normal_form(M)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is test-only")
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(snf_inputs(5))
+def test_snf_determinant_and_kernel_match_sympy(M):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    # the Smith diagonal: sympy lists the zero invariant factors as well
+    expected = [d for d in invariant_factors(Matrix(M), domain=ZZ) if d]
+    assert [d for d in snf_diagonal(smith_normal_form(M)[1]) if d] == expected
+    # the determinant of the leading square block, exact and over GF(p)
+    k = min(len(M), len(M[0]))
+    square = [row[:k] for row in M[:k]]
+    det = Matrix(square).det()
+    assert det_bareiss(square) == det
+    for p in (3, 2**31 - 1):
+        assert det_bareiss(square, p) == det % p
+    # the kernel of the first row: a saturated basis of the right size
+    row = M[0]
+    kern = kernel_basis(smith_normal_form([row]))
+    assert all(sum(map(mul, row, v)) == 0 for v in kern)
+    assert len(kern) == len(row) - Matrix([row]).rank()
+    if kern:
+        assert set(invariant_factors(Matrix(kern).T, domain=ZZ)) == {1}
 
 
 def test_snf_matches_reference_on_gram_and_picard_matrices():
