@@ -674,42 +674,6 @@ def wall_for_record(inst: HKInstance, rec: ConstructionRecord) -> obstruction.Wa
 # ---------------------------------------------------------------------------
 # B-field shift
 
-def hermite_rows(rows):
-    """Canonical row Hermite form of the lattice spanned by ``rows``.
-
-    Pivots are positive and leftmost, entries above each pivot are reduced
-    into [0, pivot).  The output is the unique canonical basis, so every
-    caller that enumerates over it is deterministic.
-    """
-    if not rows:
-        return []
-    A = [list(r) for r in rows]
-    n = len(A[0])
-    r = 0
-    for col in range(n):
-        # gcd-sweep the column below r until live holds at most one row
-        while True:
-            live = [i for i in range(r, len(A)) if A[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(A[i][col]))
-            p = live[0]
-            for i in live[1:]:
-                q = A[i][col] // A[p][col]
-                A[i] = [x - q * y for x, y in zip(A[i], A[p])]
-        if not live:
-            continue
-        A[r], A[live[0]] = A[live[0]], A[r]
-        if A[r][col] < 0:
-            A[r] = [-x for x in A[r]]
-        for i in range(r):
-            q = A[i][col] // A[r][col]
-            if q:
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return A[:r]
-
-
 def orthogonal_complement_basis(L: GramLattice, vectors):
     """Canonical basis of {x : (x, v) = 0 for all v}, as HNF rows.
 
@@ -726,7 +690,7 @@ def orthogonal_complement_basis(L: GramLattice, vectors):
     touched = sorted({j for row in rows for j, x in enumerate(row) if x})
     n, k = L.rank, len(rows)
     basis = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in set(range(n)).difference(touched)]
-    for h in hermite_rows([[row[j] for row in rows] + [int(i == j) for i in touched] for j in touched]):
+    for h in snf.hermite_rows([[row[j] for row in rows] + [int(i == j) for i in touched] for j in touched]):
         if not any(h[:k]):
             x = [0] * n
             for j, c in zip(touched, h[k:]):

@@ -67,13 +67,13 @@ class CheckResult(Record):
 
 
 def _pic_snf(inst):
-    # Smith form of the Picard matrix (columns are the basis vectors), cached
-    # under the key brauer_equal's span test uses, so it shares it too
+    # Smith form of the Picard matrix (columns are the basis's Hermite rows),
+    # cached under the key brauer_equal's span test uses, so it shares it too
     return lat._span_snf(inst.lattice, tuple(p.coords for p in inst.pic_basis))
 
 
 def pic_coordinates(inst, v):
-    """Integer coordinates of v over pic_basis, or None if v is not in the span."""
+    """Integer coordinates of v over the Hermite rows of pic_basis, or None if v is not in Pic."""
     return snf.solve_integer(_pic_snf(inst), list(v.coords))
 
 

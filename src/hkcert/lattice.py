@@ -365,10 +365,11 @@ def acts_trivially_on_discriminant(iso: Isometry) -> bool:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _span_snf(L: GramLattice, span_coords):
-    # Smith form U M V = D of the span matrix M, whose columns are the span
-    # vectors, with U and V as sparse columns; for a Picard basis,
-    # validation, coordinates and brauer_equal share it
-    return snf.sparse_smith_form([[c[i] for c in span_coords] for i in range(L.rank)])
+    # Smith form U M V = D, U and V as sparse columns, of the matrix M whose
+    # columns are the span's Hermite rows (the same lattice, so the same invariant
+    # factors and verdicts); validation, Picard coordinates and brauer_equal share it
+    H = snf.hermite_rows(span_coords)
+    return snf.sparse_smith_form([[h[i] for h in H] for i in range(L.rank)])
 
 
 def in_span_plus_lattice(q: RationalClass, S) -> bool:

@@ -226,6 +226,40 @@ def smith_normal_form(M):
     return U, A, V
 
 
+def hermite_rows(rows):
+    """Canonical row Hermite form of the lattice spanned by ``rows``.
+
+    Pivots are positive and leftmost, entries above each pivot are reduced
+    into [0, pivot) as it is placed.  The output is the lattice's unique
+    canonical basis, whatever rows span it (Cohen, GTM 138, 2.4.3).
+    """
+    A = [list(r) for r in rows]
+    n = len(A[0]) if A else 0
+    r = 0
+    for col in range(n):
+        # gcd-sweep the column below r until live holds at most one row
+        while True:
+            live = [i for i in range(r, len(A)) if A[i][col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda i: abs(A[i][col]))
+            p = live[0]
+            for i in live[1:]:
+                q = A[i][col] // A[p][col]
+                A[i] = [x - q * y for x, y in zip(A[i], A[p])]
+        if not live:
+            continue
+        A[r], A[live[0]] = A[live[0]], A[r]
+        if A[r][col] < 0:
+            A[r] = [-x for x in A[r]]
+        for i in range(r):
+            q = A[i][col] // A[r][col]
+            if q:
+                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
+        r += 1
+    return A[:r]
+
+
 def snf_diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 

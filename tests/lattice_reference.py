@@ -18,6 +18,9 @@ are the solver and the span test as first written, on the dense (U, D, V) of
 ``snf.smith_normal_form``: every product is a dense ``snf.mat_vec`` over all
 of U or V.  The package's versions sum over the nonzero entries of cached
 sparse columns and must give the same solution and the same boolean.
+``raw_span_snf`` and ``in_span_plus_lattice`` take the Smith form of the span
+vectors as given; the package's cached form is of their Hermite rows, and
+must give the same invariant factors, solvability and verdicts.
 
 ``first_hit_reference`` is the full graded scan in documented order, the
 definition of the first hit that ``first_orthogonal_tuple`` and
@@ -44,7 +47,6 @@ from hkcert.construction import (
     _inverse,
     _transvect,
     graded_coefficient_tuples,
-    hermite_rows,
 )
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
@@ -55,7 +57,7 @@ from hkcert.lattice import (
     pair,
 )
 from hkcert.sampler import kernel_basis
-from hkcert.snf import _xgcd, identity_matrix
+from hkcert.snf import _xgcd, hermite_rows, identity_matrix
 from hkcert.snf import sparse as _sparse
 from verifier_reference import solve_integer  # noqa: F401  (re-exported for callers)
 
@@ -251,6 +253,13 @@ def orthogonal_complement_basis(L, vectors):
     else:
         basis = kernel_basis(snf.smith_normal_form(rows))
     return [L.vector(b) for b in hermite_rows(basis)]
+
+
+def raw_span_snf(L, span_coords):
+    """lattice._span_snf as first written: the sparse Smith form of the span
+    matrix whose columns are the span vectors as given, not their Hermite
+    rows."""
+    return snf.sparse_smith_form([[c[i] for c in span_coords] for i in range(L.rank)])
 
 
 def in_span_plus_lattice(q, S):

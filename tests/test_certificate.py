@@ -463,6 +463,23 @@ def test_cli_construct_unnormalizable_b_is_refused_at_once(e2_instance, lam2, tm
     assert not cert_path.exists()
 
 
+def test_cli_construct_validates_before_it_shifts_b(e2_instance, lam2, tmp_path):
+    # 20 small random Picard rows span a non-saturated lattice, and B = a1
+    # has norm -2: no B shift can mend pic_saturated, so construct names it
+    # instead of scanning shifts into "search exhausted"
+    rng = random.Random(0)
+    rows = rng.choice([8, 12, 16, 20, 22])
+    pic = tuple(lam2.vector([rng.randint(-3, 3) for _ in range(23)]) for _ in range(rows))
+    inst = e2_instance.replace(pic_basis=pic, B=lam2.basis_vector(6))
+    inst_path = tmp_path / "unsaturated.json"
+    cert_path = tmp_path / "unsaturated.cert.json"
+    cert.write_json(inst_path, cert.instance_to_payload(inst))
+    out = io.StringIO()
+    assert cmd_construct(str(inst_path), str(cert_path), out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: invalid instance: pic_saturated invariant factors {[1] * 19 + [2]}\n"
+    assert not cert_path.exists()
+
+
 def test_cli_verify_tampered_exit_code(e2_payload, tmp_path):
     assert _cli_verify(tmp_path / "tampered.json", _sigma_tampered(e2_payload))[0] == EXIT_FAIL
 
@@ -1207,8 +1224,11 @@ def test_digest_changes_with_content(e2_payload):
 # --- the verifier stays small and total --------------------------------------
 
 # the most lines the hkcert modules that a verify process loads may sum to:
-# every verify process reads and compiles the whole checker
-VERIFY_LINE_BUDGET = 1555
+# every verify process reads and compiles the whole checker; 38 over 1555
+# since hermite_rows moved into snf, so that the Picard Smith form is taken
+# of the basis's Hermite rows (ROADMAP item 17), and construct validates
+# before it shifts B
+VERIFY_LINE_BUDGET = 1593
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:

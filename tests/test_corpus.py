@@ -110,6 +110,22 @@ def certified(entry):
     return _certified(json.dumps(key, sort_keys=True))
 
 
+# (rows, decimal digits per entry) of the hostile Picard bases of ROADMAP item 17
+HOSTILE_PIC_SHAPES = ((8, 100), (8, 400), (16, 100), (22, 100), (16, 400), (22, 400))
+
+
+def hostile_pic_payload(rows, digits):
+    """The e2 certificate with its Picard basis replaced by ``rows`` seeded
+    random vectors (``random.Random(5)``, drawn afresh for each shape) of 23
+    entries in [-10^digits, 10^digits], and its digest recomputed."""
+    rng = random.Random(5)
+    payload = copy.deepcopy(certified(CORPUS[0])[1])
+    bound = 10**digits
+    payload["instance"]["pic_basis"] = [[str(rng.randint(-bound, bound)) for _ in range(23)] for _ in range(rows)]
+    payload["digest"] = cert.compute_digest(payload)
+    return payload
+
+
 def draw_corpus():
     """The corpus entries, without digests."""
     entries = [{"label": "e2"}]

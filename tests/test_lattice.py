@@ -19,6 +19,7 @@ from hkcert.construction import (
     orthogonal_complement_basis,
     search_order_key,
 )
+from hkcert.certificate import verify_payload
 from hkcert.errors import SearchExhausted
 from hkcert.lattice import (
     CACHE_SIZE,
@@ -43,7 +44,7 @@ from hkcert.lattice import (
     span_lattice_witness,
 )
 from hkcert.sampler import line_box_interval, positive_on_interval
-from hkcert.snf import det_bareiss, mat_mul, mat_vec, smith_normal_form, solve_integer
+from hkcert.snf import det_bareiss, hermite_rows, mat_mul, mat_vec, smith_normal_form, snf_diagonal, solve_integer
 from lattice_reference import (
     DenseReduction,
     dense_form_value,
@@ -53,8 +54,9 @@ from lattice_reference import (
     orthogonal_complement_basis as dense_complement_basis,
 )
 from lattice_reference import in_span_plus_lattice as dense_in_span_plus_lattice
+from lattice_reference import raw_span_snf
 from lattice_reference import solve_integer as dense_solve_integer
-from test_corpus import CORPUS, certified
+from test_corpus import CORPUS, certified, hostile_pic_payload
 
 
 # --- builders ---------------------------------------------------------------
@@ -739,18 +741,87 @@ def _dense_span_cases(draw):
 @given(_dense_span_cases())
 def test_span_products_on_the_cached_form_match_dense_reference(uu, lam2, case):
     # in_span_plus_lattice and solve_integer sum over the sparse columns of
-    # the cached Smith form; the dense mat_vec(U, x) on the same span is
-    # their reference
+    # the cached Smith form; the dense mat_vec(U, x) on the same span, taken
+    # as the cached form is of the span's Hermite rows, is their reference
     rank, span, image, num, den = case
     L = uu if rank == 4 else lam2
     q = RationalClass(L.vector(num), den)
     S = tuple(L.vector(s) for s in span)
     assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
     coords = tuple(s.coords for s in S)
-    dense = smith_normal_form([[c[i] for c in coords] for i in range(rank)])
+    hermite = hermite_rows(coords)
+    dense = smith_normal_form([[h[i] for h in hermite] for i in range(rank)])
     for b in (image, num):
         assert solve_integer(_span_snf(L, coords), b) == dense_solve_integer(dense, b)
     assert solve_integer(_span_snf(L, coords), image) is not None
+
+
+@st.composite
+def _raw_basis_cases(draw):
+    # 0-6 span vectors with entries up to 10^30 at a drawn density; a zero
+    # vector, a combination of two others (dependent) and a multiple of one
+    # (a non-saturated span) each come up; image is an integral combination
+    # of the span, off is image moved by one in one entry, and num is image
+    # plus den * mu, at times moved by one as well
+    rank = draw(st.sampled_from((4, 23)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10 ** draw(st.sampled_from((1, 3, 30)))
+    density = draw(st.sampled_from((0.3, 1.0)))
+    span = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(rank)]
+            for _ in range(draw(st.integers(0, 6)))]
+    if span and draw(st.booleans()):
+        span[rng.randrange(len(span))] = [0] * rank
+    if len(span) > 1 and draw(st.booleans()):
+        i, k = rng.sample(range(len(span)), 2)
+        span[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(span[k], span[i - 1])]
+    if span and draw(st.booleans()):
+        i = rng.randrange(len(span))
+        span[i] = [rng.choice((2, 3, 6)) * x for x in span[i]]
+    image = [0] * rank
+    for s in span:
+        c = rng.randint(-bound, bound)
+        image = [x + c * y for x, y in zip(image, s)]
+    off = list(image)
+    off[rng.randrange(rank)] += 1
+    den = draw(st.sampled_from((1, 2, 6, 10**30 + 7)))
+    num = [x + den * rng.randint(-3, 3) for x in image]
+    if draw(st.booleans()):
+        num[rng.randrange(rank)] += 1
+    return rank, span, image, off, num, den
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_raw_basis_cases())
+def test_span_form_of_the_hermite_rows_matches_the_basis_as_given(uu, lam2, case):
+    # the cached Smith form is taken of the span's Hermite rows; the Smith
+    # form of the vectors as given spans the same lattice, so the invariant
+    # factors, each solvability and each membership verdict must agree
+    rank, span, image, off, num, den = case
+    L = uu if rank == 4 else lam2
+    S = tuple(L.vector(s) for s in span)
+    coords = tuple(s.coords for s in S)
+    cached, raw = _span_snf(L, coords), raw_span_snf(L, coords)
+    assert [d for d in snf_diagonal(cached[1]) if d] == [d for d in snf_diagonal(raw[1]) if d]
+    for b in (image, off):
+        assert (solve_integer(cached, b) is None) == (solve_integer(raw, b) is None)
+    assert solve_integer(cached, image) is not None
+    q = RationalClass(L.vector(num), den)
+    assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
+
+
+@pytest.mark.parametrize("rows", (16, 22))
+def test_hostile_picard_bases_fail_the_membership_checks(rows):
+    # ROADMAP item 17's hostile bases of 100-digit entries: verify fails
+    # exactly the checks that test membership in Pic or orthogonality to it,
+    # as it did on the Smith form of the basis as given
+    checks = verify_payload(hostile_pic_payload(rows, 100))
+    assert [(c.name, c.details) for c in checks if not c.ok] == [
+        ("instance_w_in_pic", ""),
+        ("instance_b_orthogonal_pic", ""),
+        ("class_a_in_pic", ""),
+        ("omega_in_pic", ""),
+        ("alpha_is_b_field", ""),
+    ]
 
 
 # --- search order -----------------------------------------------------------

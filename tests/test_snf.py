@@ -5,10 +5,10 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkcert.construction import hermite_rows
 from hkcert.sampler import gram_signature, kernel_basis
 from hkcert.snf import (
     det_bareiss,
+    hermite_rows,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -277,6 +277,70 @@ def test_hermite_rows_is_an_hnf_of_the_same_lattice(rows):
     assert all(0 <= g[p] < h[p] for i, (h, p) in enumerate(zip(H, pivots)) for g in H[:i])
     assert all(_in_row_span(H, r) for r in rows)
     assert all(_in_row_span(rows, h) for h in H)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is test-only")
+def test_hermite_rows_match_sympy():
+    # sympy's hermite_normal_form is the column HNF with its pivots at the
+    # bottom, and its zero columns dropped; so take it of the transpose of M
+    # with its columns reversed, read each of its columns from the bottom up
+    # as a row, and list those rows in reverse order
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(2024)
+    for _ in range(2000):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        density = rng.choice((0.3, 0.7, 1.0))
+        M = [[rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            M[rng.randrange(m)] = [0] * n
+        if m > 1 and rng.random() < 0.3:
+            i, k = rng.sample(range(m), 2)
+            M[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(M[k], M[i - 1])]
+        H = hermite_normal_form(Matrix([row[::-1] for row in M]).T)
+        rows = [[int(H[i, j]) for i in reversed(range(H.rows))] for j in range(H.cols)]
+        assert hermite_rows(M) == rows[::-1], M
+
+
+@st.composite
+def wide_row_lists(draw):
+    # 1-22 rows of 23 entries up to 10^30 at a drawn density, as a Picard
+    # basis in Lambda's coordinates; a zero row and a combination of two
+    # rows make the rank deficient
+    m = draw(st.integers(1, 22))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10 ** draw(st.sampled_from((1, 3, 30)))
+    density = draw(st.sampled_from((0.2, 0.5, 1.0)))
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(23)] for _ in range(m)]
+    if draw(st.booleans()):
+        rows[rng.randrange(m)] = [0] * 23
+    if m > 1 and draw(st.booleans()):
+        i, k = rng.sample(range(m), 2)
+        rows[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[k], rows[i - 1])]
+    return rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(wide_row_lists())
+def test_hermite_rows_entries_within_the_minor_bound(rows):
+    """Every entry of the HNF H of an m x 23 matrix M with b-bit entries has
+    at most r*(b + 3) bits, r the rank.
+
+    Let J be the pivot columns of H.  M = C H with C integral of rank r, so
+    some r rows I of M have M_I = C_I H with C_I invertible, and
+    det M_IJ = det C_I det H_J: the product of the pivots divides
+    det M_IJ != 0.  By Hadamard |det M_IJ| < (sqrt(r) 2^b)^r, which
+    bounds each pivot and so each entry of a pivot column (reduced into
+    [0, pivot)).  In a column k off J, H_k = H_J M_IJ^-1 M_Ik, and by
+    Cramer's rule each entry of M_IJ^-1 M_Ik is an r x r minor of M over
+    det M_IJ, while each entry of H_J is at most a pivot, hence at most
+    |det M_IJ|: the entry is under r of those minors, r (sqrt(r) 2^b)^r.
+    That has log2(r) (1 + r/2) + r*b < r*(b + 3) - 1 bits for r <= 23.
+    """
+    H = hermite_rows(rows)
+    b = max(x.bit_length() for row in rows for x in row)
+    assert all(x.bit_length() <= len(H) * (b + 3) for h in H for x in h)
 
 
 # --- products against the naive triple sum ----------------------------------
