@@ -512,8 +512,6 @@ def _extended_gcd_combination(vals):
     coeffs = [0] * len(vals)
     g = 0
     for i, v in enumerate(vals):
-        if v == 0:
-            continue
         gg, x, y = snf._xgcd(g, v)
         coeffs = [c * x for c in coeffs]
         coeffs[i] = y

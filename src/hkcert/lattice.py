@@ -258,8 +258,8 @@ def e8_negative_gram():
     return tuple(tuple(row) for row in g)
 
 
-def hyperbolic_plane(label="U") -> GramLattice:
-    return GramLattice(2, _U_GRAM, label)
+def hyperbolic_plane() -> GramLattice:
+    return GramLattice(2, _U_GRAM, "U")
 
 
 def direct_sum(*lattices, label="") -> GramLattice:

@@ -7,8 +7,7 @@ Neither construct nor verify imports this module.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
-from math import gcd
+from itertools import product
 from operator import add, mul
 
 from . import snf
@@ -114,7 +113,7 @@ def _try_sample(rng, L, n, pic_rank, C0, d_max):
     sub_gram = gram_of(pic)
     if gram_signature(sub_gram) != (1, pic_rank - 1, 0):
         return None
-    # the Picard matrix's other rows are zero and add no nonzero minor
+    # the Picard matrix's other rows are zero and add nothing to the span
     if not _saturated([[p.coords[i] for p in pic] for i in _PIC_SUPPORT], pic_rank):
         return None
 
@@ -172,14 +171,9 @@ def _sample_b(rng, L, comp):
 
 def _saturated(rows, rank):
     # the columns of an integer matrix with `rank` columns are independent
-    # and span a saturated sublattice iff the gcd of its rank x rank minors
-    # (the product of its invariant factors) is 1
-    g = 0
-    for minor in combinations(rows, rank):
-        g = gcd(g, snf.det_bareiss(minor))
-        if g == 1:
-            return True
-    return False
+    # and span a saturated sublattice iff its rows span Z^rank, that is iff
+    # their Hermite form is the identity
+    return snf.hermite_rows(rows) == snf.identity_matrix(rank)
 
 
 def kernel_basis(snf_data):

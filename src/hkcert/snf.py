@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith forms, solvers, determinants, products.
+"""Exact integer matrices: Smith and Hermite forms, solvers, determinants, products.
 
 Matrices are lists (or tuples) of rows of Python ints.  Everything here is
 arbitrary precision; no entry is ever coerced to a fixed-width type.

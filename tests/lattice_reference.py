@@ -29,10 +29,10 @@ definition of the first hit that ``first_orthogonal_tuple`` and
 ``kernel_has_bounded_positive`` and ``saturated_by_snf`` are the seeded
 sampler's feasibility scan and saturation pre-check as first written: every
 nonzero kernel coefficient tuple in the documented order, and the Smith form
-of the support matrix.  The package's interval test and minors gcd must
-give the same booleans.  The scan sums each norm with ``dense_form_value``,
-over every Gram entry, so it shares no code with the package's prepared
-``form_evaluator``.
+of the support matrix.  The package's interval test and Hermite-form test
+must give the same booleans.  The scan sums each norm with
+``dense_form_value``, over every Gram entry, so it shares no code with the
+package's prepared ``form_evaluator``.
 
 ``gram_signature`` is the sampler's signature test as first written: Descartes'
 rule of signs on the characteristic polynomial, by Faddeev-LeVerrier.  The

@@ -385,7 +385,7 @@ def _support_matrices(draw):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_support_matrices())
-def test_saturation_minors_gcd_matches_smith_form(case):
+def test_saturation_pre_check_matches_smith_form(case):
     kind, rows, rho = case
     got = _saturated(rows, rho)
     assert got == saturated_by_snf(rows, rho)
