@@ -67,14 +67,14 @@ class CheckResult(Record):
 
 
 def _pic_snf(inst):
-    # Smith form of the Picard matrix (columns are the basis's Hermite rows),
-    # cached under the key brauer_equal's span test uses, so it shares it too
+    # the basis's Hermite rows, U's sparse columns and the invariant factors,
+    # cached under the key brauer_equal's span test uses, so it shares them
     return lat._span_snf(inst.lattice, tuple(p.coords for p in inst.pic_basis))
 
 
 def pic_coordinates(inst, v):
     """Integer coordinates of v over the Hermite rows of pic_basis, or None if v is not in Pic."""
-    return snf.solve_integer(_pic_snf(inst), list(v.coords))
+    return snf.solve_integer(_pic_snf(inst)[0], v.coords)
 
 
 def validate_instance(inst: HKInstance):
@@ -95,8 +95,7 @@ def validate_instance(inst: HKInstance):
 
     checks.append(CheckResult("pic_rank", rho >= 2, f"rank {rho}"))
 
-    data = _pic_snf(inst)
-    diag = [d for d in snf.snf_diagonal(data[1]) if d != 0]
+    diag = list(_pic_snf(inst)[2])
     independent = len(diag) == rho
     checks.append(CheckResult("pic_independent", independent))
     saturated = independent and all(d == 1 for d in diag)

@@ -365,11 +365,12 @@ def acts_trivially_on_discriminant(iso: Isometry) -> bool:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _span_snf(L: GramLattice, span_coords):
-    # Smith form U M V = D, U and V as sparse columns, of the matrix M whose
-    # columns are the span's Hermite rows (the same lattice, so the same invariant
-    # factors and verdicts); validation, Picard coordinates and brauer_equal share it
+    # the span's Hermite rows H, read by Picard membership; then, of the Smith form
+    # U M V = D of the matrix M whose columns are H's rows, U as sparse columns, read
+    # past the rank by in_span_plus_lattice, and the nonzero invariant factors
     H = snf.hermite_rows(span_coords)
-    return snf.sparse_smith_form([[h[i] for h in H] for i in range(L.rank)])
+    U, D, _ = snf.smith_normal_form([[h[i] for h in H] for i in range(L.rank)])
+    return H, tuple(map(snf.sparse, zip(*U))), tuple(d for d in snf.snf_diagonal(D) if d)
 
 
 def in_span_plus_lattice(q: RationalClass, S) -> bool:
@@ -386,25 +387,26 @@ def in_span_plus_lattice(q: RationalClass, S) -> bool:
     L, den = q.numerator.lattice, q.denominator
     if any(s.lattice != L for s in S):
         raise ValueError("span vectors live in a different lattice")
-    U, D, _ = _span_snf(L, tuple(s.coords for s in S))
-    return not any(x % den for x in snf.columns_times(U, q.numerator.coords)[snf._rank(D):])
+    H, U, _ = _span_snf(L, tuple(s.coords for s in S))
+    return not any(x % den for x in snf.columns_times(U, q.numerator.coords)[len(H):])
 
 
 def span_lattice_witness(q: RationalClass, S):
     """Integral vector mu with q - mu in the rational span of S, or None.
 
-    The tests' reference for in_span_plus_lattice: it solves
-    K mu = (K num)/den through the Smith form of K, written out densely.
+    The tests' reference for in_span_plus_lattice: it solves K mu = c = (K num)/den
+    densely.  K is made of rows of a unimodular matrix, so its Smith form
+    U_K K V_K is [I 0], and mu = V_K [U_K c; 0].
     """
     L = q.numerator.lattice
-    U, D, _ = _span_snf(L, tuple(s.coords for s in S))
+    H, U, _ = _span_snf(L, tuple(s.coords for s in S))
     cols = [dict(c) for c in U]
-    K = [[c.get(i, 0) for c in cols] for i in range(snf._rank(D), L.rank)]
+    K = [[c.get(i, 0) for c in cols] for i in range(len(H), L.rank)]
     if not K:
         return L.zero()
     den = q.denominator
     c = snf.mat_vec(K, q.numerator.coords)
     if any(x % den for x in c):
         return None
-    sol = snf.solve_integer(snf.sparse_smith_form(K), [x // den for x in c])
-    return None if sol is None else L.vector(sol)
+    U_K, _, V_K = snf.smith_normal_form(K)
+    return L.vector(snf.mat_vec(V_K, snf.mat_vec(U_K, [x // den for x in c]) + [0] * len(H)))

@@ -177,9 +177,9 @@ def _saturated(rows, rank):
 
 
 def kernel_basis(snf_data):
-    """Basis of {x in Z^n : A x = 0}; the columns of V past the rank."""
-    U, D, V = snf_data
-    return [[row[j] for row in V] for j in range(snf._rank(D), len(V))]
+    """Basis of {x in Z^n : A x = 0}: the columns of V past the rank (d_i | d_{i+1} puts D's zeros last)."""
+    _, D, V = snf_data
+    return [[row[j] for row in V] for j in range(sum(1 for d in snf.snf_diagonal(D) if d), len(V))]
 
 
 def _kernel_has_bounded_positive(sub_gram, weights):

@@ -1,4 +1,4 @@
-"""Exact integer matrices: Smith and Hermite forms, solvers, determinants, products.
+"""Exact integer matrices: Smith and Hermite forms, the Hermite solve, determinants, products.
 
 Matrices are lists (or tuples) of rows of Python ints.  Everything here is
 arbitrary precision; no entry is ever coerced to a fixed-width type.
@@ -6,7 +6,7 @@ arbitrary precision; no entry is ever coerced to a fixed-width type.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from operator import mul
 
 
@@ -264,28 +264,19 @@ def snf_diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def _rank(D):
-    # the chain d_i | d_{i+1} puts the zero slots of the diagonal last
-    return sum(1 for d in snf_diagonal(D) if d)
+def solve_integer(H, b):
+    """The integer y with y H = b for H = hermite_rows(...), or None if there is none.
 
-
-def sparse_smith_form(M):
-    """smith_normal_form(M) with U and V as their ``sparse`` columns."""
-    U, D, V = smith_normal_form(M)
-    return tuple(map(sparse, zip(*U))), D, tuple(map(sparse, zip(*V)))
-
-
-def solve_integer(snf_data, b):
-    """Solve A x = b over the integers, given snf_data = sparse_smith_form(A):
-    one solution x (a list of ints), or None when there is none."""
-    U, D, V = snf_data
-    r = _rank(D)
-    c = columns_times(U, b)
-    if any(c[r:]):
-        return None
-    y = [0] * len(V)
-    for i in range(r):
-        y[i], rem = divmod(c[i], D[i][i])
+    Back substitution: row i's pivot column is zero in every later row, so b at
+    that column fixes y_i, and what remains of b must end at zero.
+    """
+    y = []
+    for h in H:
+        j = next(compress(count(), h))  # the pivot, h's first nonzero entry
+        q, rem = divmod(b[j], h[j])
         if rem:
             return None
-    return columns_times(V, y)
+        y.append(q)
+        if q:
+            b = [x - q * c for x, c in zip(b, h)]
+    return None if any(b) else y

@@ -16,11 +16,12 @@ package's versions must give the same (U, D, V) and the same basis.
 ``solve_integer`` (from ``verifier_reference``) and ``in_span_plus_lattice``
 are the solver and the span test as first written, on the dense (U, D, V) of
 ``snf.smith_normal_form``: every product is a dense ``snf.mat_vec`` over all
-of U or V.  The package's versions sum over the nonzero entries of cached
-sparse columns and must give the same solution and the same boolean.
-``raw_span_snf`` and ``in_span_plus_lattice`` take the Smith form of the span
-vectors as given; the package's cached form is of their Hermite rows, and
-must give the same invariant factors, solvability and verdicts.
+of U or V.  ``raw_span_snf`` and ``in_span_plus_lattice`` take the Smith form
+of the span vectors as given.  The package's back substitution on the
+cached Hermite rows must give the dense solver's solution on those rows and
+its solvability on the vectors as given; its span test, a sum over the
+sparse columns of the cached U, the same verdict; and the cached invariant
+factors must be those of the vectors as given.
 
 ``first_hit_reference`` is the full graded scan in documented order, the
 definition of the first hit that ``first_orthogonal_tuple`` and
@@ -255,11 +256,11 @@ def orthogonal_complement_basis(L, vectors):
     return [L.vector(b) for b in hermite_rows(basis)]
 
 
-def raw_span_snf(L, span_coords):
-    """lattice._span_snf as first written: the sparse Smith form of the span
-    matrix whose columns are the span vectors as given, not their Hermite
-    rows."""
-    return snf.sparse_smith_form([[c[i] for c in span_coords] for i in range(L.rank)])
+def raw_span_snf(span_coords, width):
+    """The dense Smith form of the width x len(span_coords) matrix whose
+    columns are the span vectors as given, not their Hermite rows; with
+    ``solve_integer``, the oracle for b in their integer span."""
+    return snf.smith_normal_form([[c[i] for c in span_coords] for i in range(width)])
 
 
 def in_span_plus_lattice(q, S):

@@ -44,7 +44,7 @@ from hkcert.lattice import (
     span_lattice_witness,
 )
 from hkcert.sampler import line_box_interval, positive_on_interval
-from hkcert.snf import det_bareiss, hermite_rows, mat_mul, mat_vec, smith_normal_form, snf_diagonal, solve_integer
+from hkcert.snf import det_bareiss, mat_mul, mat_vec, snf_diagonal, solve_integer
 from lattice_reference import (
     DenseReduction,
     dense_form_value,
@@ -710,64 +710,20 @@ def test_in_span_matches_witness_reference(uu, lam2, case):
 
 
 @st.composite
-def _dense_span_cases(draw):
-    # spans whose Smith transform U is dense: up to 3 vectors with entries up
-    # to 10^30 on every coordinate but a drawn few, which stay zero in every
-    # vector (zero rows of the span matrix), one of them possibly dependent;
-    # image is an integral combination of the span, and num is image plus
-    # den * mu, or that moved by one in one entry
-    rank = draw(st.sampled_from((4, 23)))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    zero_rows = set(rng.sample(range(rank), draw(st.integers(0, rank - 1))))
-
-    def vec(bound):
-        return [0 if i in zero_rows else rng.randint(-bound, bound) for i in range(rank)]
-
-    span = [vec(10**30) for _ in range(draw(st.integers(0, 3)))]
-    if span and draw(st.booleans()):
-        span.append([rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(span[0], span[-1])])
-    image = [0] * rank
-    for s in span:
-        c = rng.randint(-(10**30), 10**30)
-        image = [x + c * y for x, y in zip(image, s)]
-    den = draw(st.sampled_from((1, 2, 6, 10**30 + 7)))
-    num = [x + den * m for x, m in zip(image, vec(3))]
-    if draw(st.booleans()):
-        num[rng.randrange(rank)] += 1
-    return rank, span, image, num, den
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(_dense_span_cases())
-def test_span_products_on_the_cached_form_match_dense_reference(uu, lam2, case):
-    # in_span_plus_lattice and solve_integer sum over the sparse columns of
-    # the cached Smith form; the dense mat_vec(U, x) on the same span, taken
-    # as the cached form is of the span's Hermite rows, is their reference
-    rank, span, image, num, den = case
-    L = uu if rank == 4 else lam2
-    q = RationalClass(L.vector(num), den)
-    S = tuple(L.vector(s) for s in span)
-    assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
-    coords = tuple(s.coords for s in S)
-    hermite = hermite_rows(coords)
-    dense = smith_normal_form([[h[i] for h in hermite] for i in range(rank)])
-    for b in (image, num):
-        assert solve_integer(_span_snf(L, coords), b) == dense_solve_integer(dense, b)
-    assert solve_integer(_span_snf(L, coords), image) is not None
-
-
-@st.composite
-def _raw_basis_cases(draw):
-    # 0-6 span vectors with entries up to 10^30 at a drawn density; a zero
-    # vector, a combination of two others (dependent) and a multiple of one
-    # (a non-saturated span) each come up; image is an integral combination
-    # of the span, off is image moved by one in one entry, and num is image
+def _span_cases(draw):
+    # 0-6 span vectors with entries up to 10^30 at a drawn density, with a
+    # drawn few coordinates zero in every vector (zero rows of the span
+    # matrix); at density 1 the Smith transform U is dense.  A zero vector,
+    # a combination of two others (dependent) and a multiple of one (a
+    # non-saturated span) each come up; image is an integral combination of
+    # the span, off is image moved by one in one entry, and num is image
     # plus den * mu, at times moved by one as well
     rank = draw(st.sampled_from((4, 23)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     bound = 10 ** draw(st.sampled_from((1, 3, 30)))
     density = draw(st.sampled_from((0.3, 1.0)))
-    span = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(rank)]
+    zero_rows = set(rng.sample(range(rank), draw(st.integers(0, rank - 1))))
+    span = [[0 if i in zero_rows or rng.random() >= density else rng.randint(-bound, bound) for i in range(rank)]
             for _ in range(draw(st.integers(0, 6)))]
     if span and draw(st.booleans()):
         span[rng.randrange(len(span))] = [0] * rank
@@ -791,20 +747,38 @@ def _raw_basis_cases(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_raw_basis_cases())
+@given(_span_cases())
+def test_span_products_on_the_cached_form_match_dense_reference(uu, lam2, case):
+    # in_span_plus_lattice sums over the sparse columns of the cached U, and
+    # solve_integer back-substitutes on the cached Hermite rows H; the dense
+    # mat_vec(U, x) on the span, and the dense solver on H, whose rows are
+    # independent so that the solution is unique, are their references
+    rank, span, image, off, num, den = case
+    L = uu if rank == 4 else lam2
+    q = RationalClass(L.vector(num), den)
+    S = tuple(L.vector(s) for s in span)
+    assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
+    H = _span_snf(L, tuple(s.coords for s in S))[0]
+    for b in (image, off, num):
+        assert solve_integer(H, b) == dense_solve_integer(raw_span_snf(H, rank), b)
+    assert solve_integer(H, image) is not None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_span_cases())
 def test_span_form_of_the_hermite_rows_matches_the_basis_as_given(uu, lam2, case):
-    # the cached Smith form is taken of the span's Hermite rows; the Smith
-    # form of the vectors as given spans the same lattice, so the invariant
-    # factors, each solvability and each membership verdict must agree
+    # the cached form is of the span's Hermite rows; the dense Smith form of
+    # the vectors as given spans the same lattice, so the invariant factors,
+    # each solvability and each membership verdict must agree
     rank, span, image, off, num, den = case
     L = uu if rank == 4 else lam2
     S = tuple(L.vector(s) for s in span)
     coords = tuple(s.coords for s in S)
-    cached, raw = _span_snf(L, coords), raw_span_snf(L, coords)
-    assert [d for d in snf_diagonal(cached[1]) if d] == [d for d in snf_diagonal(raw[1]) if d]
-    for b in (image, off):
-        assert (solve_integer(cached, b) is None) == (solve_integer(raw, b) is None)
-    assert solve_integer(cached, image) is not None
+    (H, _, factors), raw = _span_snf(L, coords), raw_span_snf(coords, rank)
+    assert list(factors) == [d for d in snf_diagonal(raw[1]) if d]
+    for b in (image, off, num):
+        assert (solve_integer(H, b) is None) == (dense_solve_integer(raw, b) is None)
+    assert solve_integer(H, image) is not None
     q = RationalClass(L.vector(num), den)
     assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
 

@@ -14,9 +14,9 @@ from hkcert.snf import (
     smith_normal_form,
     snf_diagonal,
     solve_integer,
-    sparse_smith_form,
 )
 from lattice_reference import gram_signature as reference_gram_signature
+from lattice_reference import raw_span_snf
 from lattice_reference import smith_normal_form as reference_smith_normal_form
 from lattice_reference import solve_integer as dense_solve_integer
 
@@ -152,26 +152,48 @@ def test_snf_matches_reference_on_gram_and_picard_matrices():
         assert smith_normal_form(M) == reference_smith_normal_form(M)
 
 
+def _dense_row_solve(rows, b):
+    # the oracle: an integer x with x rows = b from the dense Smith solver,
+    # or None
+    return dense_solve_integer(raw_span_snf(rows, len(b)), b)
+
+
+def _times(y, rows, width):
+    return [sum(c * row[j] for c, row in zip(y, rows)) for j in range(width)]
+
+
 def test_solve_integer():
-    M = [[2, 0], [0, 3]]
-    data = sparse_smith_form(M)
-    assert solve_integer(data, [4, 9]) == [2, 3]
-    assert solve_integer(data, [1, 0]) is None
-    # inconsistent system
-    M = [[1, 1], [1, 1]]
-    data = sparse_smith_form(M)
-    assert solve_integer(data, [1, 2]) is None
-    x = solve_integer(data, [3, 3])
-    assert x is not None and x[0] + x[1] == 3
+    # y H = b over the Hermite rows H, by back substitution
+    for rows, b, y in (
+        ([[2, 0], [0, 3]], [4, 9], [2, 3]),
+        ([[2, 0], [0, 3]], [1, 0], None),
+        # a dependent pair spans one row, and b off it has no solution
+        ([[1, 1], [1, 1]], [1, 2], None),
+        ([[1, 1], [1, 1]], [3, 3], [3]),
+    ):
+        H = hermite_rows(rows)
+        assert solve_integer(H, b) == y
+        assert (_dense_row_solve(rows, b) is None) == (y is None)
+
+
+def test_solve_integer_edges():
+    # no rows: only b = 0 is in the span
+    assert solve_integer([], [0, 0, 0]) == []
+    assert solve_integer([], [0, 1, 0]) is None
+    # the pivot 2 divides 2 e1 but not e1
+    assert solve_integer([[2, 0, 0]], [1, 0, 0]) is None
+    assert solve_integer([[2, 0, 0]], [2, 0, 0]) == [1]
+    # b is a multiple of each pivot as it is reached, yet not zero past them
+    H = hermite_rows([[1, 0, 5], [0, 1, 7]])
+    assert solve_integer(H, [1, 1, 12]) == [1, 1]
+    assert solve_integer(H, [1, 1, 13]) is None
 
 
 @st.composite
 def integer_systems(draw):
-    # (M, b) with M m x n: dense random entries, up to 10^30, make U of the
-    # Smith form dense (about 80% of its entries nonzero on draws like these,
-    # where the corpus's Picard U is nearly a permutation), and a dependent
-    # row or a zero row makes M rank deficient; b is M x, M x moved by one in
-    # one entry, 0 or random
+    # (M, b) with M m x n: dense random entries, up to 10^30, and a
+    # dependent row, a multiple of a row (a non-saturated span) or a zero
+    # row; b is x M, x M moved by one in one entry, 0 or random
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rng = random.Random(draw(st.integers(0, 2**32)))
     bound = 10 ** draw(st.sampled_from((1, 30)))
@@ -180,30 +202,55 @@ def integer_systems(draw):
         a, c = rng.randint(-3, 3), rng.randint(-3, 3)
         M[-1] = [a * x + c * y for x, y in zip(M[0], M[1])]
     if draw(st.booleans()):
+        i = rng.randrange(m)
+        M[i] = [rng.choice((2, 3, 6)) * x for x in M[i]]
+    if draw(st.booleans()):
         M[rng.randrange(m)] = [0] * n
     kind = draw(st.sampled_from(("image", "moved", "zero", "random")))
     if kind == "random":
-        return M, [rng.randint(-bound, bound) for _ in range(m)]
-    b = mat_vec(M, [rng.randint(-bound, bound) for _ in range(n)])
+        return M, [rng.randint(-bound, bound) for _ in range(n)]
+    b = _times([rng.randint(-bound, bound) for _ in range(m)], M, n)
     if kind == "moved":
-        b[rng.randrange(m)] += 1
-    return M, [0] * m if kind == "zero" else b
+        b[rng.randrange(n)] += 1
+    return M, [0] * n if kind == "zero" else b
+
+
+def _check_solve(M, b):
+    # b is in the span of the Hermite rows H of M iff in that of M; the rows
+    # of H are independent, so the solution over them is unique, and the
+    # dense solver on H must give it too
+    H = hermite_rows(M)
+    y = solve_integer(H, b)
+    assert (y is None) == (_dense_row_solve(M, b) is None)
+    assert y == _dense_row_solve(H, b)
+    assert y is None or _times(y, H, len(b)) == b
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(integer_systems())
 def test_solve_integer_matches_dense_reference(case):
-    # the sparse solver against the dense mat_vec(U, b), mat_vec(V, y) one on
-    # the same Smith form; the sparse columns hold exactly U's and V's entries
-    M, b = case
-    U, D, V = smith_normal_form(M)
-    cols_u, sparse_d, cols_v = data = sparse_smith_form(M)
-    assert sparse_d == D
-    for dense, cols in ((U, cols_u), (V, cols_v)):
-        assert [[dict(c).get(i, 0) for c in cols] for i in range(len(dense))] == dense
-    x = solve_integer(data, b)
-    assert x == dense_solve_integer((U, D, V), b)
-    assert x is None or mat_vec(M, x) == b
+    _check_solve(*case)
+
+
+def test_solve_integer_matches_dense_reference_on_seeded_matrices():
+    # 2000 small matrices with zero, dependent and non-saturated rows
+    rng = random.Random(40)
+    for _ in range(2000):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        density = rng.choice((0.3, 0.7, 1.0))
+        M = [[rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            M[rng.randrange(m)] = [0] * n
+        if m > 1 and rng.random() < 0.3:
+            i, k = rng.sample(range(m), 2)
+            M[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(M[k], M[i - 1])]
+        if rng.random() < 0.3:
+            i = rng.randrange(m)
+            M[i] = [rng.choice((2, 3, 6)) * x for x in M[i]]
+        b = _times([rng.randint(-9, 9) for _ in range(m)], M, n)
+        if rng.random() < 0.5:
+            b[rng.randrange(n)] += rng.choice((-1, 1))
+        _check_solve(M, b)
 
 
 def test_kernels():
@@ -260,9 +307,7 @@ def row_lists(draw):
 
 def _in_row_span(rows, target):
     # whether target is an integer combination of rows
-    if not rows:
-        return not any(target)
-    return solve_integer(sparse_smith_form([list(col) for col in zip(*rows)]), target) is not None
+    return _dense_row_solve(rows, target) is not None
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
