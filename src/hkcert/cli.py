@@ -97,8 +97,9 @@ def cmd_verify(paths, jobs=1, out=sys.stdout):
         # command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork-started pool launches all of its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
+        # a fork-started pool launches all its workers at once: no more than the files or usable CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(jobs, len(paths), cpus)) as pool:
             results = list(pool.map(_verify_one, paths))
     else:
         results = [_verify_one(p) for p in paths]

@@ -1,11 +1,13 @@
 """Exact integer matrices: Smith and Hermite forms, the Hermite solve, determinants, products.
 
 Matrices are lists (or tuples) of rows of Python ints.  Everything here is
-arbitrary precision; no entry is ever coerced to a fixed-width type.
+arbitrary precision; no entry is ever coerced to a fixed-width type.  Both
+normal forms clear an entry with the one 2 x 2 unimodular step ``_clearing``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import compress, count
 from operator import mul
 
@@ -116,16 +118,25 @@ def det_bareiss(M, p=None):
 
 
 def _xgcd(a, b):
-    # returns (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g
-    x0, x1, y0, y1 = 1, 0, 0, 1
+    # returns (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g; y is found last
+    A, B = a, b
+    x0, x1 = 1, 0
     while b:
         q, r = divmod(a, b)
         a, b = b, r
         x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
     if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
+        a, x0 = -a, -x0
+    return a, x0, (a - x0 * A) // B if B else 0
+
+
+def _clearing(p, q):
+    # the unimodular (a, b, c, d) taking (p, q) to (a p + b q, c p + d q) =
+    # (p, 0) by a multiple of p where p divides q, else to (gcd(p, q), 0)
+    if p and q % p == 0:
+        return 1, 0, -(q // p), 1
+    g, x, y = _xgcd(p, q)
+    return x, y, -(q // g), p // g
 
 
 def smith_normal_form(M):
@@ -164,20 +175,10 @@ def smith_normal_form(M):
         while True:
             for i in range(t + 1, m):
                 if A[i][t]:
-                    p, q = A[t][t], A[i][t]
-                    if p and q % p == 0:
-                        row_combine(t, i, 1, 0, -(q // p), 1)
-                    else:
-                        g, x, y = _xgcd(p, q)
-                        row_combine(t, i, x, y, -(q // g), p // g)
+                    row_combine(t, i, *_clearing(A[t][t], A[i][t]))
             for j in range(t + 1, n):
                 if A[t][j]:
-                    p, q = A[t][t], A[t][j]
-                    if p and q % p == 0:
-                        col_combine(t, j, 1, 0, -(q // p), 1)
-                    else:
-                        g, x, y = _xgcd(p, q)
-                        col_combine(t, j, x, y, -(q // g), p // g)
+                    col_combine(t, j, *_clearing(A[t][t], A[t][j]))
             if all(A[i][t] == 0 for i in range(t + 1, m)):
                 break
 
@@ -212,12 +213,10 @@ def smith_normal_form(M):
             a, b = A[i][i], A[i + 1][i + 1]
             if b % a != 0:
                 row_combine(i, i + 1, 1, 1, 0, 1)      # A[i][i+1] = b
-                g, x, y = _xgcd(a, b)
-                col_combine(i, i + 1, x, y, -(b // g), a // g)
-                # A[i][i+1] = -(b/g) a + (a/g) b = 0; clear the fill-in at A[i+1][i]
-                p = A[i][i]
+                col_combine(i, i + 1, *_clearing(a, b))
+                # A[i][i] = gcd(a, b) divides the fill-in at A[i+1][i]
                 if A[i + 1][i]:
-                    row_combine(i, i + 1, 1, 0, -(A[i + 1][i] // p), 1)
+                    row_combine(i, i + 1, *_clearing(A[i][i], A[i + 1][i]))
                 changed = True
     for i in range(rank):
         if A[i][i] < 0:
@@ -229,35 +228,34 @@ def smith_normal_form(M):
 def hermite_rows(rows):
     """Canonical row Hermite form of the lattice spanned by ``rows``.
 
-    Pivots are positive and leftmost, entries above each pivot are reduced
-    into [0, pivot) as it is placed.  The output is the lattice's unique
-    canonical basis, whatever rows span it (Cohen, GTM 138, 2.4.3).
+    Kannan and Bachem's row insertion (SIAM J. Comput. 8(4), 1979): each row
+    is cleared by ``_clearing`` against the pivot rows held, in column order,
+    until it is zero or reaches a column with no pivot, where it becomes a
+    pivot row with a positive pivot.  Then every entry above every pivot is
+    reduced into [0, pivot), top pivot first.  So the rows held are always
+    the unique canonical basis of the rows so far (Cohen, GTM 138, 2.4.3).
     """
-    A = [list(r) for r in rows]
-    n = len(A[0]) if A else 0
-    r = 0
-    for col in range(n):
-        # gcd-sweep the column below r until live holds at most one row
-        while True:
-            live = [i for i in range(r, len(A)) if A[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(A[i][col]))
-            p = live[0]
-            for i in live[1:]:
-                q = A[i][col] // A[p][col]
-                A[i] = [x - q * y for x, y in zip(A[i], A[p])]
-        if not live:
-            continue
-        A[r], A[live[0]] = A[live[0]], A[r]
-        if A[r][col] < 0:
-            A[r] = [-x for x in A[r]]
-        for i in range(r):
-            q = A[i][col] // A[r][col]
-            if q:
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return A[:r]
+    H, cols = [], []  # the pivot rows, and their pivot columns in increasing order
+    for r in map(list, rows):
+        j = next(compress(count(), r), None)
+        while j in cols:
+            k = cols.index(j)
+            h = H[k]
+            a, b, c, d = _clearing(h[j], r[j])
+            if b:  # else (1, 0, c, 1): the pivot row stays as it is
+                H[k] = [a * x + b * y for x, y in zip(h, r)]
+            r = [c * x + d * y for x, y in zip(h, r)]
+            j = next(compress(count(), r), None)
+        if j is not None:
+            k = bisect(cols, j)
+            H.insert(k, r if r[j] > 0 else [-x for x in r])
+            cols.insert(k, j)
+        for i, (j, h) in enumerate(zip(cols, H)):
+            for k in range(i):
+                q = H[k][j] // h[j]
+                if q:
+                    H[k] = [x - q * y for x, y in zip(H[k], h)]
+    return H
 
 
 def snf_diagonal(D):

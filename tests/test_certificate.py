@@ -499,10 +499,12 @@ def test_cli_verify_multiple_jobs(e2_payload, tmp_path):
     assert cmd_verify(paths, jobs=2) == EXIT_OK
 
 
-def test_cli_verify_jobs_starts_no_more_workers_than_files(e2_payload, tmp_path, monkeypatch):
-    # a fork-started pool launches max_workers processes at the first submit,
-    # so the pool is asked for one worker per file at most; the stand-in pool
-    # maps in this process and starts none
+def _inline_pool(monkeypatch, cpus, affinity=True):
+    """Replace ProcessPoolExecutor by a pool that maps in this process and
+    starts no process, and return the list of the max_workers it is asked
+    for.  The usable CPUs read as `cpus`: through os.sched_getaffinity or,
+    with `affinity` false, through os.cpu_count with os.sched_getaffinity
+    removed."""
     import concurrent.futures
 
     asked = []
@@ -520,18 +522,50 @@ def test_cli_verify_jobs_starts_no_more_workers_than_files(e2_payload, tmp_path,
         def map(self, fn, items):
             return map(fn, items)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return asked
+
+
+def _copies(payload, tmp_path, count):
     paths = []
-    for i in range(2):
+    for i in range(count):
         p = tmp_path / f"c{i}.json"
-        cert.write_json(p, e2_payload)
+        cert.write_json(p, payload)
         paths.append(str(p))
+    return paths
+
+
+def test_cli_verify_jobs_starts_no_more_workers_than_files(e2_payload, tmp_path, monkeypatch):
+    # a fork-started pool launches max_workers processes at the first submit,
+    # so the pool is asked for one worker per file at most; 8 usable CPUs are
+    # stubbed, so the cap does not depend on the machine
+    paths = _copies(e2_payload, tmp_path, 2)
     alone = io.StringIO()
     rc = cmd_verify(paths, out=alone)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    asked = _inline_pool(monkeypatch, 8)
     out = io.StringIO()
     assert cmd_verify(paths, jobs=64, out=out) == rc == EXIT_OK
     assert asked == [2]
     assert out.getvalue() == alone.getvalue()
+
+
+def test_cli_verify_jobs_starts_no_more_workers_than_usable_cpus(e2_payload, tmp_path, monkeypatch):
+    # --jobs 64 on 5 files asks for min(64, 5, usable CPUs) workers: the
+    # CPUs in this process's affinity set, else os.cpu_count(), else 1
+    paths = _copies(e2_payload, tmp_path, 5)
+    alone = io.StringIO()
+    rc = cmd_verify(paths, out=alone)
+    for cpus, affinity, workers in ((3, True, 3), (64, True, 5), (2, False, 2), (None, False, 1)):
+        asked = _inline_pool(monkeypatch, cpus, affinity)
+        out = io.StringIO()
+        assert cmd_verify(paths, jobs=64, out=out) == rc == EXIT_OK
+        assert asked == [workers]
+        assert out.getvalue() == alone.getvalue()
 
 
 def _set(path, value):
@@ -1224,11 +1258,12 @@ def test_digest_changes_with_content(e2_payload):
 # --- the verifier stays small and total --------------------------------------
 
 # the most lines the hkcert modules that a verify process loads may sum to:
-# every verify process reads and compiles the whole checker; 30 over 1555
+# every verify process reads and compiles the whole checker; 29 over 1555
 # since hermite_rows moved into snf, so that the Picard Smith form is taken
 # of the basis's Hermite rows (ROADMAP item 17), and construct validates
-# before it shifts B; Picard membership is back substitution on those rows
-VERIFY_LINE_BUDGET = 1585
+# before it shifts B; Picard membership is back substitution on those rows,
+# and hermite_rows inserts rows with the Smith form's 2 x 2 clearing step
+VERIFY_LINE_BUDGET = 1584
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:

@@ -110,8 +110,9 @@ def certified(entry):
     return _certified(json.dumps(key, sort_keys=True))
 
 
-# (rows, decimal digits per entry) of the hostile Picard bases of ROADMAP item 17
-HOSTILE_PIC_SHAPES = ((8, 100), (8, 400), (16, 100), (22, 100), (16, 400), (22, 400))
+# (rows, decimal digits per entry) of the hostile Picard bases of ROADMAP item
+# 17; the last has more rows than the rank of 23
+HOSTILE_PIC_SHAPES = ((8, 100), (8, 400), (16, 100), (22, 100), (16, 400), (22, 400), (100, 400))
 
 
 def hostile_pic_payload(rows, digits):

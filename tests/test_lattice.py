@@ -729,10 +729,12 @@ def _span_cases(draw):
         span[rng.randrange(len(span))] = [0] * rank
     if len(span) > 1 and draw(st.booleans()):
         i, k = rng.sample(range(len(span)), 2)
-        span[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(span[k], span[i - 1])]
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        span[i] = [a * x + c * y for x, y in zip(span[k], span[i - 1])]
     if span and draw(st.booleans()):
         i = rng.randrange(len(span))
-        span[i] = [rng.choice((2, 3, 6)) * x for x in span[i]]
+        f = rng.choice((2, 3, 6))
+        span[i] = [f * x for x in span[i]]
     image = [0] * rank
     for s in span:
         c = rng.randint(-bound, bound)
@@ -783,19 +785,33 @@ def test_span_form_of_the_hermite_rows_matches_the_basis_as_given(uu, lam2, case
     assert in_span_plus_lattice(q, S) == dense_in_span_plus_lattice(q, S)
 
 
-@pytest.mark.parametrize("rows", (16, 22))
+_MEMBERSHIP_FAILURES = [
+    ("instance_w_in_pic", ""),
+    ("instance_b_orthogonal_pic", ""),
+    ("class_a_in_pic", ""),
+    ("omega_in_pic", ""),
+    ("alpha_is_b_field", ""),
+]
+
+
+@pytest.mark.parametrize("rows", (16, 22, 40))
 def test_hostile_picard_bases_fail_the_membership_checks(rows):
     # ROADMAP item 17's hostile bases of 100-digit entries: verify fails
     # exactly the checks that test membership in Pic or orthogonality to it,
-    # as it did on the Smith form of the basis as given
+    # as it did on the Smith form of the basis as given.  40 rows, past the
+    # rank of 23, span all of Lambda (23 invariant factors 1): w, the class
+    # A and omega are then in Pic, and verify fails the basis's independence,
+    # so its saturation, and B's orthogonality to Pic instead
     checks = verify_payload(hostile_pic_payload(rows, 100))
-    assert [(c.name, c.details) for c in checks if not c.ok] == [
-        ("instance_w_in_pic", ""),
-        ("instance_b_orthogonal_pic", ""),
-        ("class_a_in_pic", ""),
-        ("omega_in_pic", ""),
-        ("alpha_is_b_field", ""),
-    ]
+    assert [(c.name, c.details) for c in checks if not c.ok] == {
+        16: _MEMBERSHIP_FAILURES,
+        22: _MEMBERSHIP_FAILURES,
+        40: [
+            ("instance_pic_independent", ""),
+            ("instance_pic_saturated", f"invariant factors {[1] * 23}"),
+            ("instance_b_orthogonal_pic", ""),
+        ],
+    }[rows]
 
 
 # --- search order -----------------------------------------------------------

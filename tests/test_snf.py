@@ -5,6 +5,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkcert import snf
 from hkcert.sampler import gram_signature, kernel_basis
 from hkcert.snf import (
     det_bareiss,
@@ -91,7 +92,8 @@ def snf_inputs(draw, size=8):
             row[j] = 0
     if m > 1 and draw(st.booleans()):
         i, k = rng.sample(range(m), 2)
-        M[i] = [rng.randint(-3, 3) * x for x in M[k]]
+        f = rng.randint(-3, 3)
+        M[i] = [f * x for x in M[k]]
     return M
 
 
@@ -203,7 +205,8 @@ def integer_systems(draw):
         M[-1] = [a * x + c * y for x, y in zip(M[0], M[1])]
     if draw(st.booleans()):
         i = rng.randrange(m)
-        M[i] = [rng.choice((2, 3, 6)) * x for x in M[i]]
+        f = rng.choice((2, 3, 6))
+        M[i] = [f * x for x in M[i]]
     if draw(st.booleans()):
         M[rng.randrange(m)] = [0] * n
     kind = draw(st.sampled_from(("image", "moved", "zero", "random")))
@@ -243,10 +246,12 @@ def test_solve_integer_matches_dense_reference_on_seeded_matrices():
             M[rng.randrange(m)] = [0] * n
         if m > 1 and rng.random() < 0.3:
             i, k = rng.sample(range(m), 2)
-            M[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(M[k], M[i - 1])]
+            a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+            M[i] = [a * x + c * y for x, y in zip(M[k], M[i - 1])]
         if rng.random() < 0.3:
             i = rng.randrange(m)
-            M[i] = [rng.choice((2, 3, 6)) * x for x in M[i]]
+            f = rng.choice((2, 3, 6))
+            M[i] = [f * x for x in M[i]]
         b = _times([rng.randint(-9, 9) for _ in range(m)], M, n)
         if rng.random() < 0.5:
             b[rng.randrange(n)] += rng.choice((-1, 1))
@@ -333,16 +338,23 @@ def test_hermite_rows_match_sympy():
     from sympy import Matrix
     from sympy.matrices.normalforms import hermite_normal_form
 
+    # up to 12 rows of width up to 7, so often more rows than the rank, with
+    # zero, duplicated, tripled and combined rows
     rng = random.Random(2024)
     for _ in range(2000):
-        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        m, n = rng.randint(1, 12), rng.randint(1, 7)
         density = rng.choice((0.3, 0.7, 1.0))
         M = [[rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
         if rng.random() < 0.3:
             M[rng.randrange(m)] = [0] * n
+        for factor in (1, 3):
+            if m > 1 and rng.random() < 0.3:
+                i, k = rng.sample(range(m), 2)
+                M[i] = [factor * x for x in M[k]]
         if m > 1 and rng.random() < 0.3:
             i, k = rng.sample(range(m), 2)
-            M[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(M[k], M[i - 1])]
+            a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+            M[i] = [a * x + c * y for x, y in zip(M[k], M[i - 1])]
         H = hermite_normal_form(Matrix([row[::-1] for row in M]).T)
         rows = [[int(H[i, j]) for i in reversed(range(H.rows))] for j in range(H.cols)]
         assert hermite_rows(M) == rows[::-1], M
@@ -362,7 +374,8 @@ def wide_row_lists(draw):
         rows[rng.randrange(m)] = [0] * 23
     if m > 1 and draw(st.booleans()):
         i, k = rng.sample(range(m), 2)
-        rows[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[k], rows[i - 1])]
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[i] = [a * x + c * y for x, y in zip(rows[k], rows[i - 1])]
     return rows
 
 
@@ -386,6 +399,69 @@ def test_hermite_rows_entries_within_the_minor_bound(rows):
     H = hermite_rows(rows)
     b = max(x.bit_length() for row in rows for x in row)
     assert all(x.bit_length() <= len(H) * (b + 3) for h in H for x in h)
+
+
+@st.composite
+def hostile_bases(draw):
+    # rows of 23 dense entries of up to 400 digits, as a hostile Picard basis:
+    # up to 22 rows at 400 digits, up to 40 (past the rank of 23) at 100 or
+    # fewer; a zero, a duplicated, a tripled and a combined row put rows past
+    # the rank at any size
+    digits = draw(st.sampled_from((1, 30, 100, 400)))
+    m = draw(st.integers(1, 22 if digits == 400 else 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bound = 10**digits
+    rows = [[rng.randint(-bound, bound) for _ in range(23)] for _ in range(m)]
+    for factor in (0, 1, 3):
+        if draw(st.booleans()):
+            rows.insert(rng.randrange(m + 1), [factor * x for x in rng.choice(rows)])
+    if m > 1 and draw(st.booleans()):
+        i, k = rng.sample(range(m), 2)
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([a * x + c * y for x, y in zip(rows[i], rows[k])])
+    return rows
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(hostile_bases())
+def test_hermite_rows_clears_entries_within_a_minor_bound(rows):
+    """Every entry p or q that hermite_rows passes to _clearing, on an m x 23
+    matrix M with b-bit entries and rank r, has at most (r + 1)(b + 5) bits.
+
+    (The output's r (b + 3) bits do not hold here: on the hostile basis of
+    40 rows of 100 digits of tests/test_corpus.py, 333-bit entries, a q
+    reaches 7992 bits, over 23 * 336 = 7728.)  Before a row v is added, the
+    rows held are the canonical form H of the rows before it, of rank
+    s <= r, with pivots p_0, ..., p_{s-1} at columns j_0 < ... < j_{s-1}.
+    Their product divides an s x s minor of those rows (see
+    test_hermite_rows_entries_within_the_minor_bound), so it is under
+    Delta = (sqrt(s) 2^b)^s; each p passed is one of them.  The call at
+    pivot i passes q = v_i[j_i], where v_i = D v + sum_{l<i} c_l h_l is v
+    after the steps at the pivots l < i: each step multiplies v by its d, 1
+    or p_l / gcd, so D <= p_0 ... p_{i-1}, and v_i is zero at j_0, ...,
+    j_{i-1}.  Let N be the (i+1) x (i+1) matrix of the rows h_0, ...,
+    h_{i-1}, v on the columns j_0, ..., j_i.  Its top left block is
+    triangular with diagonal p_0, ..., p_{i-1}, so by its Schur complement
+    v_i[j_i] = D det N / (p_0 ... p_{i-1}), and |q| <= |det N|.  Divide
+    column j_m of N by p_m: the rows of H become unit upper triangular with
+    entries in [0, 1) (H is reduced), so row l has norm at most
+    sqrt(i + 1 - l), and v's row has entries under 2^b.  By Hadamard
+    |det N| <= p_0 ... p_i sqrt((i + 1)! (i + 1)) 2^b < Delta sqrt(s s!) 2^b,
+    under 2^((s + 1) b + (s + 1/2) log2(s)) <= 2^((r + 1)(b + 5)) for
+    s <= r <= 23.
+    """
+    seen = []
+    clearing = snf._clearing
+
+    def spy(p, q):
+        seen.append(max(abs(p), abs(q)).bit_length())
+        return clearing(p, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snf, "_clearing", spy)
+        H = hermite_rows(rows)
+    b = max(x.bit_length() for row in rows for x in row)
+    assert all(bits <= (len(H) + 1) * (b + 5) for bits in seen)
 
 
 # --- products against the naive triple sum ----------------------------------
