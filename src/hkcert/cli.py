@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 input/format error,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -92,20 +91,27 @@ def _verify_one(path):
 
 
 def cmd_verify(paths, jobs=1, out=sys.stdout):
+    """Verify each file, printing its lines, in input order, as soon as it and
+    every file before it are done."""
     if jobs > 1 and len(paths) > 1:
         # imported here: it pulls in multiprocessing, which every other
         # command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork-started pool launches all its workers at once: no more than the files or usable CPUs
+        # the pool may start all its workers at once (at the first submit
+        # under fork, on demand under forkserver, CPython 3.14's default on
+        # Linux): no more than the files or usable CPUs
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         with ProcessPoolExecutor(max_workers=min(jobs, len(paths), cpus)) as pool:
-            results = list(pool.map(_verify_one, paths))
-    else:
-        results = [_verify_one(p) for p in paths]
+            # map submits every file at once and yields the results in order
+            return _report(pool.map(_verify_one, paths), out)
+    return _report(map(_verify_one, paths), out)
+
+
+def _report(results, out):
     code = EXIT_OK
     for rc, lines in results:
-        print("\n".join(lines), file=out)
+        print("\n".join(lines), file=out, flush=True)
         code = max(code, rc)
     return code
 
@@ -145,49 +151,105 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
     return EXIT_OK
 
 
+# The command line, one entry per command: its function's name, its help,
+# its positional argument as (dest, metavar, help) or None, and its options
+# as (flags, dest, type, default, metavar, help), a default of None marking
+# a required option.  main parses a command line that spells every flag in
+# full against this table alone; build_parser makes argparse's parser of it
+# for help, usage errors and every other spelling.
+COMMANDS = {
+    "construct": ("cmd_construct", "run the pipeline on an instance file", None, (
+        (("-i", "--input"), "input_path", str, None, "INPUT", "instance JSON"),
+        (("-o", "--output"), "output_path", str, None, "OUTPUT", "certificate JSON to write"),
+        (("--budget-u",), "u_budget", int, BUDGETS["u_budget"], "BUDGET_U", "max step multiplier u"),
+        (("--budget-t",), "t_budget", int, BUDGETS["t_budget"], "BUDGET_T", "max twist multiplier t"),
+        (("--budget-isometry",), "isometry_budget", int, BUDGETS["isometry_budget"], "BUDGET_ISOMETRY",
+         "max transvections per reduction"),
+        (("--bound-coeff",), "coeff_bound", int, BUDGETS["coeff_bound"], "BOUND_COEFF",
+         "coefficient bound for the A/omega searches"),
+    )),
+    "verify": ("cmd_verify", "recheck certificates from their recorded data",
+               ("paths", "certs", "certificate JSON files"), (
+        (("--jobs",), "jobs", int, 1, None, "verify files in parallel"),
+    )),
+    "random": ("cmd_random", "write seeded random instance files", None, (
+        (("--n",), "n", int, None, None, None),
+        (("--pic-rank",), "pic_rank", int, None, None, None),
+        (("--c0",), "c0", int, None, None, None),
+        (("--d-max",), "d_max", int, 3, None, None),
+        (("--seed",), "seed", int, None, None, None),
+        (("--count",), "count", int, 1, None, None),
+        (("-o", "--out-dir"), "out_dir", str, None, None, None),
+    )),
+}
+
+
+def _parse_exact(argv):
+    """(command, keywords) of an argv that argparse would read the same way,
+    or None.  Every token after the command is a flag of it, spelled in full
+    and followed by its value (an int in ASCII digits that int() reads, a
+    string not starting with "-"), or, for verify, one run of paths not
+    starting with "-"; no flag twice, and every required one given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, positional, options = COMMANDS[argv[0]]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    kwargs, i = {}, 1
+    while i < len(argv):
+        if argv[i] not in by_flag:
+            # the paths, up to the next token that starts with "-"
+            j = next((j for j in range(i, len(argv)) if argv[j].startswith("-")), len(argv))
+            if positional is None or positional[0] in kwargs or j == i:
+                return None
+            kwargs[positional[0]], i = argv[i:j], j
+            continue
+        _, dest, kind, *_ = by_flag[argv[i]]
+        value = argv[i + 1] if i + 1 < len(argv) else "-"
+        if dest in kwargs or value.startswith("-") or kind is int and not (value.isascii() and value.isdigit()):
+            return None
+        try:
+            kwargs[dest], i = kind(value), i + 2
+        except ValueError:  # an int past the int/str digit limit
+            return None
+    for _, dest, _, default, _, _ in options:
+        kwargs.setdefault(dest, default)
+    if positional is not None:
+        kwargs.setdefault(positional[0], None)
+    # None: a required option, or the paths, not given
+    return None if None in kwargs.values() else (argv[0], kwargs)
+
+
 def build_parser():
-    """Each flag's dest is its command function's parameter: main passes them by name."""
+    """argparse's parser of COMMANDS.  Each dest is its command function's
+    parameter: main passes them by name."""
+    import argparse  # here: a well-formed command line never needs it
+
     parser = argparse.ArgumentParser(
         prog="hkcert",
         description="Construct and verify exact lattice certificates for the "
         "twisted derived-equivalence construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="run the pipeline on an instance file")
-    c.set_defaults(run=cmd_construct, **BUDGETS)
-    c.add_argument("-i", "--input", dest="input_path", metavar="INPUT", required=True, help="instance JSON")
-    c.add_argument("-o", "--output", dest="output_path", metavar="OUTPUT", required=True,
-                   help="certificate JSON to write")
-    for flag, dest, text in (
-        ("--budget-u", "u_budget", "max step multiplier u"),
-        ("--budget-t", "t_budget", "max twist multiplier t"),
-        ("--budget-isometry", "isometry_budget", "max transvections per reduction"),
-        ("--bound-coeff", "coeff_bound", "coefficient bound for the A/omega searches"),
-    ):
-        c.add_argument(flag, dest=dest, metavar=flag[2:].replace("-", "_").upper(), type=int, help=text)
-
-    v = sub.add_parser("verify", help="recheck certificates from their recorded data")
-    v.set_defaults(run=cmd_verify)
-    v.add_argument("paths", metavar="certs", nargs="+", help="certificate JSON files")
-    v.add_argument("--jobs", type=int, default=1, help="verify files in parallel")
-
-    r = sub.add_parser("random", help="write seeded random instance files")
-    r.set_defaults(run=cmd_random)
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--pic-rank", type=int, required=True)
-    r.add_argument("--c0", type=int, required=True)
-    r.add_argument("--d-max", type=int, default=3)
-    r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--count", type=int, default=1)
-    r.add_argument("-o", "--out-dir", required=True)
+    for name, (_, text, positional, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if positional is not None:
+            dest, metavar, text = positional
+            p.add_argument(dest, metavar=metavar, nargs="+", help=text)
+        for flags, dest, kind, default, metavar, text in options:
+            given = {"required": True} if default is None else {"default": default}
+            p.add_argument(*flags, dest=dest, metavar=metavar, type=kind, help=text, **given)
     return parser
 
 
 def main(argv=None):
-    args = vars(build_parser().parse_args(argv))
-    del args["command"]  # the subcommand's name; "run" is its function
-    return args.pop("run")(**args)
+    argv = sys.argv[1:] if argv is None else argv
+    parsed = _parse_exact(argv)
+    if parsed is None:
+        args = vars(build_parser().parse_args(argv))
+        parsed = args.pop("command"), args
+    command, kwargs = parsed
+    # looked up at each call, so that a wrapper set on cli.cmd_* sees it
+    return globals()[COMMANDS[command][0]](**kwargs)
 
 
 def run(argv=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from . import obstruction, snf
 from .errors import ConstructionInvariantViolated, SearchExhausted
@@ -219,6 +219,37 @@ def form_evaluator(gram):
     return value
 
 
+def gram_signature(G):
+    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
+
+    Lagrange's reduction in integers (Sylvester's law of inertia): a nonzero
+    diagonal pivot p splits off one line, and what remains is p times the
+    Schur complement, so the k-th line has the sign of p_1 ... p_k.  On a zero
+    diagonal, e_i + e_j with G_ij != 0 is the pivot, its norm being 2 G_ij; a
+    remainder that is all zero is the radical.
+    """
+    rest = [list(row) for row in G]
+    sign, neg = 1, 0
+    while rest:
+        i = next((k for k, row in enumerate(rest) if row[k]), None)
+        if i is None:
+            hit = next(((i, j) for i, row in enumerate(rest) for j, x in enumerate(row) if x), None)
+            if hit is None:
+                break
+            i, j = hit
+            # the basis change e_i -> e_i + e_j, on the rows and then the columns
+            rest[i] = list(map(add, rest[i], rest[j]))
+            for row in rest:
+                row[i] += row[j]
+        top = rest.pop(i)
+        p = top.pop(i)
+        sign = -sign if p < 0 else sign
+        neg += sign < 0
+        rest = [[p * x - row[i] * y for x, y in zip(row[:i] + row[i + 1:], top)] for row in rest]
+    zero = len(rest)
+    return len(G) - neg - zero, neg, zero
+
+
 def w_pairings(inst: HKInstance):
     """(p, W) for each Picard basis vector p; SearchExhausted if all are zero,
     as neither find_A nor find_omega then has a candidate."""
@@ -250,8 +281,13 @@ def find_omega(inst: HKInstance, coeff_bound: int = BUDGETS["coeff_bound"]) -> L
     first_orthogonal_tuple); the hit is the one the full scan finds first.
     """
     weights = w_pairings(inst)
-    value = form_evaluator(gram_of(inst.pic_basis))
-    coeffs = first_orthogonal_tuple(weights, coeff_bound, lambda c: value(c) > 0)
+    gram = gram_of(inst.pic_basis)
+    value = form_evaluator(gram)
+    # a Picard form with no positive direction has no class to find: say so
+    # at once, not after every tuple of the coefficient box
+    coeffs = None
+    if gram_signature(gram)[0]:
+        coeffs = first_orthogonal_tuple(weights, coeff_bound, lambda c: value(c) > 0)
     if coeffs is None:
         raise SearchExhausted(
             f"no positive-norm class orthogonal to W within coefficient bound {coeff_bound}"

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 from . import snf
 from .construction import (
     form_evaluator,
     gram_of,
+    gram_signature,
     linear_combination,
     orthogonal_complement_basis,
 )
@@ -61,37 +62,6 @@ def check_parameters(n: int, pic_rank: int, C0: int, d_max: int) -> None:
     # W lies in an even lattice, so its norm is even and (-C0, 0) must hold -2
     if C0 < 3:
         raise ValueError(f"C0 must be at least 3 for an even wall norm to lie in (-C0, 0), got {C0}")
-
-
-def gram_signature(G):
-    """(n_plus, n_minus, n_zero) of a symmetric integer matrix, exactly.
-
-    Lagrange's reduction in integers (Sylvester's law of inertia): a nonzero
-    diagonal pivot p splits off one line, and what remains is p times the
-    Schur complement, so the k-th line has the sign of p_1 ... p_k.  On a zero
-    diagonal, e_i + e_j with G_ij != 0 is the pivot, its norm being 2 G_ij; a
-    remainder that is all zero is the radical.
-    """
-    rest = [list(row) for row in G]
-    sign, neg = 1, 0
-    while rest:
-        i = next((k for k, row in enumerate(rest) if row[k]), None)
-        if i is None:
-            hit = next(((i, j) for i, row in enumerate(rest) for j, x in enumerate(row) if x), None)
-            if hit is None:
-                break
-            i, j = hit
-            # the basis change e_i -> e_i + e_j, on the rows and then the columns
-            rest[i] = list(map(add, rest[i], rest[j]))
-            for row in rest:
-                row[i] += row[j]
-        top = rest.pop(i)
-        p = top.pop(i)
-        sign = -sign if p < 0 else sign
-        neg += sign < 0
-        rest = [[p * x - row[i] * y for x, y in zip(row[:i] + row[i + 1:], top)] for row in rest]
-    zero = len(rest)
-    return len(G) - neg - zero, neg, zero
 
 
 def _try_sample(rng, L, n, pic_rank, C0, d_max):

@@ -463,6 +463,25 @@ def test_cli_construct_unnormalizable_b_is_refused_at_once(e2_instance, lam2, tm
     assert not cert_path.exists()
 
 
+@pytest.mark.parametrize("rho", [6, 10])
+def test_cli_construct_negative_definite_pic_is_exhausted_at_once(e2_instance, lam2, tmp_path, rho):
+    # Pic = a1 ... a_rho (the first E8(-1) block, then the second's b1, b2)
+    # holds no class of positive norm: find_omega reads that off the Picard
+    # form's signature, with the message of the scan of the 33^(rho - 2)
+    # prefixes of its coefficient box that it skips (36.6 s at rho = 6)
+    basis = [lam2.basis_vector(i) for i in [*range(6, 14), 14, 15][:rho]]
+    inst = e2_instance.replace(n=2, pic_basis=tuple(basis), W=basis[0], B=lam2.vector([0, 0, 1, 1] + [0] * 19),
+                               d=2, C0=3)
+    cert.write_json(tmp_path / "negative.json", cert.instance_to_payload(inst))
+    start = time.perf_counter()
+    r = _hkcert("construct", "-i", "negative.json", "-o", "negative.cert.json", cwd=tmp_path,
+                capture_output=True, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert (r.returncode, r.stderr) == (EXIT_BUDGET, "")
+    assert r.stdout == "error: search exhausted: no positive-norm class orthogonal to W within coefficient bound 16\n"
+    assert not (tmp_path / "negative.cert.json").exists()
+
+
 def test_cli_construct_validates_before_it_shifts_b(e2_instance, lam2, tmp_path):
     # 20 small random Picard rows span a non-saturated lattice, and B = a1
     # has norm -2: no B shift can mend pic_saturated, so construct names it
@@ -566,6 +585,30 @@ def test_cli_verify_jobs_starts_no_more_workers_than_usable_cpus(e2_payload, tmp
         assert cmd_verify(paths, jobs=64, out=out) == rc == EXIT_OK
         assert asked == [workers]
         assert out.getvalue() == alone.getvalue()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_verify_prints_each_file_before_the_next_is_verified(tmp_path, monkeypatch, jobs):
+    # a file's lines are written and flushed once it and every file before
+    # it are done, not at the end of the batch; --jobs 2 maps in this process
+    # here, lazily in input order, as the process pool's map yields
+    from hkcert import cli
+
+    events = []
+
+    class Out(io.StringIO):
+        def flush(self):
+            events.append(("flushed", self.getvalue()))
+
+    def verify_one(path):
+        events.append(("verified", path))
+        return EXIT_OK, [f"{path}: OK"]
+
+    monkeypatch.setattr(cli, "_verify_one", verify_one)
+    if jobs > 1:
+        _inline_pool(monkeypatch, 8)
+    assert cmd_verify(["a", "b"], jobs=jobs, out=Out()) == EXIT_OK
+    assert events == [("verified", "a"), ("flushed", "a: OK\n"), ("verified", "b"), ("flushed", "a: OK\nb: OK\n")]
 
 
 def _set(path, value):
@@ -899,6 +942,15 @@ def test_cli_verify_crash_keeps_other_verdicts(e2_payload, tmp_path, monkeypatch
         return real(payload)
 
     monkeypatch.setattr(cert, "verify_payload", verify_payload)
+    if jobs > 1:
+        # the patch reaches the workers through fork only, which CPython 3.14
+        # no longer starts them by on Linux (forkserver)
+        import concurrent.futures
+        import functools
+        import multiprocessing
+
+        pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     out = io.StringIO()
     assert cmd_verify([str(p) for p in paths], jobs=jobs, out=out) == EXIT_INPUT
     assert out.getvalue() == "".join(
@@ -1262,8 +1314,10 @@ def test_digest_changes_with_content(e2_payload):
 # since hermite_rows moved into snf, so that the Picard Smith form is taken
 # of the basis's Hermite rows (ROADMAP item 17), and construct validates
 # before it shifts B; Picard membership is back substitution on those rows,
-# and hermite_rows inserts rows with the Smith form's 2 x 2 clearing step
-VERIFY_LINE_BUDGET = 1584
+# and hermite_rows inserts rows with the Smith form's 2 x 2 clearing step;
+# 62 more since the CLI parses well-formed command lines from its own
+# command table, without argparse, and verify prints each file as it is done
+VERIFY_LINE_BUDGET = 1646
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
@@ -1297,6 +1351,19 @@ def test_cli_construct_loads_the_pipeline_but_not_the_sampler(e2_instance, tmp_p
     )
     assert len(output) == 1 and output[0].startswith("e2.cert.json: C1=")
     assert (code, loads_construction, loads_sampler) == ("0", "True", "False")
+
+
+def test_cli_well_formed_command_lines_load_no_argparse(e2_instance, tmp_path):
+    # main parses a command line that spells its flags in full without
+    # argparse, nor the gettext and locale that argparse loads; a module a
+    # bare interpreter already holds (from a site .pth file) does not count
+    watched = ("argparse", "gettext", "locale")
+    bare = loaded_modules("pass")
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    for args in (["construct", "-i", "e2.json", "-o", "e2.cert.json"], ["verify", "e2.cert.json"]):
+        _, (code, *loads, _) = _cli_loads(args, tmp_path, watched)
+        assert code == "0"
+        assert [m for m, loaded in zip(watched, loads) if loaded == "True" and m not in bare] == []
 
 
 def test_annotations_resolve_outside_the_pipeline():
