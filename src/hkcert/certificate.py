@@ -11,9 +11,6 @@ serialization guards fields (budgets, tool version, C0 headroom) whose
 mutation would otherwise yield a different-but-consistent certificate.
 """
 
-from __future__ import annotations
-
-import hashlib
 import json
 from math import gcd
 
@@ -158,10 +155,18 @@ def read_json(path):
 _CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
 
 
+# compute_digest's SHA-256 constructor: hashlib's (OpenSSL), imported at the
+# first digest, unless a process entry set another (cli.run: CPython's built-in)
+sha256 = None
+
+
 def compute_digest(payload):
+    global sha256
+    if sha256 is None:
+        from hashlib import sha256
     body = {k: v for k, v in payload.items() if k != "digest"}
     canonical = _CANONICAL.encode(body)
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _require(data, key, what):

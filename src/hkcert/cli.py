@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 verification failure, 2 input/format error,
 3 search budget exhausted.  No environment variables are read.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
@@ -28,7 +26,7 @@ def _reason(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def cmd_construct(input_path, output_path, out=sys.stdout, **budgets):
+def cmd_construct(input_path, output_path, out=None, **budgets):
     """Construct under instance.BUDGETS, overridden by each budget named as a keyword."""
     # imported here, so that a verify process does not load the pipeline
     from . import construction
@@ -90,7 +88,7 @@ def _verify_one(path):
     return EXIT_OK, lines
 
 
-def cmd_verify(paths, jobs=1, out=sys.stdout):
+def cmd_verify(paths, jobs=1, out=None):
     """Verify each file, printing its lines, in input order, as soon as it and
     every file before it are done."""
     if jobs > 1 and len(paths) > 1:
@@ -116,7 +114,7 @@ def _report(results, out):
     return code
 
 
-def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=sys.stdout):
+def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=None):
     from . import sampler  # here, not at start-up: construct and verify run none of it
     if count < 0:
         print(f"error: count must be >= 0, got {count}", file=out)
@@ -252,8 +250,21 @@ def main(argv=None):
     return globals()[COMMANDS[command][0]](**kwargs)
 
 
+def _builtin_sha256():
+    """CPython's built-in SHA-256 constructor, from the module the running
+    version has (_sha256 before 3.12, _sha2 from it), or hashlib's."""
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # a build without it
+        return __import__("hashlib").sha256
+
+
 def run(argv=None):
     """Process entry of `python -m hkcert` and of the `hkcert` script.
+
+    Digests with CPython's built-in SHA-256, inherited by `verify --jobs`
+    workers started by fork: loading hashlib's OpenSSL costs a process more
+    than the slower hashing of up to about 200 certificates.
 
     Runs `main`, flushes stdout and stderr, and ends with `os._exit`,
     skipping interpreter teardown (about 10 ms per process).  Nothing needs
@@ -269,6 +280,7 @@ def run(argv=None):
     An OSError escaping `main` is a failed write to stdout (every file a
     command opens handles its own), and ends as a failed stdout flush does.
     """
+    cert.sha256 = _builtin_sha256()
     try:
         code, unwritten = main(argv), None
     except OSError as exc:

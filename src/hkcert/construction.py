@@ -9,8 +9,6 @@ first hit in the documented order, so outputs are reproducible.  That order
 and the B-field shift live here too: verify runs neither.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import gcd
 from operator import add, mul

@@ -4,8 +4,6 @@ Also houses Brauer-class arithmetic (equality modulo rational Picard classes
 plus integral classes) and the closed forms that construct and verify share.
 """
 
-from __future__ import annotations
-
 from math import factorial
 
 from . import lattice as lat

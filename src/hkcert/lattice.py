@@ -25,8 +25,6 @@ All values here are immutable and all operations are pure functions, so
 everything is safe to share across threads.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd
 from operator import add, sub

@@ -2,8 +2,6 @@
 divisibility contradiction that certifies the wall condition.  The MBM norm
 bound on W is an instance check (``instance.validate_instance``)."""
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 
 from .record import Record

@@ -8,8 +8,6 @@ that module (it pulls in ``inspect``) and decorating each class would cost
 every CLI process start-up time (see README, "Start-up").
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 

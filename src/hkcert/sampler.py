@@ -4,8 +4,6 @@
 Neither construct nor verify imports this module.
 """
 
-from __future__ import annotations
-
 import random
 from itertools import product
 from operator import mul

@@ -5,8 +5,6 @@ arbitrary precision; no entry is ever coerced to a fixed-width type.  Both
 normal forms clear an entry with the one 2 x 2 unimodular step ``_clearing``.
 """
 
-from __future__ import annotations
-
 from bisect import bisect
 from itertools import compress, count
 from operator import mul

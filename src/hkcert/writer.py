@@ -4,8 +4,6 @@ Every integer goes through hkcert.certificate's codec as a decimal string.
 Construct and random write files; a verify process never loads this module.
 """
 
-from __future__ import annotations
-
 import json
 from json.encoder import encode_basestring_ascii as _escape
 

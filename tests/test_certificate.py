@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import io
 import json
@@ -1256,7 +1257,9 @@ def test_cli_entry_point_stdout_write_failure_is_reported(e2_payload, tmp_path, 
 def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr, code, report):
     # run flushes both streams as the interpreter's shutdown would: a missing
     # or closed stream is skipped, a failed flush makes the status 120, and
-    # a failed stdout flush is reported on stderr
+    # a failed stdout flush is reported on stderr.  main prints its line to
+    # a working stdout; each stream takes its state once main has returned,
+    # so that the state meets run's flush and nothing before it
     from hkcert import cli
 
     class Ended(Exception):
@@ -1269,28 +1272,35 @@ def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr,
             if self.full:
                 raise OSError(28, "No space left on device")
 
-    def stream(kind):
-        if kind is None:
-            return None
-        if kind == "closed":
-            with open(tmp_path / "closed.txt", "w") as closed:
-                return closed
-        s = Stream()
-        s.full = kind == "full"
-        return s
+    def then_set_states(argv):
+        status = main(argv)
+        printed.append(sys.stdout.getvalue())
+        for name, kind in (("stdout", stdout), ("stderr", stderr)):
+            if kind is None:
+                monkeypatch.setattr(sys, name, None)
+            elif kind == "closed":
+                streams[name].close()
+            else:
+                streams[name].full = kind == "full"
+        return status
 
     def _exit(status):
         ended.append(status)
         raise Ended
 
-    ended = []
-    streams = {"stdout": stream(stdout), "stderr": stream(stderr)}
+    ended, printed, main = [], [], cli.main
+    streams = {"stdout": Stream(), "stderr": Stream()}
+    monkeypatch.setattr(cli, "main", then_set_states)
     monkeypatch.setattr(cli.os, "_exit", _exit)
+    # run picks the process's SHA-256; the other tests keep the library's
+    monkeypatch.setattr(cert, "sha256", cert.sha256)
     for name, value in streams.items():
         monkeypatch.setattr(sys, name, value)
+    missing = str(tmp_path / "missing.json")
     with pytest.raises(Ended):
-        cli.run(["verify", str(tmp_path / "missing.json")])
+        cli.run(["verify", missing])
     assert ended == [code]
+    assert printed[0].startswith(f"{missing}: malformed certificate: ")
     if stderr is not None:
         # the report's first line is the interpreter's, checked against it by
         # test_cli_entry_point_full_stdout_is_reported
@@ -1299,6 +1309,30 @@ def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr,
             assert reported.startswith("Exception ignored ") and reported.endswith(report)
         else:
             assert reported == ""
+
+
+def test_cli_main_prints_to_stdout_as_it_is_at_the_call(tmp_path):
+    # no command binds the stream it prints to when the module is imported
+    from hkcert.cli import main
+
+    missing = str(tmp_path / "missing.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", missing]) == EXIT_INPUT
+    assert out.getvalue().startswith(f"{missing}: malformed certificate: ")
+
+
+def test_library_digests_use_hashlib_and_import_it_at_the_first(e2_payload, monkeypatch):
+    # a library caller's first compute_digest sets hashlib's SHA-256, and
+    # importing the certificate module (or the CLI's) loads no hashlib
+    import hashlib
+
+    monkeypatch.setattr(cert, "sha256", None)
+    assert cert.compute_digest(e2_payload) == e2_payload["digest"]
+    assert cert.sha256 is hashlib.sha256
+    bare = loaded_modules("pass")
+    for module in ("hkcert.certificate", "hkcert.cli"):
+        assert {"hashlib", "_hashlib"} & (loaded_modules(f"import {module}") - bare) == set()
 
 
 def test_digest_changes_with_content(e2_payload):
@@ -1316,8 +1350,11 @@ def test_digest_changes_with_content(e2_payload):
 # before it shifts B; Picard membership is back substitution on those rows,
 # and hermite_rows inserts rows with the Smith form's 2 x 2 clearing step;
 # 62 more since the CLI parses well-formed command lines from its own
-# command table, without argparse, and verify prints each file as it is done
-VERIFY_LINE_BUDGET = 1646
+# command table, without argparse, and verify prints each file as it is done;
+# 7 more since the process entry picks CPython's built-in SHA-256 and the
+# library imports hashlib's at its first digest, net of the 14 lines of
+# `from __future__ import annotations` that the verify path dropped
+VERIFY_LINE_BUDGET = 1653
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
@@ -1353,17 +1390,34 @@ def test_cli_construct_loads_the_pipeline_but_not_the_sampler(e2_instance, tmp_p
     assert (code, loads_construction, loads_sampler) == ("0", "True", "False")
 
 
+def imported_modules(args, cwd):
+    """The exit code of `python -X importtime ARGS` and the modules that
+    process imported, by its import-time report."""
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], cwd=cwd, capture_output=True, text=True,
+        env=_buffered_child_env(),
+    )
+    lines = [line for line in r.stderr.splitlines() if line.startswith("import time:")]
+    return r.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
 def test_cli_well_formed_command_lines_load_no_argparse(e2_instance, tmp_path):
-    # main parses a command line that spells its flags in full without
-    # argparse, nor the gettext and locale that argparse loads; a module a
-    # bare interpreter already holds (from a site .pth file) does not count
-    watched = ("argparse", "gettext", "locale")
-    bare = loaded_modules("pass")
+    # a fresh `python -m hkcert` parses a command line that spells its flags
+    # in full without argparse, nor the gettext and locale that argparse
+    # loads; it hashes without OpenSSL's hashlib, and loads no __future__;
+    # a module a bare interpreter already holds (from a site .pth file)
+    # does not count
+    watched = ("argparse", "gettext", "locale", "_hashlib", "hashlib", "__future__")
+    _, bare = imported_modules(["-c", "pass"], tmp_path)
     cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
-    for args in (["construct", "-i", "e2.json", "-o", "e2.cert.json"], ["verify", "e2.cert.json"]):
-        _, (code, *loads, _) = _cli_loads(args, tmp_path, watched)
-        assert code == "0"
-        assert [m for m, loaded in zip(watched, loads) if loaded == "True" and m not in bare] == []
+    for args in (
+        ["construct", "-i", "e2.json", "-o", "e2.cert.json"],
+        ["verify", "e2.cert.json"],
+        ["random", "--n", "2", "--pic-rank", "2", "--c0", "3", "--seed", "7", "-o", "out"],
+    ):
+        code, loaded = imported_modules(["-m", "hkcert", *args], tmp_path)
+        assert code == 0 and "hkcert.cli" in loaded
+        assert [m for m in watched if m in loaded and m not in bare] == []
 
 
 def test_annotations_resolve_outside_the_pipeline():

@@ -31,6 +31,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -214,17 +215,23 @@ def _mutate(payload, path, delta):
     return bad
 
 
-def tamper_transcript():
-    """sha256 of cmd_verify's stdout over criterion 5's 500 mutations of the
-    E2 certificate, each written to ``mutated.json`` in the working directory."""
+def tamper_payloads():
+    """Criterion 5's 500 mutations of the E2 certificate, in order."""
     payload = certified(CORPUS[0])[1]
     paths = list(_int_paths(payload))
     rng = random.Random(424242)
-    out = io.StringIO()
     for _ in range(500):
         path = rng.choice(paths)
         delta = rng.choice((-7, -3, -1, 1, 2, 5))
-        cert.write_json("mutated.json", _mutate(payload, path, delta))
+        yield _mutate(payload, path, delta)
+
+
+def tamper_transcript():
+    """sha256 of cmd_verify's stdout over the 500 tamper payloads, each
+    written to ``mutated.json`` in the working directory."""
+    out = io.StringIO()
+    for bad in tamper_payloads():
+        cert.write_json("mutated.json", bad)
         cmd_verify(["mutated.json"], out=out)
     return _sha(out.getvalue())
 
@@ -237,6 +244,26 @@ def test_tamper_transcript(tmp_path, monkeypatch):
     assert CORPUS[0]["label"] == "e2"
     monkeypatch.chdir(tmp_path)
     assert tamper_transcript() == json.loads(TRANSCRIPT.read_text())["cmd_verify_tamper"]
+
+
+def test_digests_agree_under_every_sha256(monkeypatch):
+    # hashlib's SHA-256 (a library caller's), CPython's built-in one (the
+    # CLI process entry's) and the entry's fallback when neither built-in
+    # module imports digest every corpus certificate and tamper payload alike
+    from hkcert.cli import _builtin_sha256
+
+    payloads = [certified(entry)[1] for entry in CORPUS] + list(tamper_payloads())
+    builtin = _builtin_sha256()
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    fallback = _builtin_sha256()
+    assert builtin is not hashlib.sha256 and fallback is hashlib.sha256
+    digests = []
+    for sha256 in (hashlib.sha256, builtin, fallback):
+        monkeypatch.setattr(cert, "sha256", sha256)
+        digests.append([cert.compute_digest(p) for p in payloads])
+    assert digests[0][: len(CORPUS)] == [entry["digest"] for entry in CORPUS]
+    assert digests[1] == digests[0] and digests[2] == digests[0]
 
 
 # --- the bytes the CLI writes ---------------------------------------------

@@ -536,10 +536,12 @@ def test_mukai_gcd_and_rank_follow_from_the_closed_forms():
 
 
 def test_mukai_gcd_and_rank_hold_on_a_seeded_grid():
-    # the same two implications on integers, without sympy
+    # the same two implications on integers, without sympy, and mukai_isotropic's:
+    # the Mukai vector (r, m, s) is isotropic
     rng = random.Random(37)
     for _ in range(2000):
         g, t, d = (rng.randint(1, 10 ** rng.randint(0, 30)) for _ in range(3))
         n, e = rng.randint(2, 10**6), rng.randint(-(10**6), 10**6)
-        r, _, s, _ = mukai_data(n, g, t, d, e)
+        r, m, s, H2 = mukai_data(n, g, t, d, e)
         assert math.gcd(r, s) == 1 and r >= 16
+        assert MukaiVector(r, m, s, H2).self_pairing() == 0
