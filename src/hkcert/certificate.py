@@ -139,12 +139,24 @@ def instance_from_payload(data) -> HKInstance:
     return inst
 
 
+def _unique_keys(pairs):
+    # json.load's object builder: a repeated key is refused, not read as its last value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, a bare integer over the int/str digit limit, or deep nesting
+        # JSONDecodeError, a repeated key, a bare integer over the int/str digit limit, or deep nesting
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
 
 

@@ -491,7 +491,7 @@ def _reduction_ops(L, pairs, budget, v: LatticeVector, half_norm: int):
                 vals = [sum(r * cur[j] for j, r in rows[idx]) for idx in r_indices]
                 coeffs = _extended_gcd_combination(vals)
                 if sum(c * val for c, val in zip(coeffs, vals)) != 1:
-                    raise RuntimeError("divisibility-1 precondition violated")  # unreachable
+                    raise ConstructionInvariantViolated("divisibility-1 precondition violated")
                 push(if2, [(idx, -c) for idx, c in zip(r_indices, coeffs)])
             continue
         if p2 == -1:
@@ -514,7 +514,7 @@ def _reduction_ops(L, pairs, budget, v: LatticeVector, half_norm: int):
             continue
         bad = next((idx for idx in r_indices if sum(r * cur[j] for j, r in rows[idx]) % p2), None)
         if bad is None:
-            raise RuntimeError("pairing gcd exceeded 1 during reduction")  # unreachable
+            raise ConstructionInvariantViolated("pairing gcd exceeded 1 during reduction")
         push(ie1, [(bad, 1)])
         # q1 is now nonzero mod p2; the next pass shrinks |p2|
 
@@ -525,11 +525,6 @@ def _reduction_ops(L, pairs, budget, v: LatticeVector, half_norm: int):
     # move e2-plane canonical form into the first plane
     push(ie2, [(ie1, 1)])
     push(if1, [(ie2, -half_norm), (if2, -1)])
-    expect = [0] * L.rank
-    expect[ie1] = 1
-    expect[if1] = half_norm
-    if cur != expect:
-        raise RuntimeError("reduction did not reach the canonical vector")  # unreachable
     return ops
 
 
@@ -558,8 +553,8 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDG
 
     Both vectors must be primitive of divisibility 1 with equal norms, and
     the lattice must contain two orthogonal hyperbolic planes among its
-    basis blocks.  The output always has determinant +1 and acts trivially
-    on the discriminant group.
+    basis blocks.  The output has determinant +1 and acts trivially on the
+    discriminant group; run_pipeline checks that it sends v to w.
     """
     if v.lattice != w.lattice:
         raise ValueError("vectors live in different lattices")
@@ -581,10 +576,7 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDG
         return _isometry_of_ops([], (), L)
     ops_v = _reduction_ops(L, pairs, step_budget, v, nv // 2)
     ops_w = _reduction_ops(L, pairs, step_budget, w, nv // 2)
-    iso = _isometry_of_ops(ops_v, ops_w, L)
-    if iso.apply(v) != w:
-        raise RuntimeError("constructed isometry failed to map v to w")  # unreachable
-    return iso
+    return _isometry_of_ops(ops_v, ops_w, L)
 
 
 def transport(inst: HKInstance, D, g, t, H2, step_budget: int = BUDGETS["isometry_budget"], force_epsilon=None):

@@ -15,8 +15,8 @@ class SearchExhausted(RuntimeError):
 
 
 class ConstructionInvariantViolated(RuntimeError):
-    """A check run_pipeline records, an identity the construction guarantees
-    on a valid instance, failed to hold; only run_pipeline raises it.
+    """An identity the construction guarantees on a valid instance failed:
+    a check run_pipeline records, or a step of the isometry reduction.
 
     Reaching this is a bug signal, never a property of a validated input.
     """

@@ -114,6 +114,7 @@ def test_criterion_3_property_suite_200_instances():
         _, _, sig_m, _, _ = transport(
             inst, rec.D, rec.g, rec.t, rec.H2, force_epsilon=-rec.epsilon
         )
+        assert sig_m.apply(rec.source) == -rec.epsilon * rec.target
         alpha_m, ok_m = pushforward_brauer(inst, sig_m, rec.g, rec.t, -rec.epsilon)
         assert ok_m and brauer_equal(rec.alpha_x, alpha_m)
         # (vi) wall bound and certificate

@@ -899,6 +899,49 @@ def test_cli_verify_jobs_int_digit_limit_keeps_good_verdict(e2_payload, tmp_path
     assert f"{good}: OK" in text
 
 
+def _repeated_key(payload, path, value):
+    # the payload's JSON text with the key at a key path written twice: first
+    # with value, then with its own value, the one a last-key-wins reader keeps
+    payload = copy.deepcopy(payload)
+    node, key = _parent(payload, path), path[-1]
+    items = list(node.items())
+    node.clear()
+    for k, v in items:
+        if k == key:
+            node["\0"] = value
+        node[k] = v
+    return json.dumps(payload).replace(json.dumps("\0"), json.dumps(key))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("digest",), "sha256:" + "0" * 64),
+    (("instance", "d"), "999"),
+    (("record", "u"), "0"),
+    (("checks", 0, "ok"), False),
+])
+def test_cli_verify_refuses_a_repeated_key(e2_payload, tmp_path, path, value):
+    # a repeated key is refused, not read as its last value: the digest is
+    # taken of the parsed payload, so it would not see the first one
+    p = tmp_path / "repeated.json"
+    p.write_text(_repeated_key(e2_payload, path, value))
+    assert json.loads(p.read_text()) == e2_payload
+    message = f"not valid JSON: repeated key {path[-1]!r}"
+    with pytest.raises(cert.CertificateFormatError, match=f"^{message}$"):
+        cert.read_json(p)
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_INPUT
+    assert out.getvalue() == f"{p}: malformed certificate: {message}\n"
+
+
+def test_cli_construct_refuses_a_repeated_key(e2_instance, tmp_path):
+    p = tmp_path / "repeated.json"
+    p.write_text(_repeated_key(cert.instance_to_payload(e2_instance), ("d",), "999"))
+    out = io.StringIO()
+    assert cmd_construct(str(p), str(tmp_path / "cert.json"), out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: {p}: not valid JSON: repeated key 'd'\n"
+    assert not (tmp_path / "cert.json").exists()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cli_deeply_nested_json_is_format_error(e2_payload, tmp_path, jobs):
     # nested past the decoder's recursion limit, json.load raises
@@ -1353,8 +1396,9 @@ def test_digest_changes_with_content(e2_payload):
 # command table, without argparse, and verify prints each file as it is done;
 # 7 more since the process entry picks CPython's built-in SHA-256 and the
 # library imports hashlib's at its first digest, net of the 14 lines of
-# `from __future__ import annotations` that the verify path dropped
-VERIFY_LINE_BUDGET = 1653
+# `from __future__ import annotations` that the verify path dropped; and 12
+# more for read_json's hook that refuses a repeated key
+VERIFY_LINE_BUDGET = 1665
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:

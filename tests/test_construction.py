@@ -1,3 +1,4 @@
+import io
 import random
 import time
 from math import gcd
@@ -289,6 +290,22 @@ def test_run_pipeline_refuses_orientation_reversing_sigma(e2_instance, monkeypat
         run_pipeline(e2_instance)
 
 
+def test_cmd_construct_reports_a_sigma_that_misses_as_a_bug(e2_instance, lam2, monkeypatch, tmp_path):
+    # isometry_between does not check its own result: run_pipeline's
+    # transport_maps does, once, and construct ends on it with exit 1
+    from hkcert import certificate as cert
+    from hkcert.cli import EXIT_FAIL, cmd_construct
+    from hkcert.lattice import Isometry
+
+    identity = tuple(tuple(int(i == j) for j in range(lam2.rank)) for i in range(lam2.rank))
+    monkeypatch.setattr(construction, "_isometry_of_ops", lambda ops, inverse_ops, L: Isometry(identity, L))
+    cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
+    out = io.StringIO()
+    assert cmd_construct(tmp_path / "e2.json", tmp_path / "e2.cert.json", out=out) == EXIT_FAIL
+    assert out.getvalue() == "error: pipeline check failed: transport_maps\n"
+    assert not (tmp_path / "e2.cert.json").exists()
+
+
 def test_pushforward_e2(e2_instance):
     rec = run_pipeline(e2_instance)
     alpha, verdict = pushforward_brauer(e2_instance, rec.sigma, rec.g, rec.t, rec.epsilon)
@@ -300,6 +317,7 @@ def test_pushforward_epsilon_independent(e2_instance):
     src, tgt, sig_p, eps_p, _ = transport(e2_instance, *_dgt(e2_instance), force_epsilon=1)
     _, _, sig_m, eps_m, _ = transport(e2_instance, *_dgt(e2_instance), force_epsilon=-1)
     assert (eps_p, eps_m) == (1, -1)
+    assert sig_p.apply(src) == tgt
     assert sig_m.apply(src) == -tgt
     a_p, ok_p = pushforward_brauer(e2_instance, sig_p, 6, 1, 1)
     a_m, ok_m = pushforward_brauer(e2_instance, sig_m, 6, 1, -1)

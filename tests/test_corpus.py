@@ -360,6 +360,7 @@ def test_corpus_pushed_class_meets_the_brauer_congruence():
         L, den = inst.lattice, 4 * rec.g * rec.t * inst.d**2
         forced = transport(inst, rec.D, rec.g, rec.t, rec.H2, force_epsilon=-rec.epsilon)
         assert forced[3] == -rec.epsilon
+        assert forced[2].apply(rec.source) == forced[3] * rec.target
         h = canonical_degree_class(L, rec.H2)
         for sigma, eps in ((rec.sigma, rec.epsilon), (forced[2], forced[3])):
             num = -sigma.apply(eps * h - (den // 2) * L.basis_vector(DELTA_INDEX))

@@ -20,7 +20,7 @@ from hkcert.construction import (
     search_order_key,
 )
 from hkcert.certificate import verify_payload
-from hkcert.errors import SearchExhausted
+from hkcert.errors import ConstructionInvariantViolated, SearchExhausted
 from hkcert.lattice import (
     CACHE_SIZE,
     DELTA_INDEX,
@@ -442,8 +442,23 @@ def test_reduction_matches_dense_reference_on_corpus():
         ops_v, ops_w = _reduce(source), _reduce(target)
         assert ops_v == _reduce_dense(source)
         assert ops_w == _reduce_dense(target)
-        assert isometry_between(source, target).matrix == sigma.matrix
+        iso = isometry_between(source, target)
+        assert iso.apply(source) == target
+        assert iso.matrix == sigma.matrix
         assert isometry_of_ops_full(ops_v, ops_w, source.lattice).matrix == sigma.matrix
+
+
+@pytest.mark.parametrize("coords, message", [
+    ([0, 0, 0, 0, 2, 2], "divisibility-1 precondition violated"),    # 2e3 + 2f3: no U1 + U2 part
+    ([2, 2, 2, 2], "pairing gcd exceeded 1 during reduction"),       # 2(e1 + f1 + e2 + f2)
+])
+def test_reduction_of_divisibility_two_is_a_construction_bug(lam2, coords, message):
+    # isometry_between refuses divisibility 2 before it reduces; called past
+    # that refusal, each of the reduction's guards raises the bug signal
+    v = lam2.vector(coords + [0] * (lam2.rank - len(coords)))
+    assert divisibility(v) == 2
+    with pytest.raises(ConstructionInvariantViolated, match=f"^{message}$"):
+        _reduce(v)
 
 
 @pytest.mark.parametrize("index", [1, 2, 61])
