@@ -1,8 +1,8 @@
 """Certificates: the integer codec, the reader and the independent verifier.
 
 Every integer is serialized as a decimal string so consumers never face
-64-bit overflow; the parser accepts plain JSON integers as well.  The files
-themselves are written by hkcert.writer, which construct and random load and
+64-bit overflow; the parser reads exactly that text, or a JSON integer.  The
+files are written by hkcert.writer, which construct and random load and
 verify does not; its three entry points are forwarded from here.  The
 verifier recomputes each predicate from the instance and the recorded
 parameters alone.  Recorded parameters make verification search-free: the
@@ -12,6 +12,7 @@ mutation would otherwise yield a different-but-consistent certificate.
 """
 
 import json
+import re
 from math import gcd
 
 from . import obstruction
@@ -52,11 +53,14 @@ class CertificateFormatError(ValueError):
 # integer <-> decimal string helpers
 
 # _enc_int(s) and _dec_int(s) are the only int <-> decimal string points.  The
-# list codecs look up -64..64 (94% of the corpus's entries) in tables made
-# once at import; only the exact text str(i) is a decode key, and a list with
-# a miss takes the general path whole.
+# one integer grammar: an entry is a JSON integer or exactly the ASCII text
+# str() writes for one.  The list codecs look up -64..64 (94% of the corpus's
+# entries) in tables made once at import; a list with a miss, or one value,
+# takes one fullmatch of its comma-joined text (int() then refuses a comma).
 _STR_OF = {i: str(i) for i in range(-64, 65)}
 _INT_OF = {s: i for i, s in _STR_OF.items()}
+_NUMERAL = "(?:0|-?[1-9][0-9]*)"
+_numerals = re.compile(f"{_NUMERAL}(?:,{_NUMERAL})*").fullmatch
 
 
 def _enc_int(x):
@@ -72,42 +76,43 @@ def _enc_ints(seq):
 
 
 def _dec_int(x, what):
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+    if type(x) is int:  # not bool, a subclass of int
+        return x
+    if type(x) is not str:
         raise CertificateFormatError(f"{what}: expected an integer or decimal string")
-    try:
-        return int(x)
-    except ValueError:
-        raise CertificateFormatError(f"{what}: bad integer {x!r}") from None
-
-
-# the entry types that _dec_int hands to int(); bool, a subclass of int, is
-# not among them
-_INT_TYPES = frozenset((int, str))
+    if _numerals(x):
+        try:
+            return int(x)
+        except ValueError:  # a comma, or over the int/str digit limit
+            pass
+    raise CertificateFormatError(f"{what}: bad integer {x!r}")
 
 
 def _dec_ints(seq, what):
-    """A JSON list of integers as a tuple of ints, each decoded as by _dec_int.
-
-    One C-level pass when every entry is a table key or else an int or a str
-    that int() reads; otherwise the entries go through _dec_int one by one,
-    so the first bad one raises the same error it would on its own.
-    """
+    """A JSON list of integers as a tuple of ints, each decoded as by _dec_int;
+    a list that is not all numerals goes through _dec_int entry by entry, so
+    the first bad entry raises the same error it would on its own."""
     try:
         return tuple(map(_INT_OF.__getitem__, seq))
     except (KeyError, TypeError):  # a miss, or an unhashable entry
         pass
-    if _INT_TYPES.issuperset(map(type, seq)):
-        try:
+    try:
+        if _numerals(",".join(seq)):
             return tuple(map(int, seq))
-        except ValueError:
-            pass
+    except (TypeError, ValueError):  # an entry not a str; one holding a comma, or over the digit limit
+        pass
     return tuple(_dec_int(x, what) for x in seq)
 
 
+def _dec_list(data, length, what):
+    """A JSON list of exactly length integers: a vector, a sigma row or a wall pair."""
+    if not isinstance(data, list) or len(data) != length:
+        raise CertificateFormatError(f"{what}: expected {length} coordinates")
+    return _dec_ints(data, what)
+
+
 def _dec_vec(L, data, what):
-    if not isinstance(data, list) or len(data) != L.rank:
-        raise CertificateFormatError(f"{what}: expected {L.rank} coordinates")
-    return LatticeVector(_dec_ints(data, what), L)
+    return LatticeVector(_dec_list(data, L.rank, what), L)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +276,7 @@ def verify_payload(payload):
     sig_rows = _require(rec, "sigma", "record")
     if not isinstance(sig_rows, list) or len(sig_rows) != L.rank:
         raise CertificateFormatError("record: sigma must be a rank x rank matrix")
-    sig_mat = []
-    for row in sig_rows:
-        if not isinstance(row, list) or len(row) != L.rank:
-            raise CertificateFormatError("record: sigma row has wrong length")
-        sig_mat.append(_dec_ints(row, "sigma"))
-    sig_mat = tuple(sig_mat)
+    sig_mat = tuple(_dec_list(row, L.rank, "sigma") for row in sig_rows)
     sigma = None
     try:
         sigma = Isometry(sig_mat, L)
@@ -287,10 +287,7 @@ def verify_payload(payload):
     if sigma is not None:
         add("sigma_determinant", sigma.det() == 1 and sigma.orientation() == 1)
         add("sigma_discriminant_trivial", acts_trivially_on_discriminant(sigma))
-        add(
-            "transport_maps",
-            epsilon in (1, -1) and sigma.apply(source) == epsilon * target,
-        )
+        add("transport_maps", epsilon in (1, -1) and sigma.apply(source) == epsilon * target)
 
         af = _require(rec, "alpha_x", "record")
         alpha_num = _dec_vec(L, _require(af, "num", "alpha_x"), "alpha_x.num")
@@ -303,10 +300,7 @@ def verify_payload(payload):
             add("alpha_is_b_field", False, "4gtd^2 = 0")
         else:
             recomputed = pushed_class(inst, sigma, H2, den, epsilon)
-            add(
-                "alpha_matches_record",
-                recomputed.representative == recorded_alpha,
-            )
+            add("alpha_matches_record", recomputed.representative == recorded_alpha)
             add("alpha_is_b_field", brauer_equal(recomputed, b_field_class(inst)))
 
     wall = _require(payload, "wall", "certificate")
@@ -314,19 +308,24 @@ def verify_payload(payload):
     add("wall_parameters", wg == g and wc1 == C1 and wc0 == inst.C0)
     recorded = _require(wall, "tested_a", "wall")
     verdict = _require(wall, "verdict", "wall")
+    if not isinstance(recorded, list):
+        raise CertificateFormatError("wall: tested_a must be a list")
     # compare the length first: re-enumerating max_a(C0) values for a
     # forged huge C0 would take time unbounded by the size of the file
     expected = obstruction.max_a(wc0)
-    if not isinstance(recorded, list) or len(recorded) != expected:
-        add("wall_enumeration", False, f"expected {expected} tested values of a")
-    else:
+    tested, details = (), f"expected {expected} tested values of a"
+    if len(recorded) == expected:
         try:
-            tested = list(map(_enc_ints, obstruction.wall_certificate(wg, wc1, wc0).tested_a))
-            # an entry as text: str() gives an int's decimal string, and no other JSON value's
-            add("wall_enumeration", tested == [list(map(str, r)) if type(r) is list else r for r in recorded])
-            add("wall_verdict", verdict is True)
+            tested, details = obstruction.wall_certificate(wg, wc1, wc0).tested_a, ""
         except ValueError as exc:
-            add("wall_enumeration", False, str(exc))
+            details = str(exc)
+    # each entry is decoded as it is compared, so a malformed one is a format error wherever it sits
+    same, enumerated = not details, iter(tested)
+    for entry in recorded:
+        same = _dec_list(entry, 2, "wall.tested_a") == next(enumerated, None) and same
+    add("wall_enumeration", same, details)
+    if not details:
+        add("wall_verdict", verdict is True)
 
     recorded_checks = _require(payload, "checks", "certificate")
     if not isinstance(recorded_checks, list):

@@ -55,6 +55,8 @@ _K = max(cert._STR_OF)
 _ODD_ENTRIES = [True, 1.5, None, [], {}, " 7", "1_0", "+3", "0x10", "", "1" * 4301]
 # the tables' edges and near misses: only the exact text str(i) is a key
 _ODD_ENTRIES += ["-0", "00", "01", str(_K), str(-_K), str(_K + 1), str(-_K - 1), "\u0663", "1 ", str(2**70)]
+# entries that hold the separator of the comma-joined text the grammar reads
+_ODD_ENTRIES += ["1,2", ",", "1,"]
 
 
 def _per_entry(seq, what):
@@ -776,19 +778,124 @@ def test_cli_verify_accepts_plain_json_integers(entry, tmp_path):
     assert _cli_verify(p, plain) == (EXIT_OK, f"{p}: OK ({len(checks)} checks)\n")
 
 
-@pytest.mark.parametrize(
-    "tested_a",
-    [[["x", "1"]], [["01", "1"]], [[" 1", 1]], [["1.0", 1]], [[True, 1]], [[1.0, 1]], [[None, 1]],
-     [[[1], 1]], [[1, 1, 1]], [[1]], [[2, 2]], ["11"], [{"1": 1}], [None]],
-)
-def test_cli_verify_malformed_tested_a_fails_wall_enumeration(e2_payload, tmp_path, tested_a):
-    # any entry other than an int or its exact decimal string fails that one
-    # check (exit 1), as does a row that is not a list, even one that spells
-    # the row ("11" for ["1", "1"])
+_MALFORMED_TESTED_A = [
+    ([["x", "1"]], "bad integer 'x'"),
+    ([["01", "1"]], "bad integer '01'"),
+    ([[" 1", 1]], "bad integer ' 1'"),
+    ([["1.0", 1]], "bad integer '1.0'"),
+    ([[True, 1]], "expected an integer or decimal string"),
+    ([[1.0, 1]], "expected an integer or decimal string"),
+    ([[None, 1]], "expected an integer or decimal string"),
+    ([[[1], 1]], "expected an integer or decimal string"),
+    ([[1, 1, 1]], "expected 2 coordinates"),
+    ([[1]], "expected 2 coordinates"),
+    ([[2, 2]], None),
+    (["11"], "expected 2 coordinates"),
+    ([{"1": 1}], "expected 2 coordinates"),
+    ([None], "expected 2 coordinates"),
+]
+
+
+@pytest.mark.parametrize("tested_a, reason", _MALFORMED_TESTED_A,
+                         ids=[f"tested_a{i}" for i in range(len(_MALFORMED_TESTED_A))])
+def test_cli_verify_malformed_tested_a_fails_wall_enumeration(e2_payload, tmp_path, tested_a, reason):
+    # an entry other than a list of two integers, each an int or its exact
+    # decimal string, is a format error (exit 2) that names the wall list,
+    # even a row that spells the pair ("11" for ["1", "1"]); a well-formed
+    # pair that is not the enumerated one fails that one check (exit 1)
     bad = _forged(e2_payload, {("wall", "tested_a"): tested_a})
-    assert [c.name for c in cert.verify_payload(bad) if not c.ok] == ["wall_enumeration"]
     p = tmp_path / "bad.json"
-    assert _cli_verify(p, bad) == (EXIT_FAIL, f"{p}: FAIL wall_enumeration\n")
+    if reason is None:
+        assert [c.name for c in cert.verify_payload(bad) if not c.ok] == ["wall_enumeration"]
+        assert _cli_verify(p, bad) == (EXIT_FAIL, f"{p}: FAIL wall_enumeration\n")
+    else:
+        assert _cli_verify(p, bad) == (EXIT_INPUT, f"{p}: malformed certificate: wall.tested_a: {reason}\n")
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_verify_decodes_every_wall_entry(e2_payload, at):
+    # at C0 = 10 three pairs are enumerated: a malformed one is a format
+    # error wherever it sits, after a mismatch too, and with a list too
+    # long, or a g below C0*C1 that makes wall_certificate refuse, as well
+    good = [["1", "1"], ["2", "2"], ["3", "3"]]
+    wall = {("wall", "g"): "11", ("wall", "C1"): "1", ("wall", "C0"): "10"}
+    for fields in (wall, {**wall, ("wall", "g"): "5"}, {**wall, ("wall", "C0"): "3"}):
+        bad = copy.deepcopy(good)
+        bad[0][0] = "9"
+        bad[at][1] = "+%d" % (at + 1)
+        with pytest.raises(cert.CertificateFormatError, match=f"^wall.tested_a: bad integer '\\+{at + 1}'$"):
+            cert.verify_payload(_forged(e2_payload, {**fields, ("wall", "tested_a"): bad}))
+    checks = cert.verify_payload(_forged(e2_payload, {**wall, ("wall", "tested_a"): good}))
+    assert [c.name for c in checks if not c.ok] == ["wall_parameters"]
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_FULLWIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + i) for i in range(10)))
+# spellings of a positive integer's digits that int() reads as that integer,
+# then texts that are no integer's str(); each is refused (exit 2)
+_SPELLINGS = {
+    "+2": lambda s: "+" + s,
+    "0_2": lambda s: "0_" + s,
+    " 2 ": lambda s: f" {s} ",
+    "0002": lambda s: "000" + s,
+    "\u0662": lambda s: s.translate(_ARABIC_INDIC),
+    "\uff12": lambda s: s.translate(_FULLWIDTH),
+    "": lambda s: "",
+    "1e3": lambda s: "1e3",
+    "-0": lambda s: "-0",
+    "0x10": lambda s: "0x10",
+}
+_INT_AS_READ = {"+2", "0_2", " 2 ", "0002", "\u0662", "\uff12"}
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS), ids=ascii)
+@pytest.mark.parametrize("path, label", [
+    (("record", "g"), "g"),
+    (("record", "A", None), "A"),
+    (("record", "sigma", 3, None), "sigma"),
+    (("wall", "tested_a", 0, None), "wall.tested_a"),
+], ids=["scalar", "vector", "sigma_row", "wall_pair"])
+def test_cli_verify_reads_only_the_text_str_writes(e2_payload, tmp_path, path, label, spelling):
+    # one integer grammar, 0|-?[1-9][0-9]*: an integer field, a vector entry,
+    # a sigma row and a wall pair with one value spelled otherwise, digest
+    # recomputed, end in one line that names the field and exit 2; a None
+    # in the path stands for the list's first positive entry
+    if path[-1] is None:
+        row = _parent(e2_payload, path)
+        path = path[:-1] + (next(i for i, x in enumerate(row) if int(x) > 0),)
+    value = _parent(e2_payload, path)[path[-1]]
+    text = _SPELLINGS[spelling](value)
+    if spelling in _INT_AS_READ:
+        assert int(text) == int(value)
+    p = tmp_path / "spelled.json"
+    assert _cli_verify(p, _forged(e2_payload, {path: text})) == (
+        EXIT_INPUT, f"{p}: malformed certificate: {label}: bad integer {text!r}\n")
+
+
+def test_cli_verify_reads_the_json_number_minus_zero_as_zero(e2_payload, tmp_path):
+    # JSON reads the number -0 as the integer 0, and so does verify; only the
+    # string "-0" is refused, since str(0) is "0"
+    i = e2_payload["record"]["A"].index("0")
+    forged = _forged(e2_payload, {("record", "A", i): 0})
+    forged["record"]["A"][i] = "minus zero"
+    p = tmp_path / "minus_zero.json"
+    p.write_text(json.dumps(forged).replace('"minus zero"', "-0"))
+    out = io.StringIO()
+    assert cmd_verify([str(p)], out=out) == EXIT_OK
+    assert out.getvalue() == f"{p}: OK ({len(cert.verify_payload(e2_payload))} checks)\n"
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS), ids=ascii)
+def test_cli_construct_reads_only_the_text_str_writes(e2_instance, tmp_path, spelling):
+    # instance files take the certificate's grammar
+    payload = cert.instance_to_payload(e2_instance)
+    payload["d"] = text = _SPELLINGS[spelling](payload["d"])
+    p = tmp_path / "spelled.json"
+    cert.write_json(p, payload)
+    out = io.StringIO()
+    assert cmd_construct(str(p), str(tmp_path / "cert.json"), out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: {p}: d: bad integer {text!r}\n"
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_verify_rejects_huge_c0_forgery_fast(e2_payload):
@@ -1396,9 +1503,10 @@ def test_digest_changes_with_content(e2_payload):
 # command table, without argparse, and verify prints each file as it is done;
 # 7 more since the process entry picks CPython's built-in SHA-256 and the
 # library imports hashlib's at its first digest, net of the 14 lines of
-# `from __future__ import annotations` that the verify path dropped; and 12
-# more for read_json's hook that refuses a repeated key
-VERIFY_LINE_BUDGET = 1665
+# `from __future__ import annotations` that the verify path dropped; 12
+# more for read_json's hook that refuses a repeated key; and 1 fewer since
+# the codec is the one integer reader, of vectors, sigma rows and wall pairs
+VERIFY_LINE_BUDGET = 1664
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
@@ -1410,6 +1518,50 @@ def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_
     assert output == [f"e2.cert.json: OK ({len(cert.verify_payload(e2_payload))} checks)"]
     assert (code, loads_construction, loads_sampler, loads_writer) == ("0", "False", "False", "False")
     assert int(lines) <= VERIFY_LINE_BUDGET
+
+
+def wall_instance(k):
+    """The wall shape: Pic = {e1 - f1, f1 + M(e2 + f2)}, W = e1 - f1,
+    B = e3 + f3, d = 2 and C0 = 10^k, with M = 10^(k//2 + 2) so that u = 1;
+    its certificate's wall list has floor(sqrt(C0 - 1)) pairs."""
+    from hkcert.instance import HKInstance
+
+    L = lattice.build_lambda(2)
+    M = 10 ** (k // 2 + 2)
+    w = L.vector([1, -1] + [0] * 21)
+    pic = (w, L.vector([0, 1, M, M] + [0] * 19))
+    return HKInstance(n=2, pic_basis=pic, W=w, B=L.vector([0] * 4 + [1, 1] + [0] * 17), d=2, C0=10**k)
+
+
+_VERIFY_PEAKS = """
+import resource, subprocess, sys
+for path in sys.argv[1:]:
+    subprocess.run([sys.executable, "-m", "hkcert", "verify", path], check=True, stdout=subprocess.DEVNULL)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+# the most resident memory a verify may take over a small one's, per byte of
+# its file: 11.2 to 11.4 (CPython 3.10, 3.11) and 9.8 to 10.1 (3.12, 3.13)
+# on the wall certificate at C0 = 10^9, since the wall list is compared entry
+# by entry, against 16.1 to 18.7 before, when verify held two text copies of it
+VERIFY_RSS_PER_FILE_BYTE = 14
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_cli_verify_memory_is_bounded_by_its_file(e2_payload, tmp_path):
+    small, wall = tmp_path / "e2.json", tmp_path / "wall.json"
+    cert.write_json(small, e2_payload)
+    inst = wall_instance(9)
+    rec = run_pipeline(inst)
+    cert.write_json(wall, cert.certificate_payload(inst, rec, wall_for_record(inst, rec), BUDGETS))
+    # a fresh interpreter, whose children are the two verifies alone; the
+    # peak over its children after the second is the wall certificate's
+    r = subprocess.run([sys.executable, "-c", _VERIFY_PEAKS, str(small), str(wall)],
+                       capture_output=True, text=True, env=_buffered_child_env())
+    assert (r.returncode, r.stderr) == (0, "")
+    small_kb, wall_kb = map(int, r.stdout.split())
+    assert wall.stat().st_size > 10**6
+    assert (wall_kb - small_kb) * 1024 <= VERIFY_RSS_PER_FILE_BYTE * wall.stat().st_size
 
 
 def test_cli_construct_loads_the_pipeline_and_reproduces_the_golden_digest(e2_instance, tmp_path):
@@ -1538,11 +1690,12 @@ _HOSTILE = {
     "sigma_rows": (lambda p: _set(("record", "sigma"), p["record"]["sigma"][:-1])(p),
                    "record: sigma must be a rank x rank matrix"),
     "sigma_row_length": (lambda p: _set(("record", "sigma", 3), p["record"]["sigma"][3][:-1])(p),
-                         "record: sigma row has wrong length"),
+                         "sigma: expected 23 coordinates"),
     "alpha_zero_den": (_set(("record", "alpha_x", "den"), "0"), "alpha_x: zero denominator"),
     "checks_not_list": (_set(("checks",), {}), "certificate: checks must be a list"),
     "A_bad_integer": (_set(("record", "A"), ["x"] + ["0"] * 22), "A: bad integer 'x'"),
     "wall_no_verdict": (_drop(("wall", "verdict")), "wall: missing field 'verdict'"),
+    "wall_tested_a_not_list": (_set(("wall", "tested_a"), {}), "wall: tested_a must be a list"),
 }
 for _key in ("A", "omega", "D", "source", "target"):
     _HOSTILE[f"{_key}_missing"] = (_drop(("record", _key)), f"record: missing field {_key!r}")

@@ -52,3 +52,31 @@ def test_cli_entry_selects_a_standard_library_sha256(monkeypatch):
     module = certificate.sha256.__module__
     assert module in sys.stdlib_module_names
     assert module == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+
+
+_INEXACT_CALLS = {"float", "complex", "round"}
+
+
+def inexact_arithmetic(source):
+    """The line of each true division (`/`, `/=`), float or complex literal,
+    and float(), complex() or round() call in one module's source."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _INEXACT_CALLS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_arithmetic_is_exact():
+    # the README promises exact integer arithmetic: no value of the package
+    # passes through a float, however large its integers grow
+    files = sorted(Path(hkcert.__file__).parent.rglob("*.py"))
+    found = {f.name: inexact_arithmetic(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the walk does see each kind, in an f-string too
+    sample = "a = 1 / 2\na /= 2\nb = 0.5\nc = 2j\nd = float(a)\ne = complex(1)\nf = round(a)\ng = f'{a / 2}'\nh = a // 2\n"
+    assert inexact_arithmetic(sample) == [1, 2, 3, 4, 5, 6, 7, 8]
