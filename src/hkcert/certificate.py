@@ -13,6 +13,7 @@ mutation would otherwise yield a different-but-consistent certificate.
 
 import json
 import re
+import sys
 from math import gcd
 
 from . import obstruction
@@ -121,24 +122,17 @@ def _dec_vec(L, data, what):
 def instance_from_payload(data) -> HKInstance:
     if not isinstance(data, dict):
         raise CertificateFormatError("instance: expected a JSON object")
-    for key in ("n", "pic_basis", "W", "B", "d", "C0"):
-        if key not in data:
-            raise CertificateFormatError(f"instance: missing field {key!r}")
-    n = _dec_int(data["n"], "n")
+    n = _dec_int(_require(data, "n", "instance"), "n")
     if n < 2:
         raise CertificateFormatError(f"instance: n must be >= 2, got {n}")
     L = build_lambda(n)
-    if not isinstance(data["pic_basis"], list) or not data["pic_basis"]:
+    pic_rows = _require(data, "pic_basis", "instance")
+    if not isinstance(pic_rows, list) or not pic_rows:
         raise CertificateFormatError("instance: pic_basis must be a nonempty list")
-    pic = tuple(_dec_vec(L, row, "pic_basis") for row in data["pic_basis"])
-    inst = HKInstance(
-        n=n,
-        pic_basis=pic,
-        W=_dec_vec(L, data["W"], "W"),
-        B=_dec_vec(L, data["B"], "B"),
-        d=_dec_int(data["d"], "d"),
-        C0=_dec_int(data["C0"], "C0"),
-    )
+    pic = tuple(_dec_vec(L, row, "pic_basis") for row in pic_rows)
+    W, B = (_dec_vec(L, _require(data, k, "instance"), k) for k in ("W", "B"))
+    d, C0 = (_dec_int(_require(data, k, "instance"), k) for k in ("d", "C0"))
+    inst = HKInstance(n=n, pic_basis=pic, W=W, B=B, d=d, C0=C0)
     if inst.d < 1 or inst.C0 < 1:
         raise CertificateFormatError("instance: d and C0 must be positive")
     return inst
@@ -172,15 +166,17 @@ def read_json(path):
 _CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
 
 
-# compute_digest's SHA-256 constructor: hashlib's (OpenSSL), imported at the
-# first digest, unless a process entry set another (cli.run: CPython's built-in)
-sha256 = None
+# compute_digest hashes with hashlib's SHA-256 (OpenSSL) in a process that has
+# imported hashlib, else with CPython's built-in one, whose import costs far
+# less: _sha2 from 3.12, _sha256 before it, or hashlib's on a build without either
+try:
+    _builtin_sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:
+    from hashlib import sha256 as _builtin_sha256
 
 
 def compute_digest(payload):
-    global sha256
-    if sha256 is None:
-        from hashlib import sha256
+    sha256 = getattr(sys.modules.get("hashlib"), "sha256", _builtin_sha256)
     body = {k: v for k, v in payload.items() if k != "digest"}
     canonical = _CANONICAL.encode(body)
     return "sha256:" + sha256(canonical.encode("utf-8")).hexdigest()
@@ -277,6 +273,12 @@ def verify_payload(payload):
     if not isinstance(sig_rows, list) or len(sig_rows) != L.rank:
         raise CertificateFormatError("record: sigma must be a rank x rank matrix")
     sig_mat = tuple(_dec_list(row, L.rank, "sigma") for row in sig_rows)
+    af = _require(rec, "alpha_x", "record")
+    alpha_num = _dec_vec(L, _require(af, "num", "alpha_x"), "alpha_x.num")
+    alpha_den = _dec_int(_require(af, "den", "alpha_x"), "alpha_x.den")
+    if alpha_den == 0:
+        raise CertificateFormatError("alpha_x: zero denominator")
+    recorded_alpha = RationalClass(alpha_num, alpha_den)
     sigma = None
     try:
         sigma = Isometry(sig_mat, L)
@@ -288,13 +290,6 @@ def verify_payload(payload):
         add("sigma_determinant", sigma.det() == 1 and sigma.orientation() == 1)
         add("sigma_discriminant_trivial", acts_trivially_on_discriminant(sigma))
         add("transport_maps", epsilon in (1, -1) and sigma.apply(source) == epsilon * target)
-
-        af = _require(rec, "alpha_x", "record")
-        alpha_num = _dec_vec(L, _require(af, "num", "alpha_x"), "alpha_x.num")
-        alpha_den = _dec_int(_require(af, "den", "alpha_x"), "alpha_x.den")
-        if alpha_den == 0:
-            raise CertificateFormatError("alpha_x: zero denominator")
-        recorded_alpha = RationalClass(alpha_num, alpha_den)
         if den == 0:
             add("alpha_matches_record", False, "4gtd^2 = 0")
             add("alpha_is_b_field", False, "4gtd^2 = 0")
@@ -313,14 +308,15 @@ def verify_payload(payload):
     # compare the length first: re-enumerating max_a(C0) values for a
     # forged huge C0 would take time unbounded by the size of the file
     expected = obstruction.max_a(wc0)
-    tested, details = (), f"expected {expected} tested values of a"
+    enumerated, details = iter(()), f"expected {expected} tested values of a"
     if len(recorded) == expected:
         try:
-            tested, details = obstruction.wall_certificate(wg, wc1, wc0).tested_a, ""
+            enumerated, details = obstruction.wall_pairs(wg, wc1, wc0), ""
         except ValueError as exc:
             details = str(exc)
-    # each entry is decoded as it is compared, so a malformed one is a format error wherever it sits
-    same, enumerated = not details, iter(tested)
+    # each entry is decoded as it is compared with the next enumerated pair,
+    # so a malformed one is a format error wherever it sits
+    same = not details
     for entry in recorded:
         same = _dec_list(entry, 2, "wall.tested_a") == next(enumerated, None) and same
     add("wall_enumeration", same, details)

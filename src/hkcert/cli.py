@@ -250,21 +250,8 @@ def main(argv=None):
     return globals()[COMMANDS[command][0]](**kwargs)
 
 
-def _builtin_sha256():
-    """CPython's built-in SHA-256 constructor, from the module the running
-    version has (_sha256 before 3.12, _sha2 from it), or hashlib's."""
-    try:
-        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
-    except ImportError:  # a build without it
-        return __import__("hashlib").sha256
-
-
 def run(argv=None):
     """Process entry of `python -m hkcert` and of the `hkcert` script.
-
-    Digests with CPython's built-in SHA-256, inherited by `verify --jobs`
-    workers started by fork: loading hashlib's OpenSSL costs a process more
-    than the slower hashing of up to about 200 certificates.
 
     Runs `main`, flushes stdout and stderr, and ends with `os._exit`,
     skipping interpreter teardown (about 10 ms per process).  Nothing needs
@@ -280,7 +267,6 @@ def run(argv=None):
     An OSError escaping `main` is a failed write to stdout (every file a
     command opens handles its own), and ends as a failed stdout flush does.
     """
-    cert.sha256 = _builtin_sha256()
     try:
         code, unwritten = main(argv), None
     except OSError as exc:

@@ -29,16 +29,23 @@ def proportionality_bound(C0: int):
     return out
 
 
-def wall_certificate(g: int, C1: int, C0: int) -> WallCertificate:
-    """Certify that no a with a^2 < C0 makes g divide a*C1.
+def wall_pairs(g: int, C1: int, C0: int):
+    """The pairs (a, a*C1) for each a >= 1 with a^2 < C0, in order, as an
+    iterator; its preconditions are checked at the call.
 
     Requires g > C0*C1 (the construction never emits anything else).  Each
     such a has 1 <= a*C1 <= (C0 - 1)*C1 < g, so the remainder of a*C1 mod g
-    is a*C1 itself, nonzero, and the verdict holds by the precondition alone.
+    is a*C1 itself, nonzero, and no a makes g divide a*C1.
     """
     if g < 1 or C1 < 1 or C0 < 1:
         raise ValueError("g, C1, C0 must be positive")
     if g <= C0 * C1:
         raise ValueError(f"need g > C0*C1, got g={g} <= {C0 * C1}")
-    tested = tuple((a, a * C1) for a in range(1, max_a(C0) + 1))
+    return ((a, a * C1) for a in range(1, max_a(C0) + 1))
+
+
+def wall_certificate(g: int, C1: int, C0: int) -> WallCertificate:
+    """Certify that no a with a^2 < C0 makes g divide a*C1: the verdict
+    holds by wall_pairs' precondition alone."""
+    tested = tuple(wall_pairs(g, C1, C0))
     return WallCertificate(g=g, C1=C1, C0=C0, tested_a=tested, verdict=True)

@@ -1409,7 +1409,8 @@ def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr,
     # or closed stream is skipped, a failed flush makes the status 120, and
     # a failed stdout flush is reported on stderr.  main prints its line to
     # a working stdout; each stream takes its state once main has returned,
-    # so that the state meets run's flush and nothing before it
+    # so that the state meets run's flush and nothing before it; run sets
+    # nothing of the library's, so the certificate module ends as it began
     from hkcert import cli
 
     class Ended(Exception):
@@ -1442,14 +1443,13 @@ def test_cli_run_flushes_as_shutdown_does(tmp_path, monkeypatch, stdout, stderr,
     streams = {"stdout": Stream(), "stderr": Stream()}
     monkeypatch.setattr(cli, "main", then_set_states)
     monkeypatch.setattr(cli.os, "_exit", _exit)
-    # run picks the process's SHA-256; the other tests keep the library's
-    monkeypatch.setattr(cert, "sha256", cert.sha256)
     for name, value in streams.items():
         monkeypatch.setattr(sys, name, value)
     missing = str(tmp_path / "missing.json")
+    library = dict(vars(cert))
     with pytest.raises(Ended):
         cli.run(["verify", missing])
-    assert ended == [code]
+    assert ended == [code] and vars(cert) == library
     assert printed[0].startswith(f"{missing}: malformed certificate: ")
     if stderr is not None:
         # the report's first line is the interpreter's, checked against it by
@@ -1472,17 +1472,33 @@ def test_cli_main_prints_to_stdout_as_it_is_at_the_call(tmp_path):
     assert out.getvalue().startswith(f"{missing}: malformed certificate: ")
 
 
-def test_library_digests_use_hashlib_and_import_it_at_the_first(e2_payload, monkeypatch):
-    # a library caller's first compute_digest sets hashlib's SHA-256, and
-    # importing the certificate module (or the CLI's) loads no hashlib
+_LIBRARY_VERIFY = """
+import sys
+if sys.argv[2] == "hashlib":
     import hashlib
+    digested, sha256 = [], hashlib.sha256
+    hashlib.sha256 = lambda data: digested.append(data) or sha256(data)
+from hkcert import certificate as cert
+checks = cert.verify_payload(cert.read_json(sys.argv[1]))
+print(all(c.ok for c in checks), len(digested) if sys.argv[2] == "hashlib" else "-", *sys.modules)
+"""
 
-    monkeypatch.setattr(cert, "sha256", None)
-    assert cert.compute_digest(e2_payload) == e2_payload["digest"]
-    assert cert.sha256 is hashlib.sha256
+
+def test_library_digests_use_hashlib_once_imported_and_the_builtin_before(e2_payload, tmp_path):
+    # in a fresh interpreter, a library verify that never imported hashlib
+    # digests with the built-in SHA-256 and loads neither hashlib nor its
+    # OpenSSL module; one that imported hashlib first digests through
+    # hashlib.sha256, looked up at the digest
+    cert.write_json(tmp_path / "e2.json", e2_payload)
     bare = loaded_modules("pass")
-    for module in ("hkcert.certificate", "hkcert.cli"):
-        assert {"hashlib", "_hashlib"} & (loaded_modules(f"import {module}") - bare) == set()
+    for mode, digests in (("builtin", "-"), ("hashlib", "1")):
+        r = subprocess.run([sys.executable, "-c", _LIBRARY_VERIFY, str(tmp_path / "e2.json"), mode],
+                           capture_output=True, text=True, env=_buffered_child_env())
+        assert (r.returncode, r.stderr) == (0, "")
+        ok, digested, *loaded = r.stdout.split()
+        assert (ok, digested) == ("True", digests)
+        if mode == "builtin":
+            assert {"hashlib", "_hashlib"} & (set(loaded) - bare) == set()
 
 
 def test_digest_changes_with_content(e2_payload):
@@ -1504,9 +1520,14 @@ def test_digest_changes_with_content(e2_payload):
 # 7 more since the process entry picks CPython's built-in SHA-256 and the
 # library imports hashlib's at its first digest, net of the 14 lines of
 # `from __future__ import annotations` that the verify path dropped; 12
-# more for read_json's hook that refuses a repeated key; and 1 fewer since
-# the codec is the one integer reader, of vectors, sigma rows and wall pairs
-VERIFY_LINE_BUDGET = 1664
+# more for read_json's hook that refuses a repeated key; 1 fewer since the
+# codec is the one integer reader, of vectors, sigma rows and wall pairs; and
+# 11 fewer since the certificate module alone picks the digest's SHA-256
+# (14 lines out of cli, 3 into certificate), instance_from_payload reads
+# each field through _require (7 fewer), alpha_x is decoded with sigma (1
+# fewer), and verify compares the wall list with obstruction.wall_pairs'
+# iterator (8 more)
+VERIFY_LINE_BUDGET = 1653
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
@@ -1541,10 +1562,11 @@ for path in sys.argv[1:]:
 """
 
 # the most resident memory a verify may take over a small one's, per byte of
-# its file: 11.2 to 11.4 (CPython 3.10, 3.11) and 9.8 to 10.1 (3.12, 3.13)
-# on the wall certificate at C0 = 10^9, since the wall list is compared entry
-# by entry, against 16.1 to 18.7 before, when verify held two text copies of it
-VERIFY_RSS_PER_FILE_BYTE = 14
+# its file, on the wall certificate at C0 = 10^9: 9.1 to 9.6 (CPython 3.10,
+# 3.11) and 6.1 to 6.5 (3.12, 3.13) since the wall list is compared with
+# obstruction.wall_pairs' iterator, against 11.2 to 11.6 and 9.9 to 10.1
+# when verify held the tuple of every pair beside the file
+VERIFY_RSS_PER_FILE_BYTE = 11
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
@@ -1677,8 +1699,8 @@ def test_verify_rejects_orientation_reversing_sigma(which, request, tmp_path):
 
 # one case per CertificateFormatError the verifier raises, each a mutation of
 # the e2 certificate with its digest recomputed; below it, one missing and one
-# bad value for every field of the record and the wall, which pins the label
-# each decode reports
+# bad value for every field of the instance, the record and the wall, which
+# pins the label each decode reports
 _HOSTILE = {
     "short_vector": (_set(("record", "A"), ["0"] * 22), "A: expected 23 coordinates"),
     "instance_not_object": (_set(("instance",), []), "instance: expected a JSON object"),
@@ -1710,6 +1732,20 @@ for _key in ("r", "m", "s"):
 for _key in ("g", "C1", "C0"):
     _HOSTILE[f"wall_{_key}_missing"] = (_drop(("wall", _key)), f"wall: missing field {_key!r}")
     _HOSTILE[f"wall_{_key}_bad"] = (_set(("wall", _key), "x"), f"wall.{_key}: bad integer 'x'")
+for _key in ("n", "pic_basis", "W", "B", "d", "C0"):
+    _HOSTILE[f"instance_{_key}_missing"] = (_drop(("instance", _key)), f"instance: missing field {_key!r}")
+for _key in ("n", "d", "C0"):
+    _HOSTILE[f"instance_{_key}_bad"] = (_set(("instance", _key), "x"), f"{_key}: bad integer 'x'")
+for _key in ("W", "B"):
+    _HOSTILE[f"instance_{_key}_short"] = (_set(("instance", _key), ["0"] * 22), f"{_key}: expected 23 coordinates")
+_HOSTILE["instance_pic_basis_row_bad"] = (_set(("instance", "pic_basis", 0), "x"), "pic_basis: expected 23 coordinates")
+_HOSTILE["sigma_missing"] = (_drop(("record", "sigma")), "record: missing field 'sigma'")
+_HOSTILE["alpha_x_missing"] = (_drop(("record", "alpha_x")), "record: missing field 'alpha_x'")
+_HOSTILE["alpha_x_bad"] = (_set(("record", "alpha_x"), "junk"), "alpha_x: missing field 'num'")
+for _key in ("num", "den"):
+    _HOSTILE[f"alpha_x_{_key}_missing"] = (_drop(("record", "alpha_x", _key)), f"alpha_x: missing field {_key!r}")
+_HOSTILE["alpha_x_num_bad"] = (_set(("record", "alpha_x", "num"), ["x"] + ["0"] * 22), "alpha_x.num: bad integer 'x'")
+_HOSTILE["alpha_x_den_bad"] = (_set(("record", "alpha_x", "den"), "x"), "alpha_x.den: bad integer 'x'")
 
 
 @pytest.mark.parametrize("case", sorted(_HOSTILE))
@@ -1718,6 +1754,19 @@ def test_cli_verify_hostile_structure_is_one_format_error(e2_payload, tmp_path, 
     bad = mutate(copy.deepcopy(e2_payload))
     if isinstance(bad, dict):
         bad["digest"] = cert.compute_digest(bad)
+    p = tmp_path / f"{case}.json"
+    assert _cli_verify(p, bad) == (EXIT_INPUT, f"{p}: malformed certificate: {reason}\n")
+
+
+@pytest.mark.parametrize("case", ["alpha_x_missing", "alpha_x_bad", "alpha_x_den_bad"])
+def test_cli_verify_malformed_alpha_x_is_a_format_error_beside_a_failing_sigma(e2_payload, tmp_path, case):
+    # alpha_x is decoded with sigma, before sigma's Gram check, so a sigma
+    # that is no isometry does not mask a malformed alpha_x
+    bent = _mutate(e2_payload, ("record", "sigma", 0, 0), 1)
+    assert _failing(_forged(bent, {})) == ["sigma_gram_identity"]
+    mutate, reason = _HOSTILE[case]
+    bad = mutate(bent)
+    bad["digest"] = cert.compute_digest(bad)
     p = tmp_path / f"{case}.json"
     assert _cli_verify(p, bad) == (EXIT_INPUT, f"{p}: malformed certificate: {reason}\n")
 

@@ -31,6 +31,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from functools import lru_cache
@@ -246,24 +247,36 @@ def test_tamper_transcript(tmp_path, monkeypatch):
     assert tamper_transcript() == json.loads(TRANSCRIPT.read_text())["cmd_verify_tamper"]
 
 
-def test_digests_agree_under_every_sha256(monkeypatch):
-    # hashlib's SHA-256 (a library caller's), CPython's built-in one (the
-    # CLI process entry's) and the entry's fallback when neither built-in
-    # module imports digest every corpus certificate and tamper payload alike
-    from hkcert.cli import _builtin_sha256
+_DIGESTS = """
+import json, sys
+if sys.argv[2] == "fallback":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None  # a build without the built-in module
+from hkcert import certificate as cert
+with open(sys.argv[1], encoding="utf-8") as fh:
+    digests = [cert.compute_digest(p) for p in json.load(fh)]
+# the digests' constructor: hashlib's where it is loaded, else the built-in
+hashlib = sys.modules.get("hashlib")
+print(json.dumps([hashlib is not None, cert._builtin_sha256 is getattr(hashlib, "sha256", None), digests]))
+"""
+
+
+def test_digests_agree_under_every_sha256(tmp_path):
+    # hashlib's SHA-256 (this process has imported hashlib), CPython's
+    # built-in one (a fresh process that has not) and hashlib's again as the
+    # fallback of a build without the built-in module digest every corpus
+    # certificate and tamper payload alike
+    from test_certificate import _buffered_child_env
 
     payloads = [certified(entry)[1] for entry in CORPUS] + list(tamper_payloads())
-    builtin = _builtin_sha256()
-    for name in ("_sha2", "_sha256"):
-        monkeypatch.setitem(sys.modules, name, None)
-    fallback = _builtin_sha256()
-    assert builtin is not hashlib.sha256 and fallback is hashlib.sha256
-    digests = []
-    for sha256 in (hashlib.sha256, builtin, fallback):
-        monkeypatch.setattr(cert, "sha256", sha256)
-        digests.append([cert.compute_digest(p) for p in payloads])
-    assert digests[0][: len(CORPUS)] == [entry["digest"] for entry in CORPUS]
-    assert digests[1] == digests[0] and digests[2] == digests[0]
+    (tmp_path / "payloads.json").write_text(json.dumps(payloads), encoding="utf-8")
+    assert "hashlib" in sys.modules
+    digests = [cert.compute_digest(p) for p in payloads]
+    assert digests[: len(CORPUS)] == [entry["digest"] for entry in CORPUS]
+    for mode, route in (("builtin", [False, False]), ("fallback", [True, True])):
+        r = subprocess.run([sys.executable, "-c", _DIGESTS, str(tmp_path / "payloads.json"), mode],
+                           capture_output=True, text=True, env=_buffered_child_env())
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout) == [*route, digests]
 
 
 # --- the bytes the CLI writes ---------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from hkcert.instance import HKInstance, validate_instance
 from hkcert.lattice import DELTA_INDEX
-from hkcert.obstruction import proportionality_bound, wall_certificate
+from hkcert.obstruction import max_a, proportionality_bound, wall_certificate, wall_pairs
 
 
 def test_mbm_bound_examples(lam2):
@@ -59,6 +59,19 @@ def test_wall_certificate_precondition():
         wall_certificate(2, 1, 3)   # g <= C0*C1
     with pytest.raises(ValueError):
         wall_certificate(6, 0, 3)
+
+
+def test_wall_pairs_refuse_at_the_call_and_enumerate_lazily():
+    # verify compares a file's wall list with this iterator entry by entry,
+    # so it refuses a forged triple before any pair is asked for, and holds
+    # no list of the pairs
+    for g, c1, c0 in ((2, 1, 3), (6, 0, 3), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            wall_pairs(g, c1, c0)
+    pairs = wall_pairs(10**21 + 1, 7, 10**20)
+    assert iter(pairs) is pairs and max_a(10**20) == 10**10 - 1
+    assert [next(pairs) for _ in range(3)] == [(1, 7), (2, 14), (3, 21)]
+    assert tuple(wall_pairs(7, 2, 3)) == wall_certificate(7, 2, 3).tested_a == ((1, 2),)
 
 
 def test_wall_always_true_under_precondition():
