@@ -305,8 +305,8 @@ def verify_payload(payload):
     verdict = _require(wall, "verdict", "wall")
     if not isinstance(recorded, list):
         raise CertificateFormatError("wall: tested_a must be a list")
-    # compare the length first: re-enumerating max_a(C0) values for a
-    # forged huge C0 would take time unbounded by the size of the file
+    # compare the length first: the details name the expected count, and the
+    # loop below stops at the recorded list's end, so a short one would pass
     expected = obstruction.max_a(wc0)
     enumerated, details = iter(()), f"expected {expected} tested values of a"
     if len(recorded) == expected:

@@ -41,12 +41,6 @@ from .lattice import (
 from .record import Record
 
 
-class NoIsometryError(ValueError):
-    """Isometry construction was not attempted: norm or divisibility mismatch,
-    or a divisibility other than 1 (a zero vector has divisibility 0), which
-    this package does not implement."""
-
-
 class ConstructionRecord(Record):
     __slots__ = _fields = (
         "A",
@@ -424,7 +418,7 @@ def _hyperbolic_pairs(L: GramLattice):
     ]
 
 
-def _reduction_ops(L, pairs, budget, v: LatticeVector, half_norm: int):
+def _reduction_ops(pairs, budget, v: LatticeVector, half_norm: int):
     """The op list taking v, primitive of divisibility 1 and norm 2 * half_norm, to e1 + half_norm f1.
 
     Works entirely through Eichler transvections t(e, a) with e one of the
@@ -434,8 +428,8 @@ def _reduction_ops(L, pairs, budget, v: LatticeVector, half_norm: int):
     inverted, a -> -a in reverse order) to build the final isometry.
     """
     (ie1, if1), (ie2, if2) = pairs[0], pairs[1]
-    r_indices = [k for k in range(L.rank) if k not in (ie1, if1, ie2, if2)]
-    rows = L.sparse_rows
+    r_indices = [k for k in range(v.lattice.rank) if k not in (ie1, if1, ie2, if2)]
+    rows = v.lattice.sparse_rows
     ops = []
     cur = list(v.coords)
 
@@ -561,12 +555,12 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDG
     L = v.lattice
     nv, nw = norm(v), norm(w)
     if nv != nw:
-        raise NoIsometryError(f"norm mismatch: {nv} != {nw}")
+        raise ValueError(f"norm mismatch: {nv} != {nw}")
     dv, dw = divisibility(v), divisibility(w)
     if dv != dw:
-        raise NoIsometryError(f"divisibility mismatch: {dv} != {dw}")
+        raise ValueError(f"divisibility mismatch: {dv} != {dw}")
     if dv != 1:
-        raise NoIsometryError(f"only divisibility 1 is implemented, got {dv}")
+        raise ValueError(f"only divisibility 1 is implemented, got {dv}")
     pairs = _hyperbolic_pairs(L)
     if len(pairs) < 2:
         raise ValueError("lattice needs two orthogonal hyperbolic planes among its basis blocks")
@@ -574,8 +568,8 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDG
         raise ValueError("lattice must be even")
     if v == w:
         return _isometry_of_ops([], (), L)
-    ops_v = _reduction_ops(L, pairs, step_budget, v, nv // 2)
-    ops_w = _reduction_ops(L, pairs, step_budget, w, nv // 2)
+    ops_v = _reduction_ops(pairs, step_budget, v, nv // 2)
+    ops_w = _reduction_ops(pairs, step_budget, w, nv // 2)
     return _isometry_of_ops(ops_v, ops_w, L)
 
 

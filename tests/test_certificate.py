@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1509,25 +1510,17 @@ def test_digest_changes_with_content(e2_payload):
 
 # --- the verifier stays small and total --------------------------------------
 
-# the most lines the hkcert modules that a verify process loads may sum to:
-# every verify process reads and compiles the whole checker; 29 over 1555
-# since hermite_rows moved into snf, so that the Picard Smith form is taken
-# of the basis's Hermite rows (ROADMAP item 17), and construct validates
-# before it shifts B; Picard membership is back substitution on those rows,
-# and hermite_rows inserts rows with the Smith form's 2 x 2 clearing step;
-# 62 more since the CLI parses well-formed command lines from its own
-# command table, without argparse, and verify prints each file as it is done;
-# 7 more since the process entry picks CPython's built-in SHA-256 and the
-# library imports hashlib's at its first digest, net of the 14 lines of
-# `from __future__ import annotations` that the verify path dropped; 12
-# more for read_json's hook that refuses a repeated key; 1 fewer since the
-# codec is the one integer reader, of vectors, sigma rows and wall pairs; and
-# 11 fewer since the certificate module alone picks the digest's SHA-256
-# (14 lines out of cli, 3 into certificate), instance_from_payload reads
-# each field through _require (7 fewer), alpha_x is decoded with sigma (1
-# fewer), and verify compares the wall list with obstruction.wall_pairs'
-# iterator (8 more)
+# the most lines of src/hkcert/*.py, of the hkcert modules a construct process
+# loads, and of those a verify process loads (the whole checker it compiles)
+PACKAGE_LINE_BUDGET = 2730
+CONSTRUCT_LINE_BUDGET = 2522
 VERIFY_LINE_BUDGET = 1653
+
+
+def test_package_stays_within_its_line_budget():
+    files = Path(cert.__file__).parent.glob("*.py")
+    assert sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files) <= PACKAGE_LINE_BUDGET
+
 
 def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_path):
     # a certifying algorithm's checker is small and apart from the search:
@@ -1589,11 +1582,12 @@ def test_cli_verify_memory_is_bounded_by_its_file(e2_payload, tmp_path):
 def test_cli_construct_loads_the_pipeline_and_reproduces_the_golden_digest(e2_instance, tmp_path):
     digest = next(e["digest"] for e in CORPUS if e["label"] == "e2")
     cert.write_json(tmp_path / "e2.json", cert.instance_to_payload(e2_instance))
-    output, (code, loads_construction, _, _) = _cli_loads(
+    output, (code, loads_construction, _, lines) = _cli_loads(
         ["construct", "-i", "e2.json", "-o", "e2.cert.json"], tmp_path
     )
     assert len(output) == 1 and output[0].startswith("e2.cert.json: ")
     assert (code, loads_construction) == ("0", "True")
+    assert int(lines) <= CONSTRUCT_LINE_BUDGET
     assert cert.read_json(tmp_path / "e2.cert.json")["digest"] == digest
 
 

@@ -8,7 +8,6 @@ import pytest
 from hkcert import construction
 from hkcert.errors import ConstructionInvariantViolated, SearchExhausted
 from hkcert.construction import (
-    NoIsometryError,
     check_rank_factor_size,
     choose_t,
     degree_and_mukai,
@@ -245,7 +244,7 @@ def test_run_pipeline_b_not_orthogonal_to_pic_is_no_isometry(e2_instance, lam2):
     # B = e2 + f2 + f1 fails only b_orthogonal_pic; the transport ends then
     # differ in norm, which isometry_between refuses
     bad = e2_instance.replace(B=lam2.vector([0, 1, 1, 1] + [0] * 19))
-    with pytest.raises(NoIsometryError, match=r"^norm mismatch: 4620 != 4812$"):
+    with pytest.raises(ValueError, match=r"^norm mismatch: 4620 != 4812$"):
         run_pipeline(bad)
 
 
