@@ -46,7 +46,7 @@ def cmd_construct(input_path, output_path, out=None, **budgets):
         rec = construction.run_pipeline(inst, **budgets)
         wall = construction.wall_for_record(inst, rec)
         # every integer is turned into a decimal string here, before the
-        # certificate file is opened
+        # certificate file is opened; the summary line prints those strings
         payload = cert.certificate_payload(inst, rec, wall, budgets)
     except SearchExhausted as exc:
         print(f"error: search exhausted: {exc}", file=out)
@@ -62,12 +62,9 @@ def cmd_construct(input_path, output_path, out=None, **budgets):
     except OSError as exc:
         print(f"error: {output_path}: {exc}", file=out)
         return EXIT_INPUT
-    print(
-        f"{output_path}: C1={rec.C1} u={rec.u} g={rec.g} t={rec.t} H2={rec.H2} "
-        f"v0=({rec.v0.r},{rec.v0.m},{rec.v0.s}) epsilon={rec.epsilon} "
-        f"wall={wall.verdict}",
-        file=out,
-    )
+    r, v0 = payload["record"], payload["record"]["v0"]
+    print(f"{output_path}: C1={r['C1']} u={r['u']} g={r['g']} t={r['t']} H2={r['H2']} v0=({v0['r']},"
+          f"{v0['m']},{v0['s']}) epsilon={r['epsilon']} wall={payload['wall']['verdict']}", file=out)
     return EXIT_OK
 
 

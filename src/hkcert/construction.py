@@ -129,7 +129,7 @@ def first_orthogonal_tuple(weights, bound, accept):
     prefix_at = [i for i in range(rho) if i not in (j, k)]
     prefix_weights = [weights[i] for i in prefix_at]
     best = None
-    top = rho * bound  # the grade of the best hit so far, once there is one
+    top = rho * bound + 1  # the grade of the best hit so far; above every grade before one
     prefixes = itertools.chain([(0,) * (rho - 2)], graded_coefficient_tuples(rho - 2, bound))
     for prefix in prefixes:
         f = sum(map(abs, prefix))
@@ -150,9 +150,9 @@ def first_orthogonal_tuple(weights, bound, accept):
                 continue
             coeffs[k], coeffs[j] = x, cj
             cand = tuple(coeffs)
-            key = search_order_key(cand)
-            if (best is None or key < best_key) and accept(cand):
-                best, best_key, top = cand, key, grade
+            # a lower grade is earlier outright; the key decides only a tie
+            if (grade < top or search_order_key(cand) < search_order_key(best)) and accept(cand):
+                best, top = cand, grade
     return best
 
 
@@ -362,22 +362,23 @@ def degree_and_mukai(n: int, g: int, t: int, d: int, e: int):
 # (e, a, Ge, Ga, (a,a)/2): each vector as its nonzero (index, value) pairs,
 # Ge and Ga the pairings with the basis.
 
-def _transvect(op, x):
-    """Apply t(e, a) to the coordinate list x, in place; touches only the
-    supports of e, a, Ge and Ga."""
+def _transvect(op, xs):
+    """Apply t(e, a) to each coordinate list in xs, in place; touches only
+    the supports of e, a, Ge and Ga."""
     e, a, ge, ga, half = op
-    ax = ex = 0
-    for j, p in ga:
-        ax += p * x[j]
-    for j, p in ge:
-        ex += p * x[j]
-    ce = -ax - half * ex
-    if ce:
-        for i, c in e:
-            x[i] += ce * c
-    if ex:
-        for i, c in a:
-            x[i] += ex * c
+    for x in xs:
+        ax = ex = 0
+        for j, p in ga:
+            ax += p * x[j]
+        for j, p in ge:
+            ex += p * x[j]
+        ce = -ax - half * ex
+        if ce:
+            for i, c in e:
+                x[i] += ce * c
+        if ex:
+            for i, c in a:
+                x[i] += ex * c
 
 
 def _inverse(op):
@@ -395,16 +396,10 @@ def _isometry_of_ops(ops, inverse_ops, L):
     """
     undo = [_inverse(op) for op in reversed(inverse_ops)]
     moved = {j for _, _, ge, ga, _ in itertools.chain(ops, inverse_ops) for j, _ in ge + ga}
-    cols = []
-    for j in range(L.rank):
-        x = [0] * L.rank
-        x[j] = 1
-        if j in moved:
-            for op in ops:
-                _transvect(op, x)
-            for op in undo:
-                _transvect(op, x)
-        cols.append(x)
+    cols = snf.identity_matrix(L.rank)  # column j is e_j
+    xs = [cols[j] for j in moved]
+    for op in itertools.chain(ops, undo):
+        _transvect(op, xs)
     return Isometry(tuple(zip(*cols)), L)
 
 
@@ -455,7 +450,7 @@ def _reduction_ops(pairs, budget, v: LatticeVector, half_norm: int):
             sum(c * ga.get(i, 0) for i, c in a) // 2,
         )
         ops.append(op)
-        _transvect(op, cur)
+        _transvect(op, (cur,))
 
     # Euclidean descent on p2 = (e2, v) until p2 = 1.  The planes are (e, f)
     # with Gram rows ((f, 1),) and ((e, 1),), so (e, v) is v's f-coordinate

@@ -29,8 +29,7 @@ BUDGETS = {"coeff_bound": 16, "u_budget": 10**6, "t_budget": 10**6, "isometry_bu
 class HKInstance(Record):
     __slots__ = _fields = ("n", "pic_basis", "W", "B", "d", "C0")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __post_init__(self):
         object.__setattr__(self, "pic_basis", tuple(self.pic_basis))
 
     @property
@@ -50,8 +49,7 @@ class BrauerClass(Record):
 
     __slots__ = _fields = ("representative", "pic_basis")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __post_init__(self):
         object.__setattr__(self, "pic_basis", tuple(self.pic_basis))
 
 

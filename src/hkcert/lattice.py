@@ -160,16 +160,9 @@ class Isometry(Record):
     __slots__ = ("matrix", "lattice", "_moved", "_columns")
     _fields = ("matrix", "lattice")
 
-    def __init__(self, matrix, lattice):
+    def __post_init__(self):
         # matrix is a tuple of tuples of ints (an assembled sigma, or one
         # decoded by _dec_ints); it is stored as given
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "lattice", lattice)
-        # looked up on the instance: bench/spans.py times every construction
-        # by wrapping Isometry.__post_init__
-        self.__post_init__()
-
-    def __post_init__(self):
         m, L = self.matrix, self.lattice
         n = L.rank
         if len(m) != n or any(len(row) != n for row in m):

@@ -1,9 +1,10 @@
 """The immutable value base shared by the package's records.
 
 Each record class lists its fields, in constructor order, in ``_fields`` and
-stores them in ``__slots__``.  A record compares and hashes by its field
-values, refuses attribute assignment, and pickles by calling its constructor
-again.  They are plain slotted classes, not ``@dataclass`` ones: importing
+stores them in ``__slots__``; the constructor sets them, then calls
+``__post_init__``, where a subclass checks them.  A record compares and hashes
+by its field values, refuses attribute assignment, and pickles by calling its
+constructor again.  Plain slotted classes, not ``@dataclass`` ones: importing
 that module (it pulls in ``inspect``) and decorating each class would cost
 every CLI process start-up time (see README, "Start-up").
 """
@@ -29,6 +30,12 @@ class Record:
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+        # looked up on the instance: bench/spans.py times every Isometry
+        # construction by wrapping Isometry.__post_init__ on the class
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -102,9 +102,9 @@ def isometry_of_ops_full(ops, inverse_ops, L):
         x = [0] * L.rank
         x[j] = 1
         for op in ops:
-            _transvect(op, x)
+            _transvect(op, (x,))
         for op in undo:
-            _transvect(op, x)
+            _transvect(op, (x,))
         cols.append(x)
     return Isometry(tuple(zip(*cols)), L)
 
@@ -135,7 +135,7 @@ class DenseReduction:
             )
         op = transvection(self.L.vector(e_coords), self.L.vector(a_coords))
         self.ops.append(op)
-        _transvect(op, cur)
+        _transvect(op, (cur,))
         return cur
 
     def run(self, v: LatticeVector):

@@ -345,6 +345,22 @@ def test_written_files(tmp_path, monkeypatch):
     assert written_files() == json.loads(FILES.read_text())
 
 
+@pytest.mark.parametrize("entry", CORPUS, ids=_entry_id)
+def test_construct_summary_line(entry, tmp_path, monkeypatch):
+    # the whole line, formatted from the record's own integers
+    monkeypatch.chdir(tmp_path)
+    inst = instance_of(entry)
+    rec = certified(entry)[0]
+    cert.write_json("in.json", cert.instance_to_payload(inst))
+    out = io.StringIO()
+    assert cmd_construct("in.json", "out.json", out=out) == 0
+    assert out.getvalue() == (
+        f"out.json: C1={rec.C1} u={rec.u} g={rec.g} t={rec.t} H2={rec.H2} "
+        f"v0=({rec.v0.r},{rec.v0.m},{rec.v0.s}) epsilon={rec.epsilon} "
+        f"wall={wall_for_record(inst, rec).verdict}\n"
+    )
+
+
 # --- oracles for the discriminant and determinant shortcuts -----------------
 
 def _twisted(sigma, sign_of_row):

@@ -18,6 +18,7 @@ from hkcert.lattice import (
     hyperbolic_plane,
 )
 from hkcert.obstruction import WallCertificate, wall_certificate
+from hkcert.record import Record
 from lattice_reference import eichler_transvection
 
 # one record of each class, built from the worked instance
@@ -89,3 +90,38 @@ def test_hk_instance_replace(e2_instance, lam2):
     assert out.replace(d=2) == e2_instance
     with pytest.raises(TypeError):
         e2_instance.replace(unknown=1)
+
+
+_SEEN = []
+
+
+class _Checked(Record):
+    # defines only the hook, which the generic constructor runs
+    __slots__ = _fields = ("x",)
+
+    def __post_init__(self):
+        if self.x < 0:
+            raise ValueError("negative")
+        _SEEN.append(self.x)
+
+
+def test_post_init_runs_on_every_construction(e2_instance, lam2):
+    _SEEN.clear()
+    _Checked(1)
+    _Checked(x=2)
+    assert pickle.loads(pickle.dumps(_Checked(3))) == _Checked(3)
+    assert _SEEN == [1, 2, 3, 3, 3]
+    for build in (lambda: _Checked(-1), lambda: _Checked(x=-1)):
+        with pytest.raises(ValueError, match="negative"):
+            build()
+    fields = dict(zip(HKInstance._fields, e2_instance._values()))
+    inst = HKInstance(**{**fields, "pic_basis": list(e2_instance.pic_basis)})
+    assert type(inst.pic_basis) is tuple and inst == e2_instance
+    brauer = b_field_class(e2_instance)
+    assert type(BrauerClass(brauer.representative, list(brauer.pic_basis)).pic_basis) is tuple
+    # sigma(f1) = e1 + f1 has norm 2
+    n = lam2.rank
+    shear = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n))
+    for build in (lambda: Isometry(shear, lam2), lambda: Isometry(matrix=shear, lattice=lam2)):
+        with pytest.raises(ValueError, match="Gram form"):
+            build()
