@@ -88,16 +88,16 @@ def _verify_one(path):
 def cmd_verify(paths, jobs=1, out=None):
     """Verify each file, printing its lines, in input order, as soon as it and
     every file before it are done."""
-    if jobs > 1 and len(paths) > 1:
+    # the pool may start all its workers at once (at the first submit under
+    # fork, on demand under forkserver, CPython 3.14's default on Linux): no
+    # more than the files or usable CPUs, and no pool for one worker
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if (workers := min(jobs, len(paths), cpus)) > 1:
         # imported here: it pulls in multiprocessing, which every other
         # command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool may start all its workers at once (at the first submit
-        # under fork, on demand under forkserver, CPython 3.14's default on
-        # Linux): no more than the files or usable CPUs
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(jobs, len(paths), cpus)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # map submits every file at once and yields the results in order
             return _report(pool.map(_verify_one, paths), out)
     return _report(map(_verify_one, paths), out)

@@ -49,18 +49,14 @@ def _layout(obj, pad):
     quote = ""  # put around each item by the join
     if isinstance(obj, (list, tuple)):
         brackets = "[]"
-        if _STR.issuperset(map(type, obj)):
-            text = "".join(obj)
-            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-                quote, items = '"', obj
-            else:
-                items = map(_escape, obj)
+        text = "".join(obj) if _STR.issuperset(map(type, obj)) else None
+        if text is not None and text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            quote, items = '"', obj
         else:
             items = [_layout(x, inner) for x in obj]
     elif isinstance(obj, dict):
         brackets = "{}"
-        items = [_escape(k) + ": " + (_escape(v) if isinstance(v, str) else _layout(v, inner))
-                 for k, v in obj.items()]
+        items = [_escape(k) + ": " + _layout(v, inner) for k, v in obj.items()]
     else:
         return json.dumps(obj)
     if not obj:

@@ -579,15 +579,16 @@ def test_cli_verify_jobs_starts_no_more_workers_than_files(e2_payload, tmp_path,
 
 def test_cli_verify_jobs_starts_no_more_workers_than_usable_cpus(e2_payload, tmp_path, monkeypatch):
     # --jobs 64 on 5 files asks for min(64, 5, usable CPUs) workers: the
-    # CPUs in this process's affinity set, else os.cpu_count(), else 1
+    # CPUs in this process's affinity set, else os.cpu_count(), else 1; one
+    # usable CPU asks for no pool, and verifies in this process
     paths = _copies(e2_payload, tmp_path, 5)
     alone = io.StringIO()
     rc = cmd_verify(paths, out=alone)
-    for cpus, affinity, workers in ((3, True, 3), (64, True, 5), (2, False, 2), (None, False, 1)):
+    for cpus, affinity, asks in ((3, True, [3]), (64, True, [5]), (2, False, [2]), (None, False, []), (1, True, [])):
         asked = _inline_pool(monkeypatch, cpus, affinity)
         out = io.StringIO()
         assert cmd_verify(paths, jobs=64, out=out) == rc == EXIT_OK
-        assert asked == [workers]
+        assert asked == asks
         assert out.getvalue() == alone.getvalue()
 
 
@@ -1132,9 +1133,9 @@ def test_cli_verify_unprintable_integer_is_format_error(e2_payload, tmp_path, jo
 
 
 def test_cli_import_leaves_out_unused_modules():
-    # start-up loads neither the process pool (multiprocessing; only
-    # --jobs > 1 needs it), nor dataclasses with inspect, nor fractions with
-    # decimal (the package uses neither).
+    # start-up loads neither the process pool (multiprocessing; only a
+    # --jobs run of two or more workers needs it), nor dataclasses with
+    # inspect, nor fractions with decimal (the package uses neither).
     # Compared with a bare interpreter, so a module that a site .pth file
     # loads cannot decide the result.
     added = loaded_modules("import hkcert.cli") - loaded_modules("pass")
@@ -1512,8 +1513,8 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines of src/hkcert/*.py, of the hkcert modules a construct process
 # loads, and of those a verify process loads (the whole checker it compiles)
-PACKAGE_LINE_BUDGET = 2720
-CONSTRUCT_LINE_BUDGET = 2512
+PACKAGE_LINE_BUDGET = 2716
+CONSTRUCT_LINE_BUDGET = 2508
 VERIFY_LINE_BUDGET = 1648
 
 

@@ -333,9 +333,12 @@ def test_non_isometry_rejected(lam2):
 # --- constructive isometries ------------------------------------------------
 
 def test_isometry_identity_on_equal(lam2):
+    # v = w returns the identity before any reduction runs: no step budget
+    # applies, so a budget of 0 gives it too
     v = lam2.basis_vector(0) + lam2.basis_vector(2)
-    iso = isometry_between(v, v)
-    assert iso.apply(v) == v
+    for budget in ({}, {"step_budget": 0}):
+        iso = isometry_between(v, v, **budget)
+        assert iso.apply(v) == v
 
 
 def test_isometry_example_e1_e2(lam2):
