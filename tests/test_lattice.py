@@ -481,6 +481,30 @@ def test_reduction_budget_matches_dense_reference(index):
         assert isinstance(outcomes[0], str) == (budget < count)
 
 
+def _fibonacci_vector(L, k):
+    # e1 + F_{k+1} f1 + F_k f2: (e1, v) = F_{k+1} and (e2, v) = F_k, so the
+    # descent on (e2, v) is Euclid's algorithm at its worst (Lame)
+    fk, fk1 = 0, 1
+    for _ in range(k):
+        fk, fk1 = fk1, fk + fk1
+    return L.vector([1, fk1, 0, fk] + [0] * (L.rank - 4))
+
+
+@pytest.mark.parametrize("k", [300, 1000])
+def test_reduction_of_fibonacci_pairings_takes_lames_count(lam2, k):
+    # one transvection per Euclidean step, k + 1 in all: about 4.78 per digit
+    assert len(_reduce(_fibonacci_vector(lam2, k))) == k + 1
+
+
+@pytest.mark.xfail(strict=True, raises=SearchExhausted, reason="ROADMAP item 27")
+def test_isometry_of_fibonacci_pairings_within_the_default_budget(lam2):
+    # F_10000 has 2090 digits, below CPython's 4300-digit int/str limit, and
+    # its reduction needs 10 001 transvections, one past the default budget
+    v = _fibonacci_vector(lam2, 10000)
+    w = lam2.basis_vector(0) + (norm(v) // 2) * lam2.basis_vector(1)
+    assert isometry_between(v, w).apply(v) == w
+
+
 _BIG = st.integers(-(10**30), 10**30)
 _BIG_NONZERO = _BIG.filter(bool)
 
