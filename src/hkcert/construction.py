@@ -40,6 +40,10 @@ from .lattice import (
 )
 from .record import Record
 
+# construct's caps on its input, which no flag moves; the README's "Input
+# envelope" gives each one's exit, reason, time and memory at the limit
+LIMITS = {"rank_factor_bits": 2**20, "normalize_coeff_bound": 8, "normalize_candidates": 200000}
+
 
 class ConstructionRecord(Record):
     __slots__ = _fields = (
@@ -603,16 +607,11 @@ def pushforward_brauer(inst: HKInstance, sigma: Isometry, g: int, t: int, epsilo
     return alpha, brauer_equal(alpha, b_field_class(inst))
 
 
-# construct refuses a rank factor n! r^n of more than this many bits (about
-# 315 000 decimal digits); see the README's CLI section
-RANK_FACTOR_MAX_BITS = 2**20
-
-
 def check_rank_factor_size(n: int, r: int) -> None:
-    """Raise ValueError if n! r^n (n, r >= 1) has over RANK_FACTOR_MAX_BITS bits."""
-    if rank_factor_min_bits(n, r) > RANK_FACTOR_MAX_BITS:
+    """Raise ValueError if n! r^n (n, r >= 1) has over LIMITS["rank_factor_bits"] bits."""
+    if rank_factor_min_bits(n, r) > LIMITS["rank_factor_bits"]:
         raise ValueError(
-            f"rank factor n! r^n would have more than {RANK_FACTOR_MAX_BITS} bits "
+            f"rank factor n! r^n would have more than {LIMITS['rank_factor_bits']} bits "
             f"(n has {n.bit_length()} bits, r has {r.bit_length()})"
         )
 
@@ -712,17 +711,13 @@ def orthogonal_complement_basis(L: GramLattice, vectors):
     return [LatticeVector(x, L) for x in sorted(basis, reverse=True)]
 
 
-_NORMALIZE_COEFF_BOUND = 8
-_NORMALIZE_CANDIDATES = 200000
-
-
 def normalize_brauer(inst: HKInstance):
     """Shift B by d * (integral class orthogonal to Pic) until its norm is positive.
 
     The Brauer class [-B/d] is unchanged.  Identity when the norm is already
     positive.  Candidates are enumerated in the documented search order over
     the canonical complement basis with per-coefficient bound
-    _NORMALIZE_COEFF_BOUND, at most _NORMALIZE_CANDIDATES of them.
+    LIMITS["normalize_coeff_bound"], at most LIMITS["normalize_candidates"] of them.
 
     Also identity when no shift can be primitive: a common factor of d and
     every coordinate of B divides every B - d*c.  Validation then names the
@@ -731,13 +726,13 @@ def normalize_brauer(inst: HKInstance):
     if norm(inst.B) > 0 or gcd(inst.d, *inst.B.coords) > 1:
         return inst
     comp = orthogonal_complement_basis(inst.lattice, inst.pic_basis)
-    candidates = graded_coefficient_tuples(len(comp), _NORMALIZE_COEFF_BOUND)
+    candidates = graded_coefficient_tuples(len(comp), LIMITS["normalize_coeff_bound"])
     tried = 0
-    for tried, coeffs in enumerate(itertools.islice(candidates, _NORMALIZE_CANDIDATES), 1):
+    for tried, coeffs in enumerate(itertools.islice(candidates, LIMITS["normalize_candidates"]), 1):
         cand = inst.B - inst.d * linear_combination(inst.lattice, coeffs, comp)
         if norm(cand) > 0 and is_primitive(cand):
             return inst.replace(B=cand)
     raise SearchExhausted(
         f"no orthogonal shift with positive norm within coefficient bound "
-        f"{_NORMALIZE_COEFF_BOUND} ({tried} candidates tried)"
+        f"{LIMITS['normalize_coeff_bound']} ({tried} candidates tried)"
     )

@@ -398,7 +398,7 @@ def test_rank_factor_size_check_is_a_lower_bound(monkeypatch):
     # with a small cap, every refused (n, r) really has a longer rank factor,
     # and the bound is within 4n bits of it
     cap = 600
-    monkeypatch.setattr(construction, "RANK_FACTOR_MAX_BITS", cap)
+    monkeypatch.setitem(construction.LIMITS, "rank_factor_bits", cap)
     refused = 0
     for n in (1, 2, 3, 5, 8, 13, 40, 100, 150):
         for r in (1, 2, 3, 96, 2**40 - 1, 2**40, 10**30):
