@@ -6,9 +6,9 @@ files are written by hkcert.writer, which construct and random load and
 verify does not; its three entry points are forwarded from here.  The
 verifier recomputes each predicate from the instance and the recorded
 parameters alone.  Recorded parameters make verification search-free: the
-verifier evaluates, it never searches.  A content digest over the canonical
-serialization guards fields (budgets, tool version, C0 headroom) whose
-mutation would otherwise yield a different-but-consistent certificate.
+verifier evaluates, it never searches.  The content digest over the canonical
+serialization catches accidental edits, not forged ones: anyone can recompute
+it, and until ROADMAP item 26 nothing else binds checks, budgets or tool_version.
 """
 
 import json

@@ -146,14 +146,14 @@ def cmd_random(n, pic_rank, c0, d_max, seed, count, out_dir, out=None):
     return EXIT_OK
 
 
-# The command line, one entry per command: its function's name, its help,
+# The command line, one entry per command: its function, its help,
 # its positional argument as (dest, metavar, help) or None, and its options
 # as (flags, dest, type, default, metavar, help), a default of None marking
 # a required option.  main parses a command line that spells every flag in
 # full against this table alone; build_parser makes argparse's parser of it
 # for help, usage errors and every other spelling.
 COMMANDS = {
-    "construct": ("cmd_construct", "run the pipeline on an instance file", None, (
+    "construct": (cmd_construct, "run the pipeline on an instance file", None, (
         (("-i", "--input"), "input_path", str, None, "INPUT", "instance JSON"),
         (("-o", "--output"), "output_path", str, None, "OUTPUT", "certificate JSON to write"),
         (("--budget-u",), "u_budget", int, BUDGETS["u_budget"], "BUDGET_U", "max step multiplier u"),
@@ -163,11 +163,11 @@ COMMANDS = {
         (("--bound-coeff",), "coeff_bound", int, BUDGETS["coeff_bound"], "BOUND_COEFF",
          "coefficient bound for the A/omega searches"),
     )),
-    "verify": ("cmd_verify", "recheck certificates from their recorded data",
+    "verify": (cmd_verify, "recheck certificates from their recorded data",
                ("paths", "certs", "certificate JSON files"), (
         (("--jobs",), "jobs", int, 1, None, "verify files in parallel"),
     )),
-    "random": ("cmd_random", "write seeded random instance files", None, (
+    "random": (cmd_random, "write seeded random instance files", None, (
         (("--n",), "n", int, None, None, None),
         (("--pic-rank",), "pic_rank", int, None, None, None),
         (("--c0",), "c0", int, None, None, None),
@@ -243,8 +243,7 @@ def main(argv=None):
         args = vars(build_parser().parse_args(argv))
         parsed = args.pop("command"), args
     command, kwargs = parsed
-    # looked up at each call, so that a wrapper set on cli.cmd_* sees it
-    return globals()[COMMANDS[command][0]](**kwargs)
+    return COMMANDS[command][0](**kwargs)
 
 
 def run(argv=None):

@@ -407,27 +407,17 @@ def _isometry_of_ops(ops, inverse_ops, L):
     return Isometry(tuple(zip(*cols)), L)
 
 
-def _hyperbolic_pairs(L: GramLattice):
-    # consecutive basis vectors spanning an orthogonal summand U
-    rows = L.sparse_rows
-    return [
-        (i, i + 1)
-        for i in range(L.rank - 1)
-        if rows[i] == ((i + 1, 1),) and rows[i + 1] == ((i, 1),)
-    ]
-
-
-def _reduction_ops(pairs, budget, v: LatticeVector, half_norm: int):
+def _reduction_ops(budget, v: LatticeVector, half_norm: int):
     """The op list taking v, primitive of divisibility 1 and norm 2 * half_norm, to e1 + half_norm f1.
 
     Works entirely through Eichler transvections t(e, a) with e one of the
-    four isotropic basis vectors of the first two hyperbolic planes, and a
-    with a few nonzero entries, so each op is built from e's basis index and
-    a's (index, value) pairs.  The recorded op list is replayed (or replayed
+    four isotropic basis vectors e1, f1, e2, f2 (indices 0-3), and a with a
+    few nonzero entries, so each op is built from e's basis index and a's
+    (index, value) pairs.  The recorded op list is replayed (or replayed
     inverted, a -> -a in reverse order) to build the final isometry.
     """
-    (ie1, if1), (ie2, if2) = pairs[0], pairs[1]
-    r_indices = [k for k in range(v.lattice.rank) if k not in (ie1, if1, ie2, if2)]
+    ie1, if1, ie2, if2 = 0, 1, 2, 3
+    r_indices = range(4, v.lattice.rank)
     rows = v.lattice.sparse_rows
     ops = []
     cur = list(v.coords)
@@ -544,10 +534,10 @@ def _extended_gcd_combination(vals):
 def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDGETS["isometry_budget"]) -> Isometry:
     """A transvection-generated isometry sending v to w, exactly.
 
-    Both vectors must be primitive of divisibility 1 with equal norms, and
-    the lattice must contain two orthogonal hyperbolic planes among its
-    basis blocks.  The output has determinant +1 and acts trivially on the
-    discriminant group; run_pipeline checks that it sends v to w.
+    Both vectors need divisibility 1 and equal norms, in an even lattice
+    whose first four basis vectors span two orthogonal hyperbolic planes,
+    as build_lambda's do.  The output has determinant +1, acts trivially on
+    the discriminant group, and run_pipeline checks that it sends v to w.
     """
     if v.lattice != w.lattice:
         raise ValueError("vectors live in different lattices")
@@ -556,19 +546,16 @@ def isometry_between(v: LatticeVector, w: LatticeVector, step_budget: int = BUDG
     if nv != nw:
         raise ValueError(f"norm mismatch: {nv} != {nw}")
     dv, dw = divisibility(v), divisibility(w)
-    if dv != dw:
-        raise ValueError(f"divisibility mismatch: {dv} != {dw}")
-    if dv != 1:
-        raise ValueError(f"only divisibility 1 is implemented, got {dv}")
-    pairs = _hyperbolic_pairs(L)
-    if len(pairs) < 2:
-        raise ValueError("lattice needs two orthogonal hyperbolic planes among its basis blocks")
+    if (dv, dw) != (1, 1):
+        raise ValueError(f"only divisibility 1 is implemented, got {dv} and {dw}")
+    if L.sparse_rows[:4] != (((1, 1),), ((0, 1),), ((3, 1),), ((2, 1),)):
+        raise ValueError("lattice needs two orthogonal hyperbolic planes as its first four basis vectors")
     if any(L.gram[i][i] % 2 for i in range(L.rank)):
         raise ValueError("lattice must be even")
     if v == w:
         return _isometry_of_ops([], (), L)
-    ops_v = _reduction_ops(pairs, step_budget, v, nv // 2)
-    ops_w = _reduction_ops(pairs, step_budget, w, nv // 2)
+    ops_v = _reduction_ops(step_budget, v, nv // 2)
+    ops_w = _reduction_ops(step_budget, w, nv // 2)
     return _isometry_of_ops(ops_v, ops_w, L)
 
 

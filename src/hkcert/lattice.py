@@ -17,12 +17,12 @@ nodes 1-3-4-5-6-7-8 form a chain and node 2 attaches to node 4:
     diag = -2;  +1 exactly at the pairs (1,3), (2,4), (3,4), (4,5),
     (5,6), (6,7), (7,8)  (1-based node numbers).
 
-``build_k3_lattice()`` is the same basis without delta (rank 22,
-unimodular).  Vectors serialize as integer arrays in this basis order,
-Gram matrices as row-major integer arrays.
+``build_k3_lattice()`` is the same basis without delta (rank 22, unimodular).
+Vectors serialize as integer arrays in this basis order, Gram matrices as
+row-major integer arrays.  The transvection reduction reads the first two
+planes, and ``Isometry.orientation`` the first three, at these positions.
 
-All values here are immutable and all operations are pure functions, so
-everything is safe to share across threads.
+Immutable values and pure functions throughout: safe to share across threads.
 """
 
 from functools import lru_cache

@@ -1513,9 +1513,9 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines of src/hkcert/*.py, of the hkcert modules a construct process
 # loads, and of those a verify process loads (the whole checker it compiles)
-PACKAGE_LINE_BUDGET = 2711
-CONSTRUCT_LINE_BUDGET = 2503
-VERIFY_LINE_BUDGET = 1648
+PACKAGE_LINE_BUDGET = 2697
+CONSTRUCT_LINE_BUDGET = 2489
+VERIFY_LINE_BUDGET = 1647
 
 
 def test_package_stays_within_its_line_budget():

@@ -75,7 +75,7 @@ def _reference_parse(argv):
 
 def _exact_parse(argv):
     parsed = cli._parse_exact(argv)
-    return None if parsed is None else (cli.COMMANDS[parsed[0]][0], parsed[1])
+    return None if parsed is None else (cli.COMMANDS[parsed[0]][0].__name__, parsed[1])
 
 
 FLAGS = sorted({flag for *_, options in cli.COMMANDS.values() for option in options for flag in option[0]})

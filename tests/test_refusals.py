@@ -26,6 +26,8 @@ LAM2 = build_lambda(2)
 UU = direct_sum(hyperbolic_plane(), hyperbolic_plane(), label="U+U")
 # two orthogonal hyperbolic planes, as isometry_between needs, but odd
 ODD = direct_sum(hyperbolic_plane(), hyperbolic_plane(), GramLattice(1, ((1,),)))
+# even with two orthogonal hyperbolic planes, but not as its first four basis vectors
+SHIFTED = direct_sum(GramLattice(1, ((-2,),)), hyperbolic_plane(), hyperbolic_plane())
 E1 = LAM2.basis_vector(0)
 IDENTITY_UU = Isometry(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), UU)
 
@@ -46,7 +48,10 @@ REFUSALS = {
     "isometry_between two lattices": (
         lambda inst: isometry_between(E1, UU.basis_vector(0)), ValueError, "different lattices"),
     "isometry_between unequal divisibilities": (
-        lambda inst: isometry_between(E1, 2 * E1), ValueError, "divisibility mismatch: 1 != 2"),
+        lambda inst: isometry_between(E1, 2 * E1), ValueError, "got 1 and 2"),
+    "isometry_between off the first four basis vectors": (
+        lambda inst: isometry_between(SHIFTED.vector([0, 1, 3, 0, 0]), SHIFTED.vector([0, 0, 0, 1, 3])),
+        ValueError, "^lattice needs two orthogonal hyperbolic planes as its first four basis vectors$"),
     "isometry_between on an odd lattice": (
         lambda inst: isometry_between(ODD.vector([1, 1, 0, 0, 0]), ODD.vector([0, 0, 1, 1, 0])),
         ValueError, "lattice must be even"),
