@@ -46,25 +46,9 @@ LIMITS = {"rank_factor_bits": 2**20, "normalize_coeff_bound": 8, "normalize_cand
 
 
 class ConstructionRecord(Record):
-    __slots__ = _fields = (
-        "A",
-        "omega",
-        "D",
-        "u",
-        "C1",
-        "g",
-        "t",
-        "e",
-        "H2",
-        "v0",
-        "source",
-        "target",
-        "sigma",
-        "epsilon",
-        "rk_un",
-        "alpha_x",
-        "checks",
-    )
+    # in the order of a certificate's record, which the writer writes as all but checks, the last
+    __slots__ = _fields = ("A", "omega", "u", "C1", "g", "t", "e", "H2", "v0", "D", "source", "target",
+                           "sigma", "epsilon", "rk_un", "alpha_x", "checks")
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,46 @@
-"""The files as written: instance and certificate payloads, laid out as JSON.
-
-Every integer goes through hkcert.certificate's codec as a decimal string.
-Construct and random write files; a verify process never loads this module.
+"""The files as written: each object of an instance or certificate is its
+record's fields, in ``_fields`` order, laid out as JSON.  Every integer goes
+through hkcert.certificate's codec as a decimal string.  Construct and random
+write files; a verify process never loads this module.
 """
 
 import json
 from json.encoder import encode_basestring_ascii as _escape
 
 from .certificate import SCHEMA_VERSION, TOOL_VERSION, _enc_int, _enc_ints, compute_digest
-from .instance import BUDGETS, HKInstance
+from .instance import BUDGETS, BrauerClass, HKInstance, MukaiVector
+from .lattice import Isometry, LatticeVector
+
+_INT, _STR = frozenset((int,)), frozenset((str,))
 
 
-def _enc_vec(v):
-    return _enc_ints(v.coords)
+def _enc(x):
+    """A field's value as JSON, by its type.  An int goes through _enc_int, a
+    vector or a tuple of ints through _enc_ints, any other tuple entry by
+    entry.  Sigma is written as its rows, v0 as r, m and s (the record holds
+    H2 on its own) and alpha_x as num/den.  A type _ENC lacks raises KeyError:
+    nothing is written as it is."""
+    return _ENC[type(x)](x)
+
+
+_ENC = {
+    int: _enc_int,
+    bool: bool,
+    LatticeVector: lambda v: _enc_ints(v.coords),
+    tuple: lambda t: _enc_ints(t) if _INT.issuperset(map(type, t)) else list(map(_enc, t)),
+    Isometry: lambda sigma: list(map(_enc_ints, sigma.matrix)),
+    MukaiVector: lambda v0: {"r": _enc_int(v0.r), "m": _enc_int(v0.m), "s": _enc_int(v0.s)},
+    BrauerClass: lambda alpha: {"num": _enc(alpha.representative.numerator),
+                                "den": _enc_int(alpha.representative.denominator)},
+}
+
+
+def _as_fields(obj, names):
+    return {name: _enc(getattr(obj, name)) for name in names}
 
 
 def instance_to_payload(inst: HKInstance):
-    return {
-        "n": _enc_int(inst.n),
-        "pic_basis": [_enc_vec(p) for p in inst.pic_basis],
-        "W": _enc_vec(inst.W),
-        "B": _enc_vec(inst.B),
-        "d": _enc_int(inst.d),
-        "C0": _enc_int(inst.C0),
-    }
-
-
-_STR = frozenset((str,))
+    return _as_fields(inst, inst._fields)
 
 
 def _layout(obj, pad):
@@ -77,40 +91,13 @@ def write_json(path, payload):
 
 
 def certificate_payload(inst: HKInstance, rec, wall, budgets):
-    checks = [{"name": c.name, "ok": bool(c.ok), "details": c.details} for c in rec.checks]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
         "instance": instance_to_payload(inst),
-        "record": {
-            "A": _enc_vec(rec.A),
-            "omega": _enc_vec(rec.omega),
-            "u": _enc_int(rec.u),
-            "C1": _enc_int(rec.C1),
-            "g": _enc_int(rec.g),
-            "t": _enc_int(rec.t),
-            "e": _enc_int(rec.e),
-            "H2": _enc_int(rec.H2),
-            "v0": {"r": _enc_int(rec.v0.r), "m": _enc_int(rec.v0.m), "s": _enc_int(rec.v0.s)},
-            "D": _enc_vec(rec.D),
-            "source": _enc_vec(rec.source),
-            "target": _enc_vec(rec.target),
-            "sigma": list(map(_enc_ints, rec.sigma.matrix)),
-            "epsilon": _enc_int(rec.epsilon),
-            "rk_un": _enc_int(rec.rk_un),
-            "alpha_x": {
-                "num": _enc_vec(rec.alpha_x.representative.numerator),
-                "den": _enc_int(rec.alpha_x.representative.denominator),
-            },
-        },
-        "wall": {
-            "g": _enc_int(wall.g),
-            "C1": _enc_int(wall.C1),
-            "C0": _enc_int(wall.C0),
-            "tested_a": list(map(_enc_ints, wall.tested_a)),
-            "verdict": bool(wall.verdict),
-        },
-        "checks": checks,
+        "record": _as_fields(rec, rec._fields[:-1]),  # all but checks, the last
+        "wall": _as_fields(wall, wall._fields),
+        "checks": [{"name": c.name, "ok": bool(c.ok), "details": c.details} for c in rec.checks],
         "budgets": {k: _enc_int(budgets[k]) for k in BUDGETS},
     }
     payload["digest"] = compute_digest(payload)

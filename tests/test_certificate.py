@@ -172,6 +172,28 @@ def test_write_json_oversized_int_leaves_no_file(wrap, tmp_path):
     assert not path.exists()
 
 
+def test_each_written_object_is_its_records_fields_in_order():
+    # the writer writes each object as its record's fields, so a reordered
+    # or renamed field fails here by name, not only as a file digest
+    from hkcert.construction import ConstructionRecord
+    from hkcert.instance import CheckResult, HKInstance
+    from hkcert.obstruction import WallCertificate
+
+    assert ConstructionRecord._fields[-1] == "checks"
+    for entry in CORPUS:
+        payload = certified(entry)[1]
+        assert list(payload["instance"]) == list(HKInstance._fields)
+        assert list(payload["record"]) == list(ConstructionRecord._fields[:-1])
+        assert list(payload["wall"]) == list(WallCertificate._fields)
+        assert all(list(c) == list(CheckResult._fields) for c in payload["checks"])
+
+
+def test_writer_refuses_a_value_of_an_unknown_type(e2_instance):
+    # an int-like float is not written as "2"
+    with pytest.raises(KeyError):
+        cert.instance_to_payload(e2_instance.replace(d=2.0))
+
+
 def test_verify_clean_certificate(e2_payload):
     checks = cert.verify_payload(e2_payload)
     assert all(c.ok for c in checks)
@@ -1513,8 +1535,8 @@ def test_digest_changes_with_content(e2_payload):
 
 # the most lines of src/hkcert/*.py, of the hkcert modules a construct process
 # loads, and of those a verify process loads (the whole checker it compiles)
-PACKAGE_LINE_BUDGET = 2697
-CONSTRUCT_LINE_BUDGET = 2489
+PACKAGE_LINE_BUDGET = 2668
+CONSTRUCT_LINE_BUDGET = 2460
 VERIFY_LINE_BUDGET = 1647
 
 
@@ -1533,6 +1555,74 @@ def test_cli_verify_loads_no_search_code_within_its_line_budget(e2_payload, tmp_
     assert output == [f"e2.cert.json: OK ({len(cert.verify_payload(e2_payload))} checks)"]
     assert (code, loads_construction, loads_sampler, loads_writer) == ("0", "False", "False", "False")
     assert int(lines) <= VERIFY_LINE_BUDGET
+
+
+# the most bytecode instructions CPython 3.11 executes for one pass over the
+# 61 small corpus certificates, after a warm one: of verify_payload, and of
+# run_pipeline with the wall and certificate_payload
+VERIFY_OPCODE_BUDGET = 1987279
+CONSTRUCT_OPCODE_BUDGET = 3485107
+
+_OPCODE_COUNTS = """
+import itertools, json, sys
+from hkcert import certificate as cert
+from hkcert.construction import run_pipeline, wall_for_record
+from hkcert.instance import BUDGETS
+
+instances = [cert.instance_from_payload(p) for p in json.load(sys.stdin)]
+
+def construct():
+    payloads = []
+    for inst in instances:
+        rec = run_pipeline(inst)
+        payloads.append(cert.certificate_payload(inst, rec, wall_for_record(inst, rec), BUDGETS))
+    return payloads
+
+def verify(payloads):
+    for payload in payloads:
+        cert.verify_payload(payload)
+
+def executed(run, *args):
+    ticks = itertools.count()
+    def step(frame, event, arg):
+        if event == "opcode":
+            next(ticks)
+        return step
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return step
+    sys.settrace(call)
+    try:
+        run(*args)
+    finally:
+        sys.settrace(None)
+    return next(ticks)
+
+payloads = construct()
+verify(payloads)
+print(executed(verify, payloads), executed(construct))
+"""
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the budgets are pinned for CPython 3.11: another interpreter compiles other bytecode",
+)
+def test_verify_and_construct_stay_within_their_opcode_budgets():
+    """The bytecode instructions one pass executes are exact and repeatable
+    where wall time is noisy: the same for every run and hash seed.  They
+    follow wall time on small integers only: one big-integer product is one
+    instruction however many digits it has, so the count does not price
+    digits and the 61 certificates leave out the corpus's six bigd ones.
+    A fresh interpreter starts every cache empty; one warm pass fills them."""
+    small = [certified(e)[1]["instance"] for e in CORPUS if e["label"] != "bigd"]
+    assert len(small) == 61
+    r = subprocess.run([sys.executable, "-c", _OPCODE_COUNTS], input=json.dumps(small),
+                       capture_output=True, text=True, env=_buffered_child_env())
+    assert (r.returncode, r.stderr) == (0, "")
+    verify_count, construct_count = map(int, r.stdout.split())
+    assert verify_count <= VERIFY_OPCODE_BUDGET
+    assert construct_count <= CONSTRUCT_OPCODE_BUDGET
 
 
 def wall_instance(k):
@@ -1659,7 +1749,7 @@ def test_writer_is_forwarded_from_the_certificate_module():
 
     for name in ("instance_to_payload", "write_json", "certificate_payload"):
         assert getattr(cert, name) is getattr(hkcert.writer, name)
-    for name in ("_layout", "_enc_vec", "no_such_name"):
+    for name in ("_layout", "_enc", "no_such_name"):
         with pytest.raises(AttributeError, match=f"'{name}'"):
             getattr(cert, name)
 
